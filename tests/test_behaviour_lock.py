@@ -1,0 +1,168 @@
+"""Behaviour lock: sha256 digests of random states, fault injection, step
+streams and CLI reports.
+
+A refactor that claims to change nothing must leave every digest here
+unchanged; a change that alters behaviour on purpose updates them and says
+why.  States and step events are digested field by field, not through their
+reprs, so a change of representation alone does not move a digest.  The
+step-stream runs are capped at a few rounds, so they lock the kernel, the
+schedulers and step-triggered faults but not the stabilization rule; the
+CLI reports include the stabilization verdict and move with it.
+"""
+
+import hashlib
+
+import pytest
+
+from stabconn import cli
+from stabconn.graph import figure1, generate_clustered, generate_random_connected
+from stabconn.simulator import FaultSpec, init_arbitrary, inject_fault, make_scheduler, run
+
+GRAPHS = {
+    "figure1": figure1,
+    "random-12": lambda: generate_random_connected(12, 7, seed=3),
+    "clustered-3x4": lambda: generate_clustered(3, 4, seed=5),
+}
+
+
+def _digest(item) -> str:
+    return hashlib.sha256(repr(item).encode()).hexdigest()
+
+
+def _states(c) -> tuple:
+    return tuple(
+        (
+            tuple(st.register),
+            st.path,
+            st.count,
+            st.n_in,
+            st.n_out,
+            tuple(st.read_path),
+            tuple(st.read_count),
+            tuple(st.read_bcc),
+            st.pc,
+        )
+        for st in c.states
+    )
+
+
+def init_digest(name: str) -> str:
+    g = GRAPHS[name]()
+    return _digest([_states(init_arbitrary(g, seed)) for seed in range(10)])
+
+
+def fault_digest(kind: str) -> str:
+    out = []
+    for make in GRAPHS.values():
+        g = make()
+        base = init_arbitrary(g, 1)
+        for seed in range(5):
+            if kind == "random_fields":
+                spec = FaultSpec(random_fields=3, seed=seed)
+            else:
+                spec = FaultSpec(targets=tuple((v, kind) for v in (1, 2, g.n)), seed=seed)
+            out.append(_states(inject_fault(base, spec)))
+            out.append(_states(inject_fault(base, spec, seed=seed + 100)))
+    return _digest(out)
+
+
+def stream_digest(name: str, scheduler: str, seed: int) -> str:
+    g = GRAPHS[name]()
+    faults = [FaultSpec(trigger=3 * g.n, random_fields=2, seed=seed)]
+    trace, report = run(
+        g,
+        make_scheduler(scheduler, seed=seed),
+        init_arbitrary(g, seed),
+        faults=faults,
+        max_rounds=6,
+        record_steps=True,
+    )
+    return _digest(
+        (
+            [(i, pid, ev.kind, ev.field, ev.port, ev.changed) for i, pid, ev in trace.steps],
+            [tuple(reg) for reg in report.final_registers],
+            [(ev.step, ev.round, ev.node, ev.fields) for ev in report.fault_events],
+            report.rounds,
+            report.total_steps,
+        )
+    )
+
+
+def cli_digest(argv: list[str], out_path) -> tuple[int, str]:
+    code = cli.main([*argv, "--out", str(out_path)])
+    return code, hashlib.sha256(out_path.read_bytes()).hexdigest()
+
+
+INIT = {
+    "figure1": "59f75f4aba9bf40aa8794481d684fafd4482a916850923f41729858568ec4357",
+    "random-12": "c56d332f67d83d051939acfa100f26cee3c55b2b1b57de5629789f802fc08a9f",
+    "clustered-3x4": "06cc43c867e65cf02f8fe15330373e37681858472cf6ba3a9dd5ac61a028afc8",
+}
+
+FAULTS = {
+    "path": "18bdfcc5498968e1673131bd6b568c0539e34ef543a0790c0cd883c00b97938a",
+    "count": "2c59a49312db2de64397c1d5b92dbb3e4b2529e5638d72dc2c423c2d96ae00f2",
+    "bcc": "e585372939da2b7c27d143ad95d298df41f808552505bd6fc936e0f86173c1e3",
+    "pc": "e3e1f5636f2e6fc0a1d3b6229c692036552fa64fe1bab8dd5aa264a20c150ce5",
+    "locals": "e47957ee4bbc070342cc1417b69539782f938b180c97c95c2552c92d43c3afdb",
+    "random_fields": "294dc654e01e01564a4114a91686ff786ee29ee39911692dbc897f356aad7351",
+}
+
+STREAMS = {
+    ("figure1", "round-robin", 0): "ddd3eade002c92542996c275f8699bfca842549a5bf1bffce00b5744d74b01de",
+    ("figure1", "random", 1): "4229231733fc13ebf8a3de3f6f413ac57339f78eaede1589312bfa7ea7e2fb1e",
+    ("random-12", "weighted", 2): "333f92850738417e6dd5f34915d2aba82fea2e96346dc6a03f49f802044cb7eb",
+    ("random-12", "round-robin", 3): "39457c5fc43355e3081a43acc67f06991449993202f92fc8ed94035e729c2379",
+    ("clustered-3x4", "random", 4): "16c647e2b95f6028cd2c47102de5170e7c69392641571b54c44541f5fc6e6ff3",
+    ("clustered-3x4", "weighted", 5): "624d4674bf3c575d9932fa04fecd72816a985b5fc7e83e996eea4937494c1aaa",
+}
+
+CLI_RUNS = {
+    "run --generate figure1": (
+        0,
+        "6a4d66badc7e953a7008620056c8858a8bbc6f093a4b0e5c7f2819360ea3dfce",
+    ),
+    "run --generate random:16,25,3 --scheduler random --seed 5 --init-seed 7": (
+        0,
+        "060c3de73ad068e93832584db91f0e5550e0a3acccb6114aadbf4a63feeb71e4",
+    ),
+    "run --generate figure1 --max-rounds 3": (
+        1,
+        "134acee484f1845a6754b69c9d1f688e80175005a87b0315d646fda2da0bc528",
+    ),
+    "run --generate clustered:3x4 --scheduler weighted --seed 2 --init-seed 9"
+    " --faults post:node=5,field=count:seed=3 --closure-rounds 10": (
+        0,
+        "d7acf8d9d1ab7b75fe51ed1ee78d770f5781a148c9795d3294f7dda1c955cd31",
+    ),
+    "run --generate figure1 --init-seed 4 --faults step=40:random=3:seed=1"
+    " --faults post:node=11,field=all:seed=2 --closure-rounds 20": (
+        0,
+        "f18fd61afdfe36e3343fc8da31e4a61314397f980e1a7d1aa2f6f294367ea7cf",
+    ),
+    "run --generate random:12,18,6 --scheduler random --seed 1"
+    " --faults post:node=7,field=locals:seed=4 --faults post:node=3,field=pc:seed=5": (
+        0,
+        "7f8d17ed8924f6b8c15c69b60a568d9c0d8d428e82723315bf8eb9b44b36bb63",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INIT))
+def test_init_arbitrary_lock(name):
+    assert init_digest(name) == INIT[name]
+
+
+@pytest.mark.parametrize("kind", sorted(FAULTS))
+def test_inject_fault_lock(kind):
+    assert fault_digest(kind) == FAULTS[kind]
+
+
+@pytest.mark.parametrize("case", sorted(STREAMS))
+def test_run_step_stream_lock(case):
+    assert stream_digest(*case) == STREAMS[case]
+
+
+@pytest.mark.parametrize("flags", sorted(CLI_RUNS))
+def test_cli_run_report_lock(flags, tmp_path):
+    assert cli_digest(flags.split(), tmp_path / "report.json") == CLI_RUNS[flags]
