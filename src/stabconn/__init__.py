@@ -51,7 +51,6 @@ from .protocol import (
     Register,
     ROOT_PATH,
     classify_link,
-    concat_truncate,
     execute_step,
     format_path,
     lex_compare,

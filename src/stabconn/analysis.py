@@ -1,16 +1,16 @@
 """Decision layer: read bridges, articulation points, and component labels
-out of a stabilized configuration, then certify them against brute force.
+off stabilized registers, then certify them against brute force.
 
 Extraction only uses information each node can see locally: its own register,
 its neighbors' registers, and the port maps.  Which child subtree an incoming
 non-tree edge belongs to is decided by a path prefix test, so no extra
-protocol fields are needed.
+protocol fields are needed.  The simulator extracts when a run stabilizes;
+certification runs once per result, in the caller (``cli.build_report``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .graph import Edge, Graph, NodeId, ROOT, canonical_edge
 from .oracle import (
@@ -20,10 +20,7 @@ from .oracle import (
     brute_bridges,
     ground_truth,
 )
-from .protocol import LinkClass, Path, classify_link, format_path, is_prefix
-
-if TYPE_CHECKING:
-    from .simulator import Configuration
+from .protocol import LinkClass, Path, Register, classify_link, format_path, is_prefix
 
 
 class NotStabilizedError(Exception):
@@ -43,8 +40,10 @@ class DetectionResult:
         return {frozenset(vs) for vs in groups.values()}
 
 
-def extract(c: "Configuration", gt: GroundTruth | None = None) -> DetectionResult:
-    """Read the detection sets out of a legitimate configuration.
+def extract(
+    g: Graph, registers: tuple[Register, ...], gt: GroundTruth | None = None
+) -> DetectionResult:
+    """Read the detection sets out of the registers of a legitimate configuration.
 
     Bridges are the parent links of nodes with register count 0; a non-root
     node is an articulation point when some child's count equals the number
@@ -52,10 +51,8 @@ def extract(c: "Configuration", gt: GroundTruth | None = None) -> DetectionResul
     root is one when it has two or more children.  Component labels are the
     bcc registers verbatim.
     """
-    g = c.graph
     if gt is None:
         gt = ground_truth(g)
-    registers = c.registers()
     if registers != gt.registers:
         raise NotStabilizedError(
             "configuration is not legitimate; refusing to extract from garbage"

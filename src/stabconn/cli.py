@@ -299,7 +299,8 @@ def cmd_run(args) -> int:
         else:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(render_dot(g, report.detection, gt))
-    return exit_code(report.stabilized, report.oracle_match)
+    certification = doc["certification"]
+    return exit_code(report.stabilized, certification is not None and certification["match"])
 
 
 def cmd_sweep(args) -> int:
@@ -324,7 +325,9 @@ def cmd_sweep(args) -> int:
             _, report = simulator.run(
                 g, scheduler, init, max_rounds=args.max_rounds
             )
-            certified = bool(report.oracle_match)
+            certified = (
+                report.detection is not None and analysis.certify(report.detection, g).match
+            )
             denom = max(1, g.diameter) * g.n * max(1, g.max_degree)
             ratio = (
                 None
@@ -380,24 +383,7 @@ def cmd_export_dot(args) -> int:
     g = _load_graph(args, args.seed)
     gt = ground_truth(g)
     if args.oracle:
-        final = simulator.Configuration(
-            g,
-            [
-                simulator.ProcessorState(
-                    register=reg,
-                    path=reg.path,
-                    count=reg.count,
-                    n_in=0,
-                    n_out=0,
-                    read_path=[],
-                    read_count=[],
-                    read_bcc=[],
-                    pc=0,
-                )
-                for reg in gt.registers
-            ],
-        )
-        detection = analysis.extract(final, gt=gt)
+        detection = analysis.extract(g, gt.registers, gt=gt)
     else:
         scheduler = simulator.make_scheduler(args.scheduler, seed=args.seed)
         init = simulator.init_arbitrary(g, args.init_seed)

@@ -65,11 +65,6 @@ def is_prefix(p: Path, q: Path) -> bool:
     return len(p) <= len(q) and q[: len(p)] == p
 
 
-def concat_truncate(p: Path, port: int, bound: int) -> Path:
-    """Append an edge index, then keep only the first ``bound`` symbols."""
-    return (p + (port,))[:bound]
-
-
 def format_path(p: Path) -> str:
     return ".".join("⊥" if s == BOTTOM else str(s) for s in p)
 
@@ -240,7 +235,7 @@ class ProcessorState:
 
 
 def initial_state(prog: NodeProgram) -> ProcessorState:
-    """A zeroed state, mostly useful for tests; runs start from random states."""
+    """A zeroed state; ``init_arbitrary`` corrupts every field of it."""
     d = prog.degree
     return ProcessorState(
         register=Register(ROOT_PATH, 0, ROOT_PATH),

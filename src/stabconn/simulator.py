@@ -2,21 +2,26 @@
 
 One simulation serializes atomic steps: at every step a fair scheduler picks
 a single processor, which performs exactly one register read or write.  Runs
-start from arbitrary (seeded random) states.  An omniscient observer compares
+start from arbitrary (seeded random) states, made by the fault injector
+corrupting every field of every node.  An omniscient observer compares
 registers against the centralized ground truth at round boundaries and
 declares stabilization once they match and stay unchanged for a confirmation
-window; the processors themselves never detect termination.
+window; the processors themselves never detect termination.  A run returns
+the final registers and, once stabilized, the detection sets read off them;
+certifying those sets is left to the caller.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .graph import Graph, NodeId, ROOT
+from . import analysis
+from .graph import Graph, NodeId
 from .oracle import GroundTruth, ground_truth
 from .protocol import (
     Path,
@@ -24,6 +29,7 @@ from .protocol import (
     Register,
     StepEvent,
     execute_step,
+    initial_state,
     node_program,
     register_bits,
 )
@@ -31,7 +37,8 @@ from .protocol import (
 POST_STABILIZATION = "post-stabilization"
 
 REGISTER_FIELDS = ("path", "count", "bcc")
-FAULT_FIELDS = REGISTER_FIELDS + ("pc", "locals")
+#: in the order init_arbitrary draws them
+FAULT_FIELDS = REGISTER_FIELDS + ("locals", "pc")
 
 
 @dataclass(eq=True)
@@ -129,40 +136,6 @@ def _random_path(rng: random.Random, path_bound: int, delta: int) -> Path:
     return tuple(rng.randint(0, delta) for _ in range(length))
 
 
-def init_arbitrary(g: Graph, seed: int) -> Configuration:
-    """Every register field, local variable, and pc independently random.
-
-    All values respect the type bounds (path length <= n, symbols in
-    [bottom, max degree], counts in [-n^2, n^2]); nothing else is assumed.
-    """
-    rng = random.Random(seed)
-    delta = g.max_degree
-    path_bound = g.n
-    count_bound = g.n * g.n
-    states = []
-    for v in range(1, g.n + 1):
-        d = g.degree(v)
-        prog_len = 3 if v == ROOT else 2 * d + 8
-        states.append(
-            ProcessorState(
-                register=Register(
-                    path=_random_path(rng, path_bound, delta),
-                    count=rng.randint(-count_bound, count_bound),
-                    bcc=_random_path(rng, path_bound, delta),
-                ),
-                path=_random_path(rng, path_bound, delta),
-                count=rng.randint(-count_bound, count_bound),
-                n_in=rng.randint(0, delta),
-                n_out=rng.randint(0, delta),
-                read_path=[_random_path(rng, path_bound, delta) for _ in range(d)],
-                read_count=[rng.randint(-count_bound, count_bound) for _ in range(d)],
-                read_bcc=[_random_path(rng, path_bound, delta) for _ in range(d)],
-                pc=rng.randrange(prog_len),
-            )
-        )
-    return Configuration(g, states)
-
-
 class FaultTargetError(ValueError):
     """Fault names a node or field that does not exist, or an out-of-bound value."""
 
@@ -172,7 +145,8 @@ class FaultSpec:
     """A transient corruption event.
 
     ``trigger`` is a 0-based step index (fires before that step executes) or
-    POST_STABILIZATION (fires when stabilization is first declared).
+    POST_STABILIZATION (fires when stabilization is first declared); anything
+    else is rejected.
     ``targets`` lists (node, field) pairs with field one of path / count /
     bcc / pc / locals; ``random_fields`` additionally corrupts that many
     random register-or-pc slots.  ``values`` optionally pins explicit values
@@ -185,6 +159,16 @@ class FaultSpec:
     random_fields: int = 0
     values: Mapping[tuple[NodeId, str], object] | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # type(), not isinstance(): a bool is an int and would fire
+        if self.trigger != POST_STABILIZATION and (
+            type(self.trigger) is not int or self.trigger < 0
+        ):
+            raise FaultTargetError(
+                f"fault trigger {self.trigger!r} is neither a step index >= 0 "
+                f"nor {POST_STABILIZATION!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -233,8 +217,6 @@ def _apply_fault_targets(
         if fname not in FAULT_FIELDS:
             raise FaultTargetError(f"unknown fault field {fname!r}")
         st = states[v - 1].clone()
-        d = g.degree(v)
-        prog_len = 3 if v == ROOT else 2 * d + 8
         explicit = None if spec.values is None else spec.values.get((v, fname))
         if fname == "path" or fname == "bcc":
             if explicit is not None:
@@ -253,6 +235,7 @@ def _apply_fault_targets(
                 value = rng.randint(-count_bound, count_bound)
             st.register = st.register._replace(count=value)
         elif fname == "pc":
+            prog_len = node_program(g, v).length
             if explicit is not None:
                 if not isinstance(explicit, int) or not 0 <= explicit < prog_len:
                     raise FaultTargetError(f"pc value {explicit!r} outside 0..{prog_len - 1}")
@@ -260,6 +243,7 @@ def _apply_fault_targets(
             else:
                 st.pc = rng.randrange(prog_len)
         else:  # locals
+            d = g.degree(v)
             st.path = _random_path(rng, path_bound, delta)
             st.count = rng.randint(-count_bound, count_bound)
             st.n_in = rng.randint(0, delta)
@@ -274,16 +258,23 @@ def _apply_fault_targets(
 def inject_fault(c: Configuration, spec: FaultSpec, seed: int | None = None) -> Configuration:
     """Apply one fault spec to a configuration; everything untargeted is unchanged."""
     if seed is not None:
-        spec = FaultSpec(
-            trigger=spec.trigger,
-            targets=spec.targets,
-            random_fields=spec.random_fields,
-            values=spec.values,
-            seed=seed,
-        )
+        spec = dataclasses.replace(spec, seed=seed)
     states = list(c.states)
     _apply_fault_targets(states, c.graph, spec)
     return Configuration(c.graph, states)
+
+
+def init_arbitrary(g: Graph, seed: int) -> Configuration:
+    """Every register field, local variable, and pc independently random.
+
+    This is a fault on every field of every node of a zeroed configuration,
+    so all values respect the type bounds (path length <= n, symbols in
+    [bottom, max degree], counts in [-n^2, n^2]); nothing else is assumed.
+    """
+    nodes = range(1, g.n + 1)
+    zeroed = Configuration(g, [initial_state(node_program(g, v)) for v in nodes])
+    every_field = tuple((v, f) for v in nodes for f in FAULT_FIELDS)
+    return inject_fault(zeroed, FaultSpec(targets=every_field, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +348,7 @@ class RunReport:
     rounds: int
     total_steps: int
     fault_events: list[FaultEvent]
-    detection: Any  # DetectionResult | None
-    oracle_match: bool | None
+    detection: analysis.DetectionResult | None
     rounds_to_stabilize: int | None
     post_stabilization_changes: int | None
     max_path_len: int
@@ -391,7 +381,8 @@ def run(
     consecutive complete rounds.  Post-stabilization faults fire at the first
     declaration and the run then continues until it re-stabilizes.
     Non-convergence within ``max_rounds`` (per stabilization attempt) is
-    reported, not raised.
+    reported, not raised.  A stabilized report carries the detection sets
+    read off the final registers, uncertified.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
@@ -547,23 +538,14 @@ def run(
             else:
                 break
 
-    detection = None
-    oracle_match = None
-    if stabilized:
-        from . import analysis
-
-        final = Configuration(g, states)
-        detection = analysis.extract(final, gt=gt)
-        oracle_match = analysis.certify(detection, g).match
-
+    final_registers = tuple(st.register for st in states)
     report = RunReport(
         stabilized=stabilized,
         stabilization_round=stabilization_round,
         rounds=rounds_completed,
         total_steps=total_steps,
         fault_events=fault_events,
-        detection=detection,
-        oracle_match=oracle_match,
+        detection=analysis.extract(g, final_registers, gt=gt) if stabilized else None,
         rounds_to_stabilize=(
             None if stabilization_round is None else stabilization_round - attempt_start
         ),
@@ -571,6 +553,6 @@ def run(
         max_path_len=max_path_len,
         max_register_bits=max_bits,
         scheduler=getattr(scheduler, "name", type(scheduler).__name__),
-        final_registers=tuple(st.register for st in states),
+        final_registers=final_registers,
     )
     return trace, report

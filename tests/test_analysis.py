@@ -15,8 +15,6 @@ from stabconn.oracle import brute_bcc_partition, ground_truth
 from stabconn.protocol import BOTTOM, lex_compare
 from stabconn.simulator import init_arbitrary, make_scheduler, run
 
-from test_simulator import stabilized_configuration
-
 FIG1_BRIDGES = frozenset({(1, 4), (5, 6), (10, 11), (11, 14)})
 FIG1_APS = frozenset({1, 4, 5, 6, 10, 11, 14})
 
@@ -46,19 +44,19 @@ def test_extract_refuses_garbage(fig1):
     gt = ground_truth(fig1)
     conf = init_arbitrary(fig1, 3)
     with pytest.raises(NotStabilizedError):
-        extract(conf, gt=gt)
+        extract(fig1, conf.registers(), gt=gt)
 
 
 def test_extract_on_oracle_configuration(triangle, single_edge, star4):
     for g in (triangle, single_edge, star4):
         gt = ground_truth(g)
-        d = extract(stabilized_configuration(g, gt), gt=gt)
+        d = extract(g, gt.registers, gt=gt)
         assert certify(d, g).match
 
 
 def test_certify_triangle(triangle):
     gt = ground_truth(triangle)
-    d = extract(stabilized_configuration(triangle, gt), gt=gt)
+    d = extract(triangle, gt.registers, gt=gt)
     assert d.bridges == frozenset()
     assert d.articulation_points == frozenset()
     assert d.partition() == {frozenset({1, 2, 3})}
@@ -99,7 +97,7 @@ def test_labels_are_lexmin_paths_of_components():
     for i in range(10):
         g = generate_clustered(rng.randint(2, 5), rng.randint(3, 4), 100 + i)
         gt = ground_truth(g)
-        d = extract(stabilized_configuration(g, gt), gt=gt)
+        d = extract(g, gt.registers, gt=gt)
         for part in brute_bcc_partition(g):
             labels = {d.component_of[v] for v in part}
             assert len(labels) == 1
@@ -110,7 +108,7 @@ def test_labels_are_lexmin_paths_of_components():
 
 def test_label_summary_readable(fig1):
     gt = ground_truth(fig1)
-    d = extract(stabilized_configuration(fig1, gt), gt=gt)
+    d = extract(fig1, gt.registers, gt=gt)
     summary = label_summary(d)
     assert summary["⊥"] == [1, 2, 3]
     assert len(summary) == 5

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from stabconn import analysis
 from stabconn.cli import (
     EXIT_MISMATCH,
     EXIT_NOT_STABILIZED,
@@ -178,6 +179,21 @@ def test_usage_errors(capsys):
     assert main(["sweep", "--graphs", "clustered:2x3", "--seeds", "5-3"]) == EXIT_USAGE
     assert main(["nope"]) == EXIT_USAGE
     assert main(["run", "--graph", "/does/not/exist"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "step=-1:random=1"]) == EXIT_USAGE
+
+
+def test_run_certifies_once(monkeypatch, capsys):
+    calls = []
+    certify = analysis.certify
+
+    def counting_certify(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(analysis, "certify", counting_certify)
+    assert main(["run", "--generate", "figure1"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_sweep_small_matrix(tmp_path):

@@ -15,7 +15,6 @@ from stabconn.protocol import (
     Register,
     ROOT_PATH,
     classify_link,
-    concat_truncate,
     execute_step,
     format_path,
     lex_compare,
@@ -68,12 +67,6 @@ def test_lex_compare_matches_tuple_order():
         a, b = random_path(rng), random_path(rng)
         expected = 0 if a == b else (-1 if a < b else 1)
         assert lex_compare(a, b) == expected
-
-
-def test_concat_truncate_examples():
-    assert concat_truncate((BOTTOM,), 2, 16) == (BOTTOM, 2)
-    assert concat_truncate((BOTTOM, 1), 1, 2) == (BOTTOM, 1)
-    assert concat_truncate((BOTTOM, 1, 2), 3, 16) == (BOTTOM, 1, 2, 3)
 
 
 def test_format_path():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stabconn.analysis import certify
 from stabconn.graph import parse_graph
 from stabconn.oracle import ground_truth
 from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH
@@ -186,7 +187,7 @@ def test_run_figure1_counts_and_certification(fig1):
     gt = ground_truth(fig1)
     for name in ("round-robin", "random", "weighted"):
         _, report = run(fig1, make_scheduler(name, seed=11), init_arbitrary(fig1, 42))
-        assert report.stabilized and report.oracle_match
+        assert report.stabilized and certify(report.detection, fig1).match
         for v in (4, 6, 11, 14):
             assert report.final_registers[v - 1].count == 0
         assert report.final_registers == gt.registers
@@ -235,7 +236,7 @@ def test_run_reports_non_convergence(fig1):
     _, report = run(fig1, make_scheduler("round-robin"), init_arbitrary(fig1, 1), max_rounds=2)
     assert not report.stabilized
     assert report.stabilization_round is None
-    assert report.detection is None and report.oracle_match is None
+    assert report.detection is None
 
 
 def test_run_trace_rounds(fig1):
@@ -322,6 +323,13 @@ def test_fault_rejects_bad_targets(triangle):
         )
 
 
+@pytest.mark.parametrize("trigger", ["post", True, -1, 2.0, None])
+def test_fault_rejects_unknown_trigger(trigger):
+    # a run would otherwise drop them silently or fire them early
+    with pytest.raises(FaultTargetError):
+        FaultSpec(trigger=trigger, targets=((2, "path"),))
+
+
 def test_corrupt_root_count_restored_by_next_cycle(triangle):
     gt = ground_truth(triangle)
     conf = stabilized_configuration(triangle, gt)
@@ -355,7 +363,7 @@ def test_post_stabilization_fault_recovery(fig1):
     assert report.fault_events[0].node == 11
     # re-stabilized to registers identical to the unique ground truth
     assert report.final_registers == gt.registers
-    assert report.oracle_match
+    assert certify(report.detection, fig1).match
 
 
 def test_post_stab_fault_recovery_from_snapshot(fig1):
@@ -385,7 +393,7 @@ def test_planted_adversarial_pair_recovers(k4_adversarial):
         conf.states[v - 1].pc = 0
     _, report = run(g, make_scheduler("round-robin"), conf)
     assert report.stabilized
-    assert report.oracle_match
+    assert certify(report.detection, g).match
 
 
 def test_space_bound_tracking(fig1):
