@@ -37,10 +37,8 @@ from .oracle import (
     brute_articulation_points,
     brute_bcc_partition,
     brute_bridges,
-    bypass_count,
-    first_dfs_paths,
+    first_dfs,
     ground_truth,
-    incoming_split,
     is_connected,
 )
 from .protocol import (

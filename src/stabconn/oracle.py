@@ -6,6 +6,17 @@ contents are assembled from the lexicographically-first depth-first search
 tree: per-node root paths, bypass counts for each parent link, and component
 labels.  The two routes are deliberately independent so each can certify the
 other.
+
+One traversal yields the paths and the parent map.  Counts then come straight
+from their definition: every non-tree edge joins a node k to a proper
+ancestor l, and walking from k up the parent pointers to the child of l adds
+one to the count of each node passed, since the edge bypasses exactly those
+parent links.  The last node of the walk is the child of l the edge arrives
+from, so the same walk tallies incoming edges per child subtree, and a
+non-root node is an articulation point when some child's count equals its
+tally.  The walks cost O(m * depth).  They never sum counts over children,
+so the protocol's child-sum recursion stays a property to check against this
+oracle rather than a restatement of it.
 """
 
 from __future__ import annotations
@@ -77,15 +88,16 @@ def brute_bcc_partition(g: Graph) -> set[frozenset[NodeId]]:
     return parts
 
 
-def first_dfs_paths(g: Graph) -> dict[NodeId, Path]:
-    """Root paths of the first depth-first search tree.
+def first_dfs(g: Graph) -> tuple[dict[NodeId, Path], dict[NodeId, NodeId]]:
+    """Root paths and parent map of the first depth-first search tree.
 
     The traversal always descends through the smallest unused port index, and
     each path extends the parent's path by the parent's port number for the
     child; the result is the lexicographically minimal simple root path of
-    every node.
+    every node.  ``parent[w] = v`` is recorded when v discovers w.
     """
     paths: dict[NodeId, Path] = {ROOT: ROOT_PATH}
+    parent: dict[NodeId, NodeId] = {}
     # stack entries: (node, next port index to try)
     stack: list[list[int]] = [[ROOT, 1]]
     while stack:
@@ -98,92 +110,9 @@ def first_dfs_paths(g: Graph) -> dict[NodeId, Path]:
         w = g.neighbors(v)[port - 1]
         if w not in paths:
             paths[w] = paths[v] + (port,)
+            parent[w] = v
             stack.append([w, 1])
-    return paths
-
-
-def dfs_tree(g: Graph, paths: dict[NodeId, Path]) -> tuple[dict[NodeId, NodeId], dict[NodeId, list[NodeId]]]:
-    """Parent and children maps induced by the path assignment."""
-    parent: dict[NodeId, NodeId] = {}
-    children: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, g.n + 1)}
-    for v in range(1, g.n + 1):
-        if v == ROOT:
-            continue
-        p = paths[v][:-1]
-        for w in g.neighbors(v):
-            if paths[w] == p and g.port_to(w, v) == paths[v][-1]:
-                parent[v] = w
-                break
-        else:
-            raise ValueError(f"paths do not define a tree: node {v} has no parent")
-        children[parent[v]].append(v)
-    return parent, children
-
-
-def tree_edges(g: Graph, paths: dict[NodeId, Path]) -> set[Edge]:
-    parent, _ = dfs_tree(g, paths)
-    return {canonical_edge(p, v) for v, p in parent.items()}
-
-
-def _oriented_nontree(g: Graph, paths: dict[NodeId, Path]) -> list[tuple[NodeId, NodeId]]:
-    """Non-tree edges as (descendant, ancestor) pairs."""
-    tree = tree_edges(g, paths)
-    out = []
-    for u, v in g.edges:
-        if (u, v) in tree:
-            continue
-        if is_prefix(paths[u], paths[v]):
-            out.append((v, u))
-        elif is_prefix(paths[v], paths[u]):
-            out.append((u, v))
-        else:
-            raise ValueError(
-                f"non-tree edge ({u}, {v}) joins unrelated nodes; not a DFS tree"
-            )
-    return out
-
-
-def bypass_count(g: Graph, paths: dict[NodeId, Path], v: NodeId) -> int:
-    """Number of non-tree edges that bypass the parent link of v.
-
-    A non-tree edge (k, l), k the descendant endpoint, bypasses the link from
-    parent(v) to v when k lies in v's subtree (k = v allowed) and l is at or
-    above parent(v).  Defined for non-root nodes only.
-    """
-    if v == ROOT:
-        raise ValueError("the root has no parent link")
-    parent_path = paths[v][:-1]
-    total = 0
-    for k, l in _oriented_nontree(g, paths):
-        if is_prefix(paths[v], paths[k]) and is_prefix(paths[l], parent_path):
-            total += 1
-    return total
-
-
-def incoming_split(g: Graph, paths: dict[NodeId, Path], parent: NodeId, child: NodeId) -> int:
-    """Incoming non-tree edges at ``parent`` arriving from ``child``'s subtree."""
-    _, children = dfs_tree(g, paths)
-    if child not in children[parent]:
-        raise ValueError(f"node {child} is not a tree child of node {parent}")
-    total = 0
-    for k, l in _oriented_nontree(g, paths):
-        if l == parent and is_prefix(paths[child], paths[k]):
-            total += 1
-    return total
-
-
-def classify_counts(g: Graph, paths: dict[NodeId, Path], v: NodeId) -> tuple[int, int]:
-    """(incoming, outgoing) non-tree edge counts at v, from path prefixes."""
-    tree = tree_edges(g, paths)
-    n_in = n_out = 0
-    for w in g.neighbors(v):
-        if canonical_edge(v, w) in tree:
-            continue
-        if is_prefix(paths[v], paths[w]):
-            n_in += 1
-        elif is_prefix(paths[w], paths[v]):
-            n_out += 1
-    return n_in, n_out
+    return paths, parent
 
 
 @dataclass(frozen=True)
@@ -217,11 +146,26 @@ class GroundTruth:
 
 def ground_truth(g: Graph) -> GroundTruth:
     """Assemble the stabilized register contents and the detection sets."""
-    paths = first_dfs_paths(g)
-    parent, children = dfs_tree(g, paths)
-    counts = {ROOT: 0}
+    paths, parent = first_dfs(g)
+    children: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, g.n + 1)}
     for v in range(2, g.n + 1):
-        counts[v] = bypass_count(g, paths, v)
+        children[parent[v]].append(v)
+
+    # counts[c]: non-tree edges bypassing the link parent(c)-c;
+    # splits[c]: those among them that end at parent(c).
+    counts = {v: 0 for v in range(1, g.n + 1)}
+    splits = {v: 0 for v in range(1, g.n + 1)}
+    for u, w in g.edges:
+        if parent.get(u) == w or parent.get(w) == u:
+            continue
+        k, l = (u, w) if len(paths[u]) > len(paths[w]) else (w, u)
+        c = k
+        while True:
+            counts[c] += 1
+            if parent[c] == l:
+                break
+            c = parent[c]
+        splits[c] += 1
 
     representatives = {ROOT} | {v for v in range(2, g.n + 1) if counts[v] == 0}
     bcc_labels: dict[NodeId, Path] = {}
@@ -235,14 +179,9 @@ def ground_truth(g: Graph) -> GroundTruth:
         canonical_edge(parent[v], v) for v in range(2, g.n + 1) if counts[v] == 0
     }
 
-    aps: set[NodeId] = set()
+    aps = {parent[c] for c in range(2, g.n + 1) if counts[c] == splits[c]} - {ROOT}
     if len(children[ROOT]) >= 2:
         aps.add(ROOT)
-    for v in range(2, g.n + 1):
-        for c in children[v]:
-            if counts[c] == incoming_split(g, paths, v, c):
-                aps.add(v)
-                break
 
     return GroundTruth(
         graph=g,
@@ -255,3 +194,16 @@ def ground_truth(g: Graph) -> GroundTruth:
         bridges=frozenset(bridges),
         articulation_points=frozenset(aps),
     )
+
+
+def classify_counts(g: Graph, gt: GroundTruth, v: NodeId) -> tuple[int, int]:
+    """(incoming, outgoing) non-tree edge counts at v, from path prefixes."""
+    n_in = n_out = 0
+    for w in g.neighbors(v):
+        if gt.parent.get(v) == w or gt.parent.get(w) == v:
+            continue
+        if is_prefix(gt.paths[v], gt.paths[w]):
+            n_in += 1
+        elif is_prefix(gt.paths[w], gt.paths[v]):
+            n_out += 1
+    return n_in, n_out

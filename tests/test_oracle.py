@@ -2,21 +2,17 @@ import random
 
 import pytest
 
-from stabconn.graph import build_graph, generate_clustered, generate_random_connected, parse_graph
+from stabconn.graph import build_graph, canonical_edge, generate_clustered, generate_random_connected, parse_graph
 from stabconn.oracle import (
     brute_articulation_points,
     brute_bcc_partition,
     brute_bridges,
-    bypass_count,
     classify_counts,
-    dfs_tree,
-    first_dfs_paths,
+    first_dfs,
     ground_truth,
-    incoming_split,
     is_connected,
-    tree_edges,
 )
-from stabconn.protocol import BOTTOM, lex_compare
+from stabconn.protocol import BOTTOM, is_prefix, lex_compare
 
 FIG1_BRIDGES = {(1, 4), (5, 6), (10, 11), (11, 14)}
 FIG1_APS = {1, 4, 5, 6, 10, 11, 14}
@@ -80,12 +76,12 @@ def test_brute_partition(triangle, path3, fig1):
 # first DFS paths
 
 def test_first_paths_single_edge(single_edge):
-    assert first_dfs_paths(single_edge) == {1: (BOTTOM,), 2: (BOTTOM, 1)}
+    assert first_dfs(single_edge)[0] == {1: (BOTTOM,), 2: (BOTTOM, 1)}
 
 
 def test_first_paths_triangle_hand_simulated(triangle):
     # root descends port 1 to node 2; node 2 lists node 3 at port 2
-    paths = first_dfs_paths(triangle)
+    paths = first_dfs(triangle)[0]
     assert paths[2] == (BOTTOM, 1)
     assert paths[3] == (BOTTOM, 1, 2)
 
@@ -114,78 +110,53 @@ def test_first_paths_equal_enumeration_minimum(seed):
     n = rng.randint(2, 8)
     cap = n * (n - 1) // 2 - (n - 1)
     g = generate_random_connected(n, rng.randint(0, cap), seed)
-    assert first_dfs_paths(g) == _all_simple_paths_lexmin(g)
+    assert first_dfs(g)[0] == _all_simple_paths_lexmin(g)
 
 
 def test_paths_extend_parent_by_parent_port(fig1):
-    paths = first_dfs_paths(fig1)
-    parent, _ = dfs_tree(fig1, paths)
+    paths, parent = first_dfs(fig1)
     for v, p in parent.items():
         assert paths[v] == paths[p] + (fig1.port_to(p, v),)
     assert max(len(path) for path in paths.values()) <= fig1.n
 
 
 # ---------------------------------------------------------------------------
-# bypass counts and incoming splits
+# bypass counts
 
 def test_bypass_leaf_with_two_ancestor_edges():
     # chain 1-2-3-4 plus chords 4-1 and 4-2: the deepest node has two
     # outgoing non-tree edges to proper ancestors
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (4, 1), (4, 2)])
-    paths = first_dfs_paths(g)
-    n_in, n_out = classify_counts(g, paths, 4)
+    gt = ground_truth(g)
+    n_in, n_out = classify_counts(g, gt, 4)
     assert (n_in, n_out) == (0, 2)
-    assert bypass_count(g, paths, 4) == 2
+    assert gt.counts[4] == 2
 
 
 def test_bypass_zero_across_bridge(path3):
-    paths = first_dfs_paths(path3)
-    assert bypass_count(path3, paths, 2) == 0
-    assert bypass_count(path3, paths, 3) == 0
-
-
-def test_bypass_rejects_root(triangle):
-    with pytest.raises(ValueError):
-        bypass_count(triangle, first_dfs_paths(triangle), 1)
-
-
-def test_incoming_split_tree_graph():
-    g = generate_random_connected(7, 0, 4)
-    paths = first_dfs_paths(g)
-    _, children = dfs_tree(g, paths)
-    for v in range(1, 8):
-        for c in children[v]:
-            assert incoming_split(g, paths, v, c) == 0
-
-
-def test_incoming_split_triangle(triangle):
-    paths = first_dfs_paths(triangle)
-    assert incoming_split(triangle, paths, 1, 2) == 1
-
-
-def test_incoming_split_rejects_non_child(triangle):
-    paths = first_dfs_paths(triangle)
-    with pytest.raises(ValueError):
-        incoming_split(triangle, paths, 2, 1)
+    gt = ground_truth(path3)
+    assert gt.counts[2] == 0
+    assert gt.counts[3] == 0
 
 
 @pytest.mark.parametrize("gi", range(10))
 def test_count_recursion_identity(gi):
     g = sample_graphs(10, seed=77)[gi]
-    paths = first_dfs_paths(g)
-    _, children = dfs_tree(g, paths)
+    gt = ground_truth(g)
     for v in range(2, g.n + 1):
-        n_in, n_out = classify_counts(g, paths, v)
-        total = sum(bypass_count(g, paths, c) for c in children[v]) - n_in + n_out
-        assert bypass_count(g, paths, v) == total
+        n_in, n_out = classify_counts(g, gt, v)
+        total = sum(gt.counts[c] for c in gt.children[v]) - n_in + n_out
+        assert gt.counts[v] == total
 
 
 def test_incoming_split_sums_to_node_incoming(fig1):
-    paths = first_dfs_paths(fig1)
-    _, children = dfs_tree(fig1, paths)
+    # every incoming non-tree edge arrives from exactly one child subtree
+    gt = ground_truth(fig1)
     for v in range(1, 17):
-        n_in, _ = classify_counts(fig1, paths, v)
-        assert n_in == sum(incoming_split(fig1, paths, v, c) for c in children[v])
+        n_in, _ = classify_counts(fig1, gt, v)
+        # neighbours deeper than v that are not its children
+        ends = [w for w in fig1.neighbors(v) if len(gt.paths[w]) > len(gt.paths[v]) + 1]
+        assert n_in == sum(is_prefix(gt.paths[c], gt.paths[w]) for c in gt.children[v] for w in ends)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +171,12 @@ def test_ground_truth_figure1(fig1):
 
 
 def test_ground_truth_matches_brute_everywhere():
-    for g in sample_graphs(25):
+    large = [
+        generate_random_connected(160, 160, 0),  # random:160,319
+        build_graph(120, [(v, v % 120 + 1) for v in range(1, 121)]),  # DFS tree is a path
+        generate_clustered(8, 20, 0),
+    ]
+    for g in sample_graphs(25) + large:
         gt = ground_truth(g)
         assert gt.bridges == brute_bridges(g), g
         assert gt.articulation_points == brute_articulation_points(g), g
@@ -209,7 +185,7 @@ def test_ground_truth_matches_brute_everywhere():
 
 def test_every_bridge_is_a_tree_edge():
     for g in sample_graphs(12, seed=5):
-        tree = tree_edges(g, first_dfs_paths(g))
+        tree = {canonical_edge(p, v) for v, p in ground_truth(g).parent.items()}
         assert brute_bridges(g) <= tree
 
 

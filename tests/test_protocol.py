@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stabconn.graph import build_graph, generate_random_connected
-from stabconn.oracle import first_dfs_paths, ground_truth
+from stabconn.oracle import first_dfs, ground_truth
 from stabconn.protocol import (
     BOTTOM,
     A_READ,
@@ -109,7 +109,7 @@ def test_classification_on_legitimate_paths_is_total_and_dual():
         n = random.Random(seed).randint(2, 20)
         cap = n * (n - 1) // 2 - (n - 1)
         g = generate_random_connected(n, min(seed % 5, cap), seed)
-        paths = first_dfs_paths(g)
+        paths = first_dfs(g)[0]
         for u, v in g.edges:
             cls_u = classify_link(paths[u], paths[v], g.port_to(u, v), g.port_to(v, u))
             cls_v = classify_link(paths[v], paths[u], g.port_to(v, u), g.port_to(u, v))
