@@ -159,6 +159,13 @@ def parse_seed_range(text: str) -> list[int]:
     return seeds
 
 
+def _check_rounds(args) -> None:
+    if args.max_rounds is not None and args.max_rounds < 1:
+        raise UsageError(f"--max-rounds must be >= 1, got {args.max_rounds}")
+    if getattr(args, "closure_rounds", 0) < 0:
+        raise UsageError(f"--closure-rounds must be >= 0, got {args.closure_rounds}")
+
+
 def _load_graph(args, seed: int) -> Graph:
     if getattr(args, "graph", None):
         with open(args.graph, "r", encoding="utf-8") as fh:
@@ -446,6 +453,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_rounds(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

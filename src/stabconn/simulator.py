@@ -380,9 +380,10 @@ def run(
     the ground truth and have stayed unchanged for ``confirm_rounds``
     consecutive complete rounds.  Post-stabilization faults fire at the first
     declaration and the run then continues until it re-stabilizes.
-    Non-convergence within ``max_rounds`` (per stabilization attempt) is
-    reported, not raised.  A stabilized report carries the detection sets
-    read off the final registers, uncertified.
+    Non-convergence within ``max_rounds`` (per stabilization attempt), or a
+    closure window that ends outside the legitimate configuration, is
+    reported as not stabilized, not raised.  A stabilized report carries the
+    detection sets read off the final registers, uncertified.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
@@ -539,6 +540,10 @@ def run(
                 break
 
     final_registers = tuple(st.register for st in states)
+    if final_registers != gt_regs:
+        # the closure window ended outside the legitimate configuration
+        stabilized = False
+        stabilization_round = None
     report = RunReport(
         stabilized=stabilized,
         stabilization_round=stabilization_round,

@@ -180,6 +180,23 @@ def test_usage_errors(capsys):
     assert main(["nope"]) == EXIT_USAGE
     assert main(["run", "--graph", "/does/not/exist"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--faults", "step=-1:random=1"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--max-rounds", "0"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--closure-rounds", "-3"]) == EXIT_USAGE
+    assert main(["sweep", "--graphs", "clustered:2x3", "--seeds", "2", "--max-rounds", "-2"]) == EXIT_USAGE
+    assert main(["dot", "--generate", "figure1", "--max-rounds", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def test_closure_ending_outside_legitimacy_is_not_stabilized(capsys):
+    # the observer declares round 149 too early; the registers are still
+    # illegitimate when a 5-round closure window ends
+    argv = ["run", "--generate", "random:16,25,144", "--init-seed", "144", "--closure-rounds", "5"]
+    assert main(argv) == EXIT_NOT_STABILIZED
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["run"]["stabilized"] is False
+    assert doc["run"]["stabilization_round"] is None
+    assert doc["detection"] is None and doc["certification"] is None
 
 
 def test_run_certifies_once(monkeypatch, capsys):
