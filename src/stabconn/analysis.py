@@ -16,8 +16,8 @@ from .graph import Edge, Graph, NodeId, ROOT, canonical_edge
 from .oracle import (
     GroundTruth,
     brute_articulation_points,
-    brute_bcc_partition,
     brute_bridges,
+    components_without,
     ground_truth,
 )
 from .protocol import LinkClass, Path, Register, classify_link, format_path, is_prefix
@@ -135,7 +135,7 @@ def certify(result: DetectionResult, g: Graph) -> CertificationReport:
     for v in sorted(expected_aps - result.articulation_points):
         mismatches.append(f"articulation point {v} missed")
 
-    expected_parts = brute_bcc_partition(g)
+    expected_parts = components_without(g, expected_bridges)
     got_parts = result.partition()
     for part in sorted(got_parts - expected_parts, key=min):
         mismatches.append(f"component {sorted(part)} does not match any brute-force component")

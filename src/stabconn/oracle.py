@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Container, Iterable
 
 from .graph import Edge, Graph, NodeId, ROOT, canonical_edge
 from .protocol import Path, Register, ROOT_PATH, is_prefix
@@ -69,7 +69,11 @@ def brute_articulation_points(g: Graph) -> set[NodeId]:
 
 def brute_bcc_partition(g: Graph) -> set[frozenset[NodeId]]:
     """Connected components left after deleting every bridge."""
-    bridges = brute_bridges(g)
+    return components_without(g, brute_bridges(g))
+
+
+def components_without(g: Graph, bridges: Container[Edge]) -> set[frozenset[NodeId]]:
+    """Connected components left after deleting the given edges."""
     unassigned = set(range(1, g.n + 1))
     parts: set[frozenset[NodeId]] = set()
     while unassigned:

@@ -17,12 +17,18 @@ Every activation performs exactly one register read or write (plus attached
 local computation), so an adversarial scheduler interleaves at register
 granularity.  All operations are total: corrupted registers, locals, and
 program counters never raise.
+
+There is one step kernel, ``advance``: it updates a ``ProcessorState`` in
+place and returns a shared, immutable ``StepEvent``.  ``execute_step`` is its
+copying wrapper, which steps a copy and leaves its input untouched;
+``simulator.run`` copies each initial state once and calls ``advance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import ceil, log2
 from typing import Callable, NamedTuple
 
@@ -48,16 +54,6 @@ def lex_compare(a: Path, b: Path) -> int:
     if len(a) == len(b):
         return 0
     return -1 if len(a) < len(b) else 1
-
-
-def lex_min(values) -> Path:
-    best = None
-    for v in values:
-        if best is None or lex_compare(v, best) < 0:
-            best = v
-    if best is None:
-        raise ValueError("lex_min of empty iterable")
-    return best
 
 
 def is_prefix(p: Path, q: Path) -> bool:
@@ -86,12 +82,13 @@ def classify_link(my_path: Path, their_path: Path, my_port: int, their_port: int
     they are my ancestor, incoming when they are my descendant).  Corrupted
     paths that match no rule are UNCLASSIFIED.
     """
-    if len(their_path) < len(my_path) and is_prefix(their_path, my_path):
-        if my_path[len(their_path):] == (their_port,):
+    mine, theirs = len(my_path), len(their_path)
+    if theirs < mine and my_path[:theirs] == their_path:
+        if mine == theirs + 1 and my_path[theirs] == their_port:
             return LinkClass.PARENT
         return LinkClass.OUTGOING_NONTREE
-    if len(my_path) < len(their_path) and is_prefix(my_path, their_path):
-        if their_path[len(my_path):] == (my_port,):
+    if mine < theirs and their_path[:mine] == my_path:
+        if theirs == mine + 1 and their_path[mine] == my_port:
             return LinkClass.CHILD
         return LinkClass.INCOMING_NONTREE
     return LinkClass.UNCLASSIFIED
@@ -109,20 +106,25 @@ def clamp(value: int, bound: int) -> int:
     return -bound if value < -bound else (bound if value > bound else value)
 
 
-def register_bits(reg: Register, delta: int, count_bound: int) -> int:
-    """Serialized register size in bits.
+def payload_bits(symbols: int, delta: int, count_bound: int) -> int:
+    """Size in bits of a register whose two paths hold ``symbols`` symbols.
 
     Path symbols come from an alphabet of delta+2 code points (BOTTOM, the
     edge indices 1..delta, and a terminator); the count field needs one code
-    for each value in [-count_bound, count_bound].
+    for each value in [-count_bound, count_bound].  The size grows with
+    ``symbols``, so the largest register is the one with the most symbols.
     """
-    symbol = ceil(log2(delta + 2))
-    return (len(reg.path) + len(reg.bcc)) * symbol + ceil(log2(2 * count_bound + 1))
+    return symbols * ceil(log2(delta + 2)) + ceil(log2(2 * count_bound + 1))
+
+
+def register_bits(reg: Register, delta: int, count_bound: int) -> int:
+    """Serialized register size in bits."""
+    return payload_bits(len(reg.path) + len(reg.bcc), delta, count_bound)
 
 
 def register_bit_budget(path_bound: int, delta: int, count_bound: int) -> int:
     """Upper bound on register_bits when both paths respect the length bound."""
-    return 2 * path_bound * ceil(log2(delta + 2)) + ceil(log2(2 * count_bound + 1))
+    return payload_bits(2 * path_bound, delta, count_bound)
 
 
 # Micro-step kinds.  A schedule is a tuple of (kind, port) pairs; port is 0
@@ -220,16 +222,15 @@ class ProcessorState:
     pc: int
 
     def clone(self) -> "ProcessorState":
-        # lists are shared; execute_step copies one before mutating it
         return ProcessorState(
             register=self.register,
             path=self.path,
             count=self.count,
             n_in=self.n_in,
             n_out=self.n_out,
-            read_path=self.read_path,
-            read_count=self.read_count,
-            read_bcc=self.read_bcc,
+            read_path=list(self.read_path),
+            read_count=list(self.read_count),
+            read_bcc=list(self.read_bcc),
             pc=self.pc,
         )
 
@@ -260,6 +261,20 @@ class StepEvent:
     changed: bool = False  # writes only: did the register value change
 
 
+# The kernel returns shared constants instead of allocating an event per
+# step.  A write's event is picked by indexing with its changed flag.
+_PATH_WRITE = (StepEvent("write", "path", None, False), StepEvent("write", "path", None, True))
+_COUNT_WRITE = (StepEvent("write", "count", None, False), StepEvent("write", "count", None, True))
+_BCC_WRITE = (StepEvent("write", "bcc", None, False), StepEvent("write", "bcc", None, True))
+_OWN_PATH_READ = StepEvent("read", "path", None)
+_OWN_COUNT_READ = StepEvent("read", "count", None)
+
+
+@cache  # at most three entries per port number, so it stays small
+def _remote_read(field: str, port: int) -> StepEvent:
+    return StepEvent("read", field, port)
+
+
 ReadNeighbor = Callable[[int], Register]
 
 
@@ -274,132 +289,117 @@ def _first_parent_port(s: ProcessorState, prog: NodeProgram) -> int:
     return 0
 
 
-def execute_step(
-    state: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor
-) -> tuple[ProcessorState, StepEvent]:
-    """Perform one atomic step: exactly one register access.
+def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -> StepEvent:
+    """Perform one atomic step on ``s`` in place: exactly one register access.
 
-    Conditional slots whose guard fails are pure-local and are folded into
-    the same activation; the program counter is normalized modulo the
-    schedule length, so the function is total on corrupted states.
+    This is the only step kernel.  It writes the ``read_*`` lists of ``s``
+    in place and replaces ``s.register`` on writes.  Conditional slots whose
+    guard fails are pure-local and are folded into the same activation; the
+    program counter is normalized modulo the schedule length, so the
+    function is total on corrupted states.
     """
-    s = state.clone()
-    n_slots = prog.length
+    schedule = prog.schedule
+    n_slots = len(schedule)
+    bound = prog.path_bound
     pc = s.pc % n_slots
     for _ in range(n_slots):
-        kind, port = prog.schedule[pc]
-        pc = (pc + 1) % n_slots
-        event = _apply_slot(s, prog, kind, port, read_neighbor)
-        if event is not None:
-            s.pc = pc
-            return s, event
+        kind, port = schedule[pc]
+        pc += 1
+        if pc == n_slots:
+            pc = 0
+        s.pc = pc
+
+        # the most frequent slots first: each cycle has degree many of both
+        if kind == A_READ:
+            s.read_path[port - 1] = read_neighbor(port).path
+            return _remote_read("path", port)
+
+        if kind == B_PORT:
+            cls = classify_link(s.path, s.read_path[port - 1], port, prog.reverse_ports[port - 1])
+            if cls is LinkClass.CHILD:
+                value = read_neighbor(port).count
+                s.read_count[port - 1] = value
+                s.count += value
+                return _remote_read("count", port)
+            if cls is LinkClass.INCOMING_NONTREE:
+                s.n_in += 1
+                s.count -= 1
+            elif cls is LinkClass.OUTGOING_NONTREE:
+                s.n_out += 1
+                s.count += 1
+            continue
+
+        reg = s.register
+        if kind == A_WRITE:
+            # Prefer candidates that respect the length bound: an over-long
+            # neighbor path means "my path via that neighbor" is not a simple
+            # root path, and blindly truncating it can freeze a corrupted value
+            # into a stable cycle between neighbors.  Legitimate candidates are
+            # never over-long, so the rule is invisible after convergence.
+            # Tuple order on int paths is lex_compare's order, so min applies.
+            candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
+            eligible = [c for c in candidates if len(c) <= bound]
+            path = min(eligible) if eligible else min(c[:bound] for c in candidates)
+            s.register = Register(path, reg.count, reg.bcc)
+            return _PATH_WRITE[path != reg.path]
+
+        if kind == B_READ_SELF:
+            s.path = reg.path
+            s.count = s.n_in = s.n_out = 0
+            return _OWN_PATH_READ
+
+        if kind == B_WRITE:
+            count = clamp(s.count, prog.count_bound)
+            s.register = Register(reg.path, count, reg.bcc)
+            return _COUNT_WRITE[count != reg.count]
+
+        if kind == C_READ_COUNT:
+            s.count = reg.count
+            return _OWN_COUNT_READ
+
+        if kind == C_READ_PATH:
+            s.path = reg.path
+            return _OWN_PATH_READ
+
+        if kind == C_DECIDE:
+            if s.count == 0:
+                bcc = s.path[:bound]
+                s.register = Register(reg.path, reg.count, bcc)
+                return _BCC_WRITE[bcc != reg.bcc]
+            continue
+
+        if kind == C_READ_PARENT_BCC:
+            j = _first_parent_port(s, prog) if s.count != 0 else 0
+            if j:
+                s.read_bcc[j - 1] = read_neighbor(j).bcc
+                return _remote_read("bcc", j)
+            continue
+
+        if kind == C_WRITE_PARENT_BCC:
+            j = _first_parent_port(s, prog) if s.count != 0 else 0
+            if j:
+                bcc = s.read_bcc[j - 1][:bound]
+                s.register = Register(reg.path, reg.count, bcc)
+                return _BCC_WRITE[bcc != reg.bcc]
+            continue
+
+        if kind == R_WRITE_PATH:
+            s.register = Register(ROOT_PATH, reg.count, reg.bcc)
+            return _PATH_WRITE[reg.path != ROOT_PATH]
+        if kind == R_WRITE_COUNT:
+            s.register = Register(reg.path, 0, reg.bcc)
+            return _COUNT_WRITE[reg.count != 0]
+        if kind == R_WRITE_BCC:
+            s.register = Register(reg.path, reg.count, ROOT_PATH)
+            return _BCC_WRITE[reg.bcc != ROOT_PATH]
+
+        raise AssertionError(f"unknown micro-step kind {kind}")
     raise AssertionError("schedule contains no unconditional register access")
 
 
-def _write_register(s: ProcessorState, **fields) -> bool:
-    new = s.register._replace(**fields)
-    changed = new != s.register
-    s.register = new
-    return changed
-
-
-def _apply_slot(
-    s: ProcessorState,
-    prog: NodeProgram,
-    kind: int,
-    port: int,
-    read_neighbor: ReadNeighbor,
-) -> StepEvent | None:
-    bound = prog.path_bound
-
-    if kind == R_WRITE_PATH:
-        return StepEvent("write", "path", None, _write_register(s, path=ROOT_PATH))
-    if kind == R_WRITE_COUNT:
-        return StepEvent("write", "count", None, _write_register(s, count=0))
-    if kind == R_WRITE_BCC:
-        return StepEvent("write", "bcc", None, _write_register(s, bcc=ROOT_PATH))
-
-    if kind == A_READ:
-        value = read_neighbor(port).path
-        s.read_path = list(s.read_path)
-        s.read_path[port - 1] = value
-        return StepEvent("read", "path", port)
-
-    if kind == A_WRITE:
-        # Prefer candidates that respect the length bound: an over-long
-        # neighbor path means "my path via that neighbor" is not a simple
-        # root path, and blindly truncating it can freeze a corrupted value
-        # into a stable cycle between neighbors.  Legitimate candidates are
-        # never over-long, so the rule is invisible after convergence.
-        candidates = [
-            s.read_path[j - 1] + (prog.reverse_ports[j - 1],)
-            for j in range(1, prog.degree + 1)
-        ]
-        eligible = [c for c in candidates if len(c) <= bound]
-        if eligible:
-            new_path = lex_min(eligible)
-        else:
-            new_path = lex_min(c[:bound] for c in candidates)
-        return StepEvent("write", "path", None, _write_register(s, path=new_path))
-
-    if kind == B_READ_SELF:
-        s.path = s.register.path
-        s.count = 0
-        s.n_in = 0
-        s.n_out = 0
-        return StepEvent("read", "path", None)
-
-    if kind == B_PORT:
-        cls = classify_link(
-            s.path, s.read_path[port - 1], port, prog.reverse_ports[port - 1]
-        )
-        if cls is LinkClass.CHILD:
-            value = read_neighbor(port).count
-            s.read_count = list(s.read_count)
-            s.read_count[port - 1] = value
-            s.count += value
-            return StepEvent("read", "count", port)
-        if cls is LinkClass.INCOMING_NONTREE:
-            s.n_in += 1
-            s.count -= 1
-        elif cls is LinkClass.OUTGOING_NONTREE:
-            s.n_out += 1
-            s.count += 1
-        return None
-
-    if kind == B_WRITE:
-        value = clamp(s.count, prog.count_bound)
-        return StepEvent("write", "count", None, _write_register(s, count=value))
-
-    if kind == C_READ_COUNT:
-        s.count = s.register.count
-        return StepEvent("read", "count", None)
-
-    if kind == C_READ_PATH:
-        s.path = s.register.path
-        return StepEvent("read", "path", None)
-
-    if kind == C_DECIDE:
-        if s.count == 0:
-            return StepEvent("write", "bcc", None, _write_register(s, bcc=s.path[:bound]))
-        return None
-
-    if kind == C_READ_PARENT_BCC:
-        if s.count != 0:
-            j = _first_parent_port(s, prog)
-            if j:
-                value = read_neighbor(j).bcc
-                s.read_bcc = list(s.read_bcc)
-                s.read_bcc[j - 1] = value
-                return StepEvent("read", "bcc", j)
-        return None
-
-    if kind == C_WRITE_PARENT_BCC:
-        if s.count != 0:
-            j = _first_parent_port(s, prog)
-            if j:
-                value = s.read_bcc[j - 1][:bound]
-                return StepEvent("write", "bcc", None, _write_register(s, bcc=value))
-        return None
-
-    raise AssertionError(f"unknown micro-step kind {kind}")
+def execute_step(
+    state: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor
+) -> tuple[ProcessorState, StepEvent]:
+    """Copying wrapper of ``advance``: step a copy, leave ``state`` untouched."""
+    s = state.clone()
+    return s, advance(s, prog, read_neighbor)

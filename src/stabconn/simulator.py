@@ -28,10 +28,11 @@ from .protocol import (
     ProcessorState,
     Register,
     StepEvent,
+    advance,
     execute_step,
     initial_state,
     node_program,
-    register_bits,
+    payload_bits,
 )
 
 POST_STABILIZATION = "post-stabilization"
@@ -396,6 +397,7 @@ def run(
     delta = g.max_degree
     count_bound = n * n
 
+    # the run owns these copies and steps them in place
     states = [st.clone() for st in init.states]
     programs = [node_program(g, v) for v in range(1, n + 1)]
     neighbor_ids = [g.neighbors(v) for v in range(1, n + 1)]
@@ -422,7 +424,9 @@ def run(
     total_steps = 0
     rounds_completed = 0
     attempt_start = 0
-    seen: set[NodeId] = set()
+    # stamp[pid] == rounds_completed once pid has stepped in the current round
+    stamp = [-1] * (n + 1)
+    unseen = n
     changed_this_round = False
     streak = 0
     candidate: int | None = None
@@ -433,17 +437,21 @@ def run(
     closure_done = 0
     closure_changes = 0
 
+    # register bits grow with the symbols of both paths, so the meter keeps
+    # the largest symbol count and converts it to bits once, at the end
     max_path_len = 0
-    max_bits = 0
+    max_symbols = 0
 
     def note_register(reg: Register) -> None:
-        nonlocal max_path_len, max_bits
-        plen = max(len(reg.path), len(reg.bcc))
-        if plen > max_path_len:
-            max_path_len = plen
-        bits = register_bits(reg, delta, count_bound)
-        if bits > max_bits:
-            max_bits = bits
+        nonlocal max_path_len, max_symbols
+        lp = len(reg.path)
+        lb = len(reg.bcc)
+        if lp + lb > max_symbols:
+            max_symbols = lp + lb
+        if lp > max_path_len:
+            max_path_len = lp
+        if lb > max_path_len:
+            max_path_len = lb
 
     for st in states:
         note_register(st.register)
@@ -470,25 +478,27 @@ def run(
         while step_faults and step_faults[0].trigger <= total_steps:
             fire([step_faults.popleft()])
         pid = next(activations)
-        new_state, event = execute_step(states[pid - 1], programs[pid - 1], readers[pid - 1])
-        states[pid - 1] = new_state
+        st = states[pid - 1]
+        event = advance(st, programs[pid - 1], readers[pid - 1])
         total_steps += 1
-        seen.add(pid)
         if record_steps:
             trace.steps.append((total_steps, pid, event))
-        if event.kind == "write":
-            note_register(new_state.register)
-            if event.changed:
-                changed_this_round = True
-                if in_closure:
-                    closure_changes += 1
+        # only a changed write can grow the register; reads never change it
+        if event.changed:
+            note_register(st.register)
+            changed_this_round = True
+            if in_closure:
+                closure_changes += 1
 
-        if len(seen) < n:
+        if stamp[pid] != rounds_completed:
+            stamp[pid] = rounds_completed
+            unseen -= 1
+        if unseen:
             continue
 
         # round boundary
         rounds_completed += 1
-        seen = set()
+        unseen = n
         legitimate = tuple(st.register for st in states) == gt_regs
         if record_rounds:
             trace.rounds.append(
@@ -556,7 +566,7 @@ def run(
         ),
         post_stabilization_changes=closure_changes if closure_ran else None,
         max_path_len=max_path_len,
-        max_register_bits=max_bits,
+        max_register_bits=payload_bits(max_symbols, delta, count_bound),
         scheduler=getattr(scheduler, "name", type(scheduler).__name__),
         final_registers=final_registers,
     )

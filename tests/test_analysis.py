@@ -136,3 +136,19 @@ def test_partition_invariant_under_port_shuffles(fig1):
         if reference is None:
             reference = key
         assert key == reference
+
+
+def test_certify_runs_each_single_removal_once(fig1, monkeypatch):
+    from stabconn import oracle
+
+    calls = []
+    real = oracle.is_connected
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    detection = extract(fig1, ground_truth(fig1).registers)
+    monkeypatch.setattr(oracle, "is_connected", counting)
+    assert certify(detection, fig1).match
+    assert len(calls) == fig1.edge_count + fig1.n

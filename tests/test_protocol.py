@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies
 
 from stabconn.graph import build_graph, generate_random_connected
 from stabconn.oracle import first_dfs, ground_truth
@@ -43,6 +44,16 @@ def test_lex_compare_examples():
 def test_lex_compare_bottom_is_minimal():
     assert lex_compare((BOTTOM,), (1,)) == -1
     assert lex_compare((BOTTOM, 5), (1,)) == -1
+
+
+_paths = strategies.lists(strategies.integers(min_value=0, max_value=5), max_size=6).map(tuple)
+
+
+@given(_paths, _paths, _paths)
+def test_lex_compare_agrees_with_tuple_order(prefix, a, b):
+    # A_WRITE picks the smallest candidate with the builtin min
+    a, b = prefix + a, prefix + b
+    assert lex_compare(a, b) == (a > b) - (a < b)
 
 
 def test_lex_compare_total_order_properties():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stabconn.analysis import certify
-from stabconn.graph import parse_graph
+from stabconn.graph import figure1, generate_random_connected, parse_graph
 from stabconn.oracle import ground_truth
 from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH
 from stabconn.simulator import (
@@ -267,11 +267,43 @@ def test_run_step_log_debug_flag(triangle):
     assert all(ev.kind in ("read", "write") for ev in events)
 
 
+def _deep_snapshot(c):
+    return [
+        (st.register, st.path, st.count, st.n_in, st.n_out,
+         tuple(st.read_path), tuple(st.read_count), tuple(st.read_bcc), st.pc)
+        for st in c.states
+    ]
+
+
 def test_run_does_not_mutate_init(fig1):
+    # tuples, not a clone: a clone holding the same lists would change along
     init = init_arbitrary(fig1, 55)
-    snapshot = init.clone()
+    snapshot = _deep_snapshot(init)
     run(fig1, make_scheduler("round-robin"), init)
-    assert init == snapshot
+    assert _deep_snapshot(init) == snapshot
+
+
+@pytest.mark.parametrize("scheduler", ["round-robin", "random", "weighted"])
+@pytest.mark.parametrize("graph", ["figure1", "random:12,18"])
+def test_run_steps_match_replay_through_step(graph, scheduler):
+    # run steps states it owns in place; _step goes through the copying
+    # wrapper, so both must produce the same events and registers
+    from stabconn.simulator import _step
+
+    g = figure1() if graph == "figure1" else generate_random_connected(12, 7, seed=6)
+    init = init_arbitrary(g, 17)
+    fault = FaultSpec(trigger=40, random_fields=4, seed=5)
+    trace, report = run(
+        g, make_scheduler(scheduler, seed=2), init, faults=[fault], record_steps=True
+    )
+    assert report.stabilized and [ev.step for ev in report.fault_events] == [40] * len(report.fault_events)
+    c = init
+    for i, (k, pid, event) in enumerate(trace.steps):
+        if i == fault.trigger:
+            c = inject_fault(c, fault)
+        c, replayed = _step(c, pid)
+        assert replayed == event, (k, pid)
+    assert c.registers() == report.final_registers
 
 
 def test_default_max_rounds(fig1):
