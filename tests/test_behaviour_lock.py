@@ -7,7 +7,10 @@ why.  States and step events are digested field by field, not through their
 reprs, so a change of representation alone does not move a digest.  The
 step-stream runs are capped at a few rounds, so they lock the kernel, the
 schedulers and step-triggered faults but not the stabilization rule; the
-CLI reports include the stabilization verdict and move with it.
+CLI reports include the stabilization verdict and move with it.  The run
+digests lock every ``RunReport`` field and the round trace of whole runs,
+with step faults, post-stabilization faults, closure windows and round caps,
+so they cover the stabilization rule, the closure window and the space meter.
 """
 
 import hashlib
@@ -16,7 +19,15 @@ import pytest
 
 from stabconn import cli
 from stabconn.graph import figure1, generate_clustered, generate_random_connected
-from stabconn.simulator import FaultSpec, init_arbitrary, inject_fault, make_scheduler, run
+from stabconn.simulator import (
+    POST_STABILIZATION,
+    SCHEDULER_NAMES,
+    FaultSpec,
+    init_arbitrary,
+    inject_fault,
+    make_scheduler,
+    run,
+)
 
 GRAPHS = {
     "figure1": figure1,
@@ -88,6 +99,76 @@ def stream_digest(name: str, scheduler: str, seed: int) -> str:
     )
 
 
+RUN_GRAPHS = {
+    **GRAPHS,
+    # random:16,25,144 with init seed 144 stabilizes prematurely under round-robin
+    "random-16-144": lambda: generate_random_connected(16, 10, seed=144),
+}
+RUN_INIT_SEEDS = {"figure1": 4, "random-12": 6, "clustered-3x4": 9, "random-16-144": 144}
+
+
+def _step_fault(g, seed: int) -> FaultSpec:
+    return FaultSpec(trigger=2 * g.n, random_fields=3, seed=seed)
+
+
+RUN_VARIANTS = {
+    "plain": lambda g: {},
+    "step": lambda g: {"faults": [_step_fault(g, 11)]},
+    "closure-5": lambda g: {"closure_rounds": 5},
+    "closure-30": lambda g: {"closure_rounds": 30},
+    "post": lambda g: {
+        "faults": [FaultSpec(trigger=POST_STABILIZATION, targets=((2, "count"),), seed=12)],
+        "closure_rounds": 10,
+    },
+    "step-post-post": lambda g: {
+        "faults": [
+            FaultSpec(trigger=POST_STABILIZATION, random_fields=2, seed=13),
+            _step_fault(g, 14),
+            FaultSpec(trigger=POST_STABILIZATION, targets=((g.n, "pc"), (1, "locals")), seed=15),
+        ],
+        "closure_rounds": 20,
+    },
+    "capped": lambda g: {"faults": [_step_fault(g, 16)], "max_rounds": 3},
+}
+
+
+def run_digest(name: str, variant: str) -> str:
+    g = RUN_GRAPHS[name]()
+    out = []
+    for i, scheduler in enumerate(SCHEDULER_NAMES):
+        trace, report = run(
+            g,
+            make_scheduler(scheduler, seed=i + 1),
+            init_arbitrary(g, RUN_INIT_SEEDS[name]),
+            record_rounds=True,
+            **RUN_VARIANTS[variant](g),
+        )
+        detection = report.detection
+        out.append(
+            (
+                report.stabilized,
+                report.stabilization_round,
+                report.rounds,
+                report.total_steps,
+                [(ev.step, ev.round, ev.node, ev.fields) for ev in report.fault_events],
+                None
+                if detection is None
+                else (
+                    sorted(detection.bridges),
+                    sorted(detection.articulation_points),
+                    sorted(detection.component_of.items()),
+                ),
+                report.post_stabilization_changes,
+                report.max_path_len,
+                report.max_register_bits,
+                report.scheduler,
+                [tuple(reg) for reg in report.final_registers],
+                [(r.index, r.end_step, r.legitimate, r.changed) for r in trace.rounds],
+            )
+        )
+    return _digest(out)
+
+
 def cli_digest(argv: list[str], out_path) -> tuple[int, str]:
     code = cli.main([*argv, "--out", str(out_path)])
     return code, hashlib.sha256(out_path.read_bytes()).hexdigest()
@@ -115,6 +196,37 @@ STREAMS = {
     ("random-12", "round-robin", 3): "39457c5fc43355e3081a43acc67f06991449993202f92fc8ed94035e729c2379",
     ("clustered-3x4", "random", 4): "16c647e2b95f6028cd2c47102de5170e7c69392641571b54c44541f5fc6e6ff3",
     ("clustered-3x4", "weighted", 5): "624d4674bf3c575d9932fa04fecd72816a985b5fc7e83e996eea4937494c1aaa",
+}
+
+RUNS = {
+    ("figure1", "plain"): "2c5e5614d7a152e96cc7ca413fe8d88ea38df105bc45b68b04b8f5052a819954",
+    ("figure1", "step"): "a0c9e173f3708bdf49a24509b4c08b6e82fbf76c60a9489cd5a8e7b29af00e26",
+    ("figure1", "closure-5"): "bb23fb097b97bbc171bba03c70701f6c829d96237ddcc24609739872f384579a",
+    ("figure1", "closure-30"): "e486320f4eb56bf1ebbdb5d163aeb84f12e0f6b8e26d42423b46e78195e0fd35",
+    ("figure1", "post"): "42497127b51a5cc5b03118e3fd62b41dd54a49de397c7d8049561620b4fec964",
+    ("figure1", "step-post-post"): "97609a75a553f856bdfce077c64e82f11e275a30fa18a9e16bebcf4078797771",
+    ("figure1", "capped"): "8ee7f836a1d4ab803cb98128d88e6c9b70788fcd2e55956de06cc3fa8290d09b",
+    ("random-12", "plain"): "8b0043dc20f83fd19db18814dbdde44aee137a8b9c5cd14d5066f058064f5258",
+    ("random-12", "step"): "879ffe49731d6088079fc446b3b0cee3042cd928936c7adfe76607d66e4d0ddc",
+    ("random-12", "closure-5"): "913b20cf86dc9409d7b2edaa371ea8220efd36b88e4166ae44bd74aa66be28ae",
+    ("random-12", "closure-30"): "572dfbdfbe881241f1714978dcb716367bef18bcafea89368c3922c6b3b4a734",
+    ("random-12", "post"): "82adc340624c8524d5779c19398d510424fc5148203dc89c0ac9755e8d48da94",
+    ("random-12", "step-post-post"): "7692cb4988e95616aea780f16f1bf7ddaa9ed4daeff35e2dcacb322455587f5b",
+    ("random-12", "capped"): "f0f772470ab809e57ea08488bdafabd555c2aa935837c532171e95b249408c04",
+    ("clustered-3x4", "plain"): "50d30a61ca941e4f077a785e047aca9d07e056ce853df0943af2959e46834efb",
+    ("clustered-3x4", "step"): "9acf35e966d993694b1143226b663987ec25519e7b53841bb1e674641a53ae7d",
+    ("clustered-3x4", "closure-5"): "06ab237c0087b7f9b52883648cb3b66c9dc3d8a12061792482e668dda6bbd57a",
+    ("clustered-3x4", "closure-30"): "37269ef061d0cd02fe028b031e4dcb56a374d10c4021da4800dfe04b104354ae",
+    ("clustered-3x4", "post"): "65e99337883fbd7ec17a76172c6bf718713beacbd908b43dee8683f0aa40ee10",
+    ("clustered-3x4", "step-post-post"): "b4c1e83eb034597edb66435eaa63e0c3ffdfd5cd84fd46176a791677fa905e50",
+    ("clustered-3x4", "capped"): "8e18641841d804238960c1c92439c2fb12e18810cb7de2696df7236456a3c4e5",
+    ("random-16-144", "plain"): "1aa6d96a2cf47ed2c3d0b1590b46970c0268fad3480ff05898c6932e67a33b25",
+    ("random-16-144", "step"): "17962853821f347de05b2f5bd16af785d97af4fd1d18ab38dcfddfc13788fdec",
+    ("random-16-144", "closure-5"): "fe18d8d2230d2f12a3a2b26d261bb9bf12fdd79ce3f2aa0645ec6f558e2e482e",
+    ("random-16-144", "closure-30"): "09aed83ce03e3080ccce15c957142eec640e034903eb1d9d9526eee1f974a329",
+    ("random-16-144", "post"): "eb7571331210e9e6170248e23f9b3343908c9ba133d0497358cb46fd3cdb9b1d",
+    ("random-16-144", "step-post-post"): "60bc34c4f088b78ceaeb2759d3747e643f017e80ca6ea7a201a61caac847132b",
+    ("random-16-144", "capped"): "6b8c0fffa5803bb5433478d4a85e82a8e587603106c9009ee6459a78ffced1d8",
 }
 
 CLI_RUNS = {
@@ -161,6 +273,11 @@ def test_inject_fault_lock(kind):
 @pytest.mark.parametrize("case", sorted(STREAMS))
 def test_run_step_stream_lock(case):
     assert stream_digest(*case) == STREAMS[case]
+
+
+@pytest.mark.parametrize("case", sorted(RUNS))
+def test_run_report_lock(case):
+    assert run_digest(*case) == RUNS[case]
 
 
 @pytest.mark.parametrize("flags", sorted(CLI_RUNS))
