@@ -321,8 +321,6 @@ def cmd_sweep(args) -> int:
     runs = []
     max_ratio = 0.0
     failures = []
-    any_unstable = False
-    any_mismatch = False
     for spec in specs:
         for i, seed in enumerate(seeds):
             g = parse_generate_spec(spec, seed)
@@ -344,10 +342,8 @@ def cmd_sweep(args) -> int:
             if ratio is not None:
                 max_ratio = max(max_ratio, ratio)
             if not report.stabilized:
-                any_unstable = True
                 failures.append({"graph": spec, "seed": seed, "reason": "did not stabilize"})
             elif not certified:
-                any_mismatch = True
                 failures.append({"graph": spec, "seed": seed, "reason": "certification mismatch"})
             runs.append(
                 {
@@ -379,11 +375,7 @@ def cmd_sweep(args) -> int:
         "runs": runs,
     }
     _emit(doc, args.out)
-    if any_mismatch:
-        return EXIT_MISMATCH
-    if any_unstable:
-        return EXIT_NOT_STABILIZED
-    return EXIT_OK
+    return max(exit_code(r["stabilized"], r["certified"]) for r in runs)
 
 
 def cmd_export_dot(args) -> int:

@@ -4,9 +4,10 @@ One simulation serializes atomic steps: at every step a fair scheduler picks
 a single processor, which performs exactly one register read or write.  Runs
 start from arbitrary (seeded random) states, made by the fault injector
 corrupting every field of every node.  An omniscient observer compares
-registers against the centralized ground truth at round boundaries and
-declares stabilization once they match and stay unchanged for a confirmation
-window; the processors themselves never detect termination.  A run returns
+registers against the centralized ground truth at the end of every round and
+declares stabilization after one legitimate round followed by one legitimate
+round that changed no register; the processors themselves never detect
+termination.  A run returns
 the final registers and, once stabilized, the detection sets read off them;
 certifying those sets is left to the caller.
 """
@@ -17,7 +18,6 @@ import dataclasses
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from . import analysis
@@ -49,15 +49,8 @@ class Configuration:
     graph: Graph
     states: list[ProcessorState]
 
-    @cached_property
-    def programs(self):
-        return tuple(node_program(self.graph, v) for v in range(1, self.graph.n + 1))
-
     def registers(self) -> tuple[Register, ...]:
         return tuple(st.register for st in self.states)
-
-    def clone(self) -> "Configuration":
-        return Configuration(self.graph, [st.clone() for st in self.states])
 
 
 def is_legitimate(c: Configuration, gt: GroundTruth) -> bool:
@@ -146,13 +139,13 @@ class FaultSpec:
     """A transient corruption event.
 
     ``trigger`` is a 0-based step index (fires before that step executes) or
-    POST_STABILIZATION (fires when stabilization is first declared); anything
-    else is rejected.
+    POST_STABILIZATION (fires when stabilization is declared, one such fault
+    per declaration, in the order given); anything else is rejected.
     ``targets`` lists (node, field) pairs with field one of path / count /
-    bcc / pc / locals; ``random_fields`` additionally corrupts that many
-    random register-or-pc slots.  ``values`` optionally pins explicit values
-    per target; anything else is drawn randomly within type bounds from
-    ``seed``.
+    bcc / pc / locals; ``random_fields`` (an int >= 0) additionally corrupts
+    that many random register-or-pc slots.  ``values`` optionally pins
+    explicit values per target; anything else is drawn randomly within type
+    bounds from ``seed``.
     """
 
     trigger: int | str = 0
@@ -169,6 +162,10 @@ class FaultSpec:
             raise FaultTargetError(
                 f"fault trigger {self.trigger!r} is neither a step index >= 0 "
                 f"nor {POST_STABILIZATION!r}"
+            )
+        if type(self.random_fields) is not int or self.random_fields < 0:
+            raise FaultTargetError(
+                f"fault random_fields {self.random_fields!r} is not an int >= 0"
             )
 
 
@@ -281,15 +278,20 @@ def init_arbitrary(g: Graph, seed: int) -> Configuration:
 # ---------------------------------------------------------------------------
 # stepping
 
-def _step(c: Configuration, pid: NodeId) -> tuple[Configuration, StepEvent]:
-    g = c.graph
-    states = list(c.states)
-    nbrs = g.neighbors(pid)
+def _reader(states: list[ProcessorState], nbrs: Sequence[NodeId]):
+    """The register reader of a node with neighbours ``nbrs``, by port."""
 
     def read_neighbor(port: int) -> Register:
         return states[nbrs[port - 1] - 1].register
 
-    new_state, event = execute_step(states[pid - 1], c.programs[pid - 1], read_neighbor)
+    return read_neighbor
+
+
+def _step(c: Configuration, pid: NodeId) -> tuple[Configuration, StepEvent]:
+    g = c.graph
+    states = list(c.states)
+    read_neighbor = _reader(states, g.neighbors(pid))
+    new_state, event = execute_step(states[pid - 1], node_program(g, pid), read_neighbor)
     states[pid - 1] = new_state
     return Configuration(g, states), event
 
@@ -331,12 +333,12 @@ class RoundRecord:
     end_step: int
     legitimate: bool
     changed: bool
-    registers: tuple[Register, ...] | None = None
+    registers: tuple[Register, ...]
 
 
 @dataclass
 class Trace:
-    """Per-round summary of a run; register snapshots only when requested."""
+    """What a run records on request: one record per round, one entry per step."""
 
     rounds: list[RoundRecord] = field(default_factory=list)
     steps: list[tuple[int, NodeId, StepEvent]] = field(default_factory=list)
@@ -350,7 +352,6 @@ class RunReport:
     total_steps: int
     fault_events: list[FaultEvent]
     detection: analysis.DetectionResult | None
-    rounds_to_stabilize: int | None
     post_stabilization_changes: int | None
     max_path_len: int
     max_register_bits: int
@@ -363,6 +364,28 @@ def default_max_rounds(g: Graph) -> int:
     return max(10, 10 * max(1, g.diameter) * g.n * max(1, g.max_degree))
 
 
+def _fire(
+    spec: FaultSpec, g: Graph, states: list[ProcessorState], steps: int, rounds: int
+) -> list[FaultEvent]:
+    """Apply one fault to ``states``; return one event per node it hit."""
+    touched = _apply_fault_targets(states, g, spec)
+    nodes = sorted({v for v, _ in touched})
+    return [FaultEvent(steps, rounds, v, tuple(f for w, f in touched if w == v)) for v in nodes]
+
+
+def _widest(
+    states: list[ProcessorState], max_path_len: int, max_symbols: int
+) -> tuple[int, int]:
+    """Fold every register into the space meter: the longest path or bcc,
+    and the most path plus bcc symbols in one register."""
+    for st in states:
+        lp = len(st.register.path)
+        lb = len(st.register.bcc)
+        max_path_len = max(max_path_len, lp, lb)
+        max_symbols = max(max_symbols, lp + lb)
+    return max_path_len, max_symbols
+
+
 def run(
     g: Graph,
     scheduler,
@@ -370,21 +393,23 @@ def run(
     faults: Sequence[FaultSpec] = (),
     max_rounds: int | None = None,
     closure_rounds: int = 0,
-    confirm_rounds: int = 2,
     record_rounds: bool = False,
     record_steps: bool = False,
     gt: GroundTruth | None = None,
 ) -> tuple[Trace, RunReport]:
     """Execute until stabilization (plus optional closure window) or max_rounds.
 
-    Stabilization is declared at a round boundary where all registers equal
-    the ground truth and have stayed unchanged for ``confirm_rounds``
-    consecutive complete rounds.  Post-stabilization faults fire at the first
-    declaration and the run then continues until it re-stabilizes.
-    Non-convergence within ``max_rounds`` (per stabilization attempt), or a
-    closure window that ends outside the legitimate configuration, is
-    reported as not stabilized, not raised.  A stabilized report carries the
-    detection sets read off the final registers, uncertified.
+    Stabilization is declared at the end of round r when rounds r-1 and r
+    both ended with every register equal to the ground truth and round r
+    changed no register and fired no fault: one legitimate round, then one
+    legitimate quiet round.  The stabilization round is r-1.  A declaration
+    fires the next post-stabilization fault, if any, and the run goes on to
+    re-stabilize; the last one opens the closure window, which counts the
+    register changes of the next ``closure_rounds`` rounds.  Non-convergence
+    within ``max_rounds`` (per attempt), or a closure window that ends
+    outside the legitimate configuration, is reported as not stabilized, not
+    raised.  A stabilized report carries the detection sets read off the
+    final registers, uncertified.  ``trace`` is filled only on request.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
@@ -394,179 +419,110 @@ def run(
         gt = ground_truth(g)
     gt_regs = gt.registers
     n = g.n
-    delta = g.max_degree
-    count_bound = n * n
 
     # the run owns these copies and steps them in place
     states = [st.clone() for st in init.states]
     programs = [node_program(g, v) for v in range(1, n + 1)]
-    neighbor_ids = [g.neighbors(v) for v in range(1, n + 1)]
-
-    def make_reader(v: NodeId):
-        nbrs = neighbor_ids[v - 1]
-
-        def read_neighbor(port: int) -> Register:
-            return states[nbrs[port - 1] - 1].register
-
-        return read_neighbor
-
-    readers = [make_reader(v) for v in range(1, n + 1)]
-
+    readers = [_reader(states, g.neighbors(v)) for v in range(1, n + 1)]
     step_faults = deque(
         sorted(
             (f for f in faults if isinstance(f.trigger, int)), key=lambda f: f.trigger
         )
     )
     post_faults = deque(f for f in faults if f.trigger == POST_STABILIZATION)
-
-    trace = Trace()
-    fault_events: list[FaultEvent] = []
-    total_steps = 0
-    rounds_completed = 0
-    attempt_start = 0
-    # stamp[pid] == rounds_completed once pid has stepped in the current round
-    stamp = [-1] * (n + 1)
-    unseen = n
-    changed_this_round = False
-    streak = 0
-    candidate: int | None = None
-    stabilized = False
-    stabilization_round: int | None = None
-    in_closure = False
-    closure_ran = False
-    closure_done = 0
-    closure_changes = 0
-
-    # register bits grow with the symbols of both paths, so the meter keeps
-    # the largest symbol count and converts it to bits once, at the end
-    max_path_len = 0
-    max_symbols = 0
-
-    def note_register(reg: Register) -> None:
-        nonlocal max_path_len, max_symbols
-        lp = len(reg.path)
-        lb = len(reg.bcc)
-        if lp + lb > max_symbols:
-            max_symbols = lp + lb
-        if lp > max_path_len:
-            max_path_len = lp
-        if lb > max_path_len:
-            max_path_len = lb
-
-    for st in states:
-        note_register(st.register)
-
-    def fire(specs) -> None:
-        nonlocal changed_this_round
-        for spec in specs:
-            touched = _apply_fault_targets(states, g, spec)
-            for v in sorted({v for v, _ in touched}):
-                fields_hit = tuple(f for w, f in touched if w == v)
-                fault_events.append(FaultEvent(total_steps, rounds_completed, v, fields_hit))
-            changed_this_round = True
-            for st in states:
-                note_register(st.register)
-
     activations = scheduler.activations(n)
     # hard safety net: a fair scheduler closes rounds almost surely, but a
     # bounded run must terminate even on pathological random tails
     step_cap = 1000 * n * (max_rounds + closure_rounds + 10)
 
-    while total_steps < step_cap:
-        if not in_closure and rounds_completed - attempt_start >= max_rounds:
-            break
-        while step_faults and step_faults[0].trigger <= total_steps:
-            fire([step_faults.popleft()])
-        pid = next(activations)
-        st = states[pid - 1]
-        event = advance(st, programs[pid - 1], readers[pid - 1])
-        total_steps += 1
-        if record_steps:
-            trace.steps.append((total_steps, pid, event))
-        # only a changed write can grow the register; reads never change it
-        if event.changed:
-            note_register(st.register)
-            changed_this_round = True
-            if in_closure:
-                closure_changes += 1
+    trace = Trace()
+    fault_events: list[FaultEvent] = []
+    steps = 0
+    rounds = 0
+    attempt_start = 0  # max_rounds counts from the last post-stabilization fault
+    # stamp[pid] == rounds once pid has stepped in the current round
+    stamp = [-1] * (n + 1)
+    changed = False  # a register changed or a fault fired in the current round
+    prev_legitimate = False
+    stabilization_round: int | None = None
+    closure_left: int | None = None  # rounds left once the closure window opens
+    closure_changes = 0
+    # register bits grow with the symbols of both paths, so the meter keeps
+    # the largest symbol count and converts it to bits once, at the end
+    max_path_len, max_symbols = _widest(states, 0, 0)
 
-        if stamp[pid] != rounds_completed:
-            stamp[pid] = rounds_completed
-            unseen -= 1
-        if unseen:
-            continue
-
-        # round boundary
-        rounds_completed += 1
+    while closure_left is not None or rounds - attempt_start < max_rounds:
         unseen = n
-        legitimate = tuple(st.register for st in states) == gt_regs
+        while unseen and steps < step_cap:
+            while step_faults and step_faults[0].trigger <= steps:
+                fault_events += _fire(step_faults.popleft(), g, states, steps, rounds)
+                max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
+                changed = True
+            pid = next(activations)
+            st = states[pid - 1]
+            event = advance(st, programs[pid - 1], readers[pid - 1])
+            steps += 1
+            if record_steps:
+                trace.steps.append((steps, pid, event))
+            # only a changed write can grow the register; reads never change it
+            if event.changed:
+                changed = True
+                if closure_left is not None:
+                    closure_changes += 1
+                lp = len(st.register.path)
+                lb = len(st.register.bcc)
+                if lp + lb > max_symbols:
+                    max_symbols = lp + lb
+                if lp > max_path_len:
+                    max_path_len = lp
+                if lb > max_path_len:
+                    max_path_len = lb
+            if stamp[pid] != rounds:
+                stamp[pid] = rounds
+                unseen -= 1
+        if unseen:
+            break  # step cap hit inside the round
+
+        # round end: every round-level decision of the run is made here
+        rounds += 1
+        registers = tuple(st.register for st in states)
+        legitimate = registers == gt_regs
         if record_rounds:
-            trace.rounds.append(
-                RoundRecord(
-                    rounds_completed,
-                    total_steps,
-                    legitimate,
-                    changed_this_round,
-                    tuple(st.register for st in states),
-                )
-            )
-        else:
-            trace.rounds.append(
-                RoundRecord(rounds_completed, total_steps, legitimate, changed_this_round)
-            )
-
-        if in_closure:
-            closure_done += 1
-            changed_this_round = False
-            if closure_done >= closure_rounds:
+            trace.rounds.append(RoundRecord(rounds, steps, legitimate, changed, registers))
+        declared = prev_legitimate and legitimate and not changed
+        prev_legitimate = legitimate
+        changed = False
+        if closure_left is not None:
+            closure_left -= 1
+            if closure_left == 0:
                 break
-            continue
-
-        if legitimate:
-            if streak == 0 or changed_this_round:
-                streak = 1
-                candidate = rounds_completed
-            else:
-                streak += 1
-        else:
-            streak = 0
-            candidate = None
-        changed_this_round = False
-
-        if streak >= confirm_rounds:
-            stabilized = True
-            stabilization_round = candidate
+        elif declared:
             if post_faults:
-                fire([post_faults.popleft()])
-                stabilized = False
-                stabilization_round = None
-                streak = 0
-                candidate = None
-                attempt_start = rounds_completed
-            elif closure_rounds > 0:
-                in_closure = True
-                closure_ran = True
+                # a new attempt: the fault counts as a change of the next
+                # round, so that round cannot confirm a declaration
+                fault_events += _fire(post_faults.popleft(), g, states, steps, rounds)
+                max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
+                changed = True
+                attempt_start = rounds
             else:
-                break
+                stabilization_round = rounds - 1
+                if not closure_rounds:
+                    break
+                closure_left = closure_rounds
 
     final_registers = tuple(st.register for st in states)
-    if final_registers != gt_regs:
-        # the closure window ended outside the legitimate configuration
-        stabilized = False
-        stabilization_round = None
+    # a closure window can end outside the legitimate configuration
+    stabilized = stabilization_round is not None and final_registers == gt_regs
     report = RunReport(
         stabilized=stabilized,
-        stabilization_round=stabilization_round,
-        rounds=rounds_completed,
-        total_steps=total_steps,
+        stabilization_round=stabilization_round if stabilized else None,
+        rounds=rounds,
+        total_steps=steps,
         fault_events=fault_events,
         detection=analysis.extract(g, final_registers, gt=gt) if stabilized else None,
-        rounds_to_stabilize=(
-            None if stabilization_round is None else stabilization_round - attempt_start
-        ),
-        post_stabilization_changes=closure_changes if closure_ran else None,
+        post_stabilization_changes=None if closure_left is None else closure_changes,
         max_path_len=max_path_len,
-        max_register_bits=payload_bits(max_symbols, delta, count_bound),
+        max_register_bits=payload_bits(max_symbols, g.max_degree, n * n),
         scheduler=getattr(scheduler, "name", type(scheduler).__name__),
         final_registers=final_registers,
     )

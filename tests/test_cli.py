@@ -180,6 +180,8 @@ def test_usage_errors(capsys):
     assert main(["nope"]) == EXIT_USAGE
     assert main(["run", "--graph", "/does/not/exist"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--faults", "step=-1:random=1"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "step=0:random=-1"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "post:random=-2"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--max-rounds", "0"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--closure-rounds", "-3"]) == EXIT_USAGE
     assert main(["sweep", "--graphs", "clustered:2x3", "--seeds", "2", "--max-rounds", "-2"]) == EXIT_USAGE
@@ -233,6 +235,25 @@ def test_sweep_small_matrix(tmp_path):
     assert doc["summary"]["failures"] == []
     assert doc["summary"]["max_round_ratio"] <= 10
     assert {r["scheduler"] for r in doc["runs"]} == {"round-robin", "random", "weighted"}
+
+
+def test_sweep_exit_not_stabilized(capsys):
+    code = main(["sweep", "--graphs", "random:4,3", "--seeds", "3", "--max-rounds", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NOT_STABILIZED
+    assert doc["summary"]["stabilized"] == 0
+
+
+def test_sweep_exit_mismatch_outranks_not_stabilized(monkeypatch, capsys):
+    def failing_certify(detection, g):
+        return analysis.CertificationReport(match=False, mismatches=("forced",))
+
+    monkeypatch.setattr(analysis, "certify", failing_certify)
+    # with 10 rounds, seed 0 of random:4,3 does not stabilize and seeds 1, 2 do
+    code = main(["sweep", "--graphs", "random:4,3", "--seeds", "3", "--max-rounds", "10"])
+    reasons = {f["reason"] for f in json.loads(capsys.readouterr().out)["summary"]["failures"]}
+    assert reasons == {"did not stabilize", "certification mismatch"}
+    assert code == EXIT_MISMATCH
 
 
 def test_dot_figure1(capsys):

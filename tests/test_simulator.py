@@ -5,7 +5,7 @@ import pytest
 from stabconn.analysis import certify
 from stabconn.graph import figure1, generate_random_connected, parse_graph
 from stabconn.oracle import ground_truth
-from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH
+from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH, node_program
 from stabconn.simulator import (
     Configuration,
     FaultSpec,
@@ -59,7 +59,7 @@ def test_init_respects_type_bounds(fig1):
             assert 1 <= len(p) <= fig1.n
             assert all(0 <= s <= fig1.max_degree for s in p)
         assert abs(st.register.count) <= bound
-        assert 0 <= st.pc < len(conf.programs[v - 1].schedule)
+        assert 0 <= st.pc < node_program(fig1, v).length
 
 
 def test_init_almost_never_legitimate(fig1, triangle):
@@ -253,6 +253,56 @@ def test_run_trace_rounds(fig1):
     assert all(r.end_step == i * fig1.n for i, r in enumerate(trace.rounds, start=1))
 
 
+def _scanned_stabilization_round(rounds, post_faults):
+    """The first legitimate round followed by a legitimate round with no
+    changes, skipping one such pair for each post-stabilization fault."""
+    start = 0
+    for a, b in zip(rounds, rounds[1:]):
+        if a.index > start and a.legitimate and b.legitimate and not b.changed:
+            if not post_faults:
+                return a.index
+            post_faults -= 1
+            start = b.index
+    return None
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+@pytest.mark.parametrize("scheduler", ["round-robin", "random", "weighted"])
+@pytest.mark.parametrize("graph", ["figure1", "random:12,18"])
+def test_round_trace_matches_reference_scans(graph, scheduler, faulted):
+    g = figure1() if graph == "figure1" else generate_random_connected(12, 7, seed=6)
+    faults = []
+    if faulted:
+        faults = [
+            FaultSpec(trigger=40, random_fields=4, seed=5),
+            FaultSpec(trigger=POST_STABILIZATION, random_fields=3, seed=6),
+        ]
+    trace, report = run(
+        g,
+        make_scheduler(scheduler, seed=3),
+        init_arbitrary(g, 21),
+        faults=faults,
+        closure_rounds=10 if faulted else 0,
+        record_rounds=True,
+        record_steps=True,
+    )
+    assert report.stabilized
+    pids = [pid for _, pid, _ in trace.steps]
+    assert round_boundaries(pids, g.n) == [r.end_step for r in trace.rounds]
+    post_faults = sum(f.trigger == POST_STABILIZATION for f in faults)
+    assert report.stabilization_round == _scanned_stabilization_round(trace.rounds, post_faults)
+
+
+def test_run_from_legitimate_configuration_needs_two_rounds(fig1):
+    # round 1 is quiet too, but no round before it ended legitimate
+    gt = ground_truth(fig1)
+    trace, report = run(
+        fig1, make_scheduler("round-robin"), stabilized_configuration(fig1, gt), record_rounds=True
+    )
+    assert [(r.legitimate, r.changed) for r in trace.rounds] == [(True, False)] * 2
+    assert report.stabilized and report.stabilization_round == 1
+
+
 def test_run_step_log_debug_flag(triangle):
     trace, report = run(
         triangle,
@@ -261,6 +311,7 @@ def test_run_step_log_debug_flag(triangle):
         record_steps=True,
     )
     assert len(trace.steps) == report.total_steps
+    assert trace.rounds == []
     steps, pids, events = zip(*trace.steps)
     assert list(steps) == list(range(1, report.total_steps + 1))
     assert set(pids) == {1, 2, 3}
@@ -360,6 +411,12 @@ def test_fault_rejects_unknown_trigger(trigger):
     # a run would otherwise drop them silently or fire them early
     with pytest.raises(FaultTargetError):
         FaultSpec(trigger=trigger, targets=((2, "path"),))
+
+
+@pytest.mark.parametrize("count", [-1, True, 2.0, None, "3"])
+def test_fault_rejects_bad_random_field_count(count):
+    with pytest.raises(FaultTargetError):
+        FaultSpec(trigger=0, random_fields=count)
 
 
 def test_corrupt_root_count_restored_by_next_cycle(triangle):
