@@ -7,6 +7,14 @@ tree: per-node root paths, bypass counts for each parent link, and component
 labels.  The two routes are deliberately independent so each can certify the
 other.
 
+The brute-force route first finds a spanning tree of its own, by a plain
+stack search from node 1, and tests only the removals that can disconnect.
+Removing an edge outside that tree, or a node of tree degree at most 1,
+leaves the rest of the tree connected, so only the n - 1 tree edges and the
+nodes of tree degree 2 or more are tested, each by one single-removal
+``is_connected`` call.  When the search misses a node (an unvalidated,
+disconnected graph), every edge and every node is tested.
+
 One traversal yields the paths and the parent map.  Counts then come straight
 from their definition: every non-tree edge joins a node k to a proper
 ancestor l, and walking from k up the parent pointers to the child of l adds
@@ -34,37 +42,97 @@ def is_connected(
     removed_nodes: Iterable[NodeId] = (),
     removed_edges: Iterable[Edge] = (),
 ) -> bool:
-    """True iff the surviving nodes form at most one connected component."""
-    dead_nodes = set(removed_nodes)
-    dead_edges = {canonical_edge(u, v) for u, v in removed_edges}
-    alive = [v for v in range(1, g.n + 1) if v not in dead_nodes]
-    if len(alive) <= 1:
+    """True iff the surviving nodes form at most one connected component.
+
+    Ids outside 1..n in ``removed_nodes`` and pairs that are no edge in
+    ``removed_edges`` remove nothing.
+    """
+    n = g.n
+    ports = g.ports
+    # removed nodes start out seen, so the search never enters them
+    seen = bytearray(n + 1)
+    alive = n
+    for v in removed_nodes:
+        if 1 <= v <= n and not seen[v]:
+            seen[v] = 1
+            alive -= 1
+    if alive <= 1:
         return True
-    reached = {alive[0]}
-    frontier = [alive[0]]
+    cut: dict[NodeId, set[NodeId]] = {}
+    for u, w in removed_edges:
+        cut.setdefault(u, set()).add(w)
+        cut.setdefault(w, set()).add(u)
+    start = seen.index(0, 1)
+    seen[start] = 1
+    reached = 1
+    frontier = [start]
     while frontier:
         v = frontier.pop()
-        for w in g.neighbors(v):
-            if w in dead_nodes or canonical_edge(v, w) in dead_edges:
-                continue
-            if w not in reached:
-                reached.add(w)
+        skip = cut.get(v)
+        for w in ports[v - 1]:
+            if not seen[w] and (skip is None or w not in skip):
+                seen[w] = 1
+                reached += 1
                 frontier.append(w)
-    return len(reached) == len(alive)
+    return reached == alive
+
+
+def _search_tree(g: Graph) -> list[NodeId] | None:
+    """Parent list of a spanning tree from a stack search at node 1.
+
+    ``parent[v]`` is the node that reached v, for v in 2..n.  None when the search misses a node, which only an unvalidated,
+    disconnected graph allows.
+    """
+    n = g.n
+    if n < 1:
+        return None
+    ports = g.ports
+    parent = [0] * (n + 1)
+    seen = bytearray(n + 1)
+    seen[ROOT] = 1
+    reached = 1
+    frontier = [ROOT]
+    while frontier:
+        v = frontier.pop()
+        for w in ports[v - 1]:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = v
+                reached += 1
+                frontier.append(w)
+    return parent if reached == n else None
 
 
 def brute_bridges(g: Graph) -> set[Edge]:
-    """Edges whose single removal disconnects the graph."""
-    return {e for e in g.edges if not is_connected(g, removed_edges=[e])}
+    """Edges whose single removal disconnects the graph.
+
+    Only spanning-tree edges are tested: removing any other edge leaves the
+    tree, and so the graph, connected.
+    """
+    parent = _search_tree(g)
+    if parent is None:
+        candidates: Iterable[Edge] = g.edges
+    else:
+        candidates = [canonical_edge(parent[v], v) for v in range(2, g.n + 1)]
+    return {e for e in candidates if not is_connected(g, removed_edges=[e])}
 
 
 def brute_articulation_points(g: Graph) -> set[NodeId]:
-    """Nodes whose single removal disconnects the remaining nodes."""
-    return {
-        v
-        for v in range(1, g.n + 1)
-        if not is_connected(g, removed_nodes=[v])
-    }
+    """Nodes whose single removal disconnects the remaining nodes.
+
+    Only nodes of spanning-tree degree 2 or more are tested: removing a
+    tree leaf leaves the rest of the tree, and so the graph, connected.
+    """
+    parent = _search_tree(g)
+    if parent is None:
+        candidates: Iterable[NodeId] = range(1, g.n + 1)
+    else:
+        tree_degree = [0] * (g.n + 1)
+        for v in range(2, g.n + 1):
+            tree_degree[v] += 1
+            tree_degree[parent[v]] += 1
+        candidates = [v for v in range(1, g.n + 1) if tree_degree[v] >= 2]
+    return {v for v in candidates if not is_connected(g, removed_nodes=[v])}
 
 
 def brute_bcc_partition(g: Graph) -> set[frozenset[NodeId]]:
@@ -74,21 +142,24 @@ def brute_bcc_partition(g: Graph) -> set[frozenset[NodeId]]:
 
 def components_without(g: Graph, bridges: Container[Edge]) -> set[frozenset[NodeId]]:
     """Connected components left after deleting the given edges."""
-    unassigned = set(range(1, g.n + 1))
+    ports = g.ports
+    seen = bytearray(g.n + 1)
     parts: set[frozenset[NodeId]] = set()
-    while unassigned:
-        start = min(unassigned)
-        comp = {start}
+    for start in range(1, g.n + 1):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        comp = [start]
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for w in g.neighbors(v):
-                if canonical_edge(v, w) in bridges or w in comp:
+            for w in ports[v - 1]:
+                if seen[w] or canonical_edge(v, w) in bridges:
                     continue
-                comp.add(w)
+                seen[w] = 1
+                comp.append(w)
                 frontier.append(w)
         parts.add(frozenset(comp))
-        unassigned -= comp
     return parts
 
 

@@ -90,20 +90,12 @@ class WeightedRandom:
 
     name = "weighted"
 
-    def __init__(self, seed: int, weights: Sequence[float] | None = None):
+    def __init__(self, seed: int):
         self.seed = seed
-        if weights is not None and (not weights or min(weights) <= 0):
-            raise ValueError("weights must be positive for every node")
-        self.weights = tuple(weights) if weights is not None else None
 
     def activations(self, n: int) -> Iterator[NodeId]:
         rng = random.Random(self.seed)
-        if self.weights is not None:
-            if len(self.weights) != n:
-                raise ValueError(f"need {n} weights, got {len(self.weights)}")
-            weights = self.weights
-        else:
-            weights = tuple(rng.uniform(1.0, 10.0) for _ in range(n))
+        weights = tuple(rng.uniform(1.0, 10.0) for _ in range(n))
         population = range(1, n + 1)
         while True:
             yield from rng.choices(population, weights=weights, k=512)
@@ -112,13 +104,13 @@ class WeightedRandom:
 SCHEDULER_NAMES = ("round-robin", "random", "weighted")
 
 
-def make_scheduler(name: str, seed: int = 0, weights: Sequence[float] | None = None):
+def make_scheduler(name: str, seed: int = 0):
     if name == "round-robin":
         return RoundRobin()
     if name == "random":
         return UniformRandom(seed)
     if name == "weighted":
-        return WeightedRandom(seed, weights)
+        return WeightedRandom(seed)
     raise ValueError(f"unknown scheduler {name!r}; pick one of {SCHEDULER_NAMES}")
 
 

@@ -10,7 +10,8 @@ from stabconn.analysis import (
     extract,
     label_summary,
 )
-from stabconn.graph import generate_clustered, generate_random_connected, shuffle_ports
+from stabconn.cli import parse_generate_spec
+from stabconn.graph import build_graph, canonical_edge, generate_clustered, generate_random_connected, shuffle_ports
 from stabconn.oracle import brute_bcc_partition, ground_truth
 from stabconn.protocol import BOTTOM, lex_compare
 from stabconn.simulator import init_arbitrary, make_scheduler, run
@@ -139,16 +140,46 @@ def test_partition_invariant_under_port_shuffles(fig1):
 
 
 def test_certify_runs_each_single_removal_once(fig1, monkeypatch):
+    # certify tests single removals along a spanning tree of its own: each
+    # tree edge, and each node of tree degree >= 2, exactly once
     from stabconn import oracle
 
     calls = []
     real = oracle.is_connected
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def recording(g, removed_nodes=(), removed_edges=()):
+        removed_nodes, removed_edges = list(removed_nodes), list(removed_edges)
+        calls.append((tuple(removed_nodes), tuple(canonical_edge(*e) for e in removed_edges)))
+        return real(g, removed_nodes, removed_edges)
 
     detection = extract(fig1, ground_truth(fig1).registers)
-    monkeypatch.setattr(oracle, "is_connected", counting)
+    monkeypatch.setattr(oracle, "is_connected", recording)
     assert certify(detection, fig1).match
-    assert len(calls) == fig1.edge_count + fig1.n
+
+    assert all(len(nodes) + len(edges) == 1 for nodes, edges in calls)
+    assert len(set(calls)) == len(calls)
+    tested_nodes = {v for nodes, _ in calls for v in nodes}
+    tested_edges = [e for _, edges in calls for e in edges]
+    assert set(tested_edges) <= set(fig1.edges)
+    assert len(tested_edges) == fig1.n - 1
+    tree = build_graph(fig1.n, tested_edges)  # raises unless they connect all n nodes
+    for v in range(1, fig1.n + 1):
+        if v not in tested_nodes:
+            assert tree.degree(v) <= 1
+    assert len(calls) < fig1.edge_count + fig1.n
+
+
+@pytest.mark.parametrize("spec", ["figure1", "random:12,18"])
+def test_certify_needs_no_ground_truth(spec, monkeypatch):
+    # the brute-force route shares no code with the DFS-based ground truth
+    from stabconn import oracle
+
+    g = parse_generate_spec(spec, 0)
+    detection = extract(g, ground_truth(g).registers)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certifier must not use the ground-truth oracle")
+
+    monkeypatch.setattr(oracle, "first_dfs", forbidden)
+    monkeypatch.setattr(oracle, "ground_truth", forbidden)
+    assert certify(detection, g).match

@@ -1,8 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies
 
-from stabconn.graph import build_graph, canonical_edge, generate_clustered, generate_random_connected, parse_graph
+from stabconn.graph import (
+    Graph,
+    build_graph,
+    canonical_edge,
+    generate_clustered,
+    generate_random_connected,
+    parse_graph,
+    shuffle_ports,
+)
 from stabconn.oracle import (
     brute_articulation_points,
     brute_bcc_partition,
@@ -52,6 +61,41 @@ def test_is_connected_vacuous(single_edge):
 
 def test_figure1_bridge_removal_disconnects(fig1):
     assert not is_connected(fig1, removed_edges=[(1, 4)])
+
+
+# Robustness: ids outside 1..n and pairs that are no edge remove nothing.
+# Expected values are what a plain set-based search gives.
+_PATH4 = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+_STAR_AT_N = build_graph(3, [(1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "g, nodes, edges, expected",
+    [
+        (_PATH4, [0], [], True),
+        (_PATH4, [-1], [], True),
+        (_PATH4, [5], [], True),
+        (_PATH4, [2, 0], [], False),
+        (_PATH4, [2, -1], [], False),
+        (_PATH4, [2, 5], [], False),
+        (_PATH4, [3, -1, 0, 5], [], False),
+        (_PATH4, [1, 1], [], True),
+        (_PATH4, [2, 2], [], False),
+        (_PATH4, [4, 4, 1, 1], [], True),
+        (_STAR_AT_N, [-1], [], True),
+        (_STAR_AT_N, [3, 3], [], False),
+        (_STAR_AT_N, [1, 2, 2], [], True),
+        (_PATH4, [], [(1, 3)], True),
+        (_PATH4, [], [(1, 4), (4, 1)], True),
+        (_PATH4, [], [(0, 9), (5, 6)], True),
+        (_PATH4, [], [(1, 3), (3, 2)], False),
+        (_PATH4, [], [(3, 2), (3, 2)], False),
+        (_PATH4, [1], [(2, 3)], False),
+        (_PATH4, [1, -1], [(1, 2), (1, 4)], True),
+    ],
+)
+def test_is_connected_ignores_ids_that_name_nothing(g, nodes, edges, expected):
+    assert is_connected(g, removed_nodes=nodes, removed_edges=edges) is expected
 
 
 def test_brute_bridges(triangle, path3, fig1):
@@ -221,3 +265,121 @@ def test_single_node_ground_truth():
     assert gt.bridges == frozenset()
     assert gt.articulation_points == frozenset()
     assert gt.partition == {frozenset({1})}
+
+
+# ---------------------------------------------------------------------------
+# brute force against the every-candidate definition
+
+def _reference_connected(g, dead_nodes=(), dead_edge=None):
+    alive = [v for v in range(1, g.n + 1) if v not in dead_nodes]
+    if len(alive) <= 1:
+        return True
+    reached = {alive[0]}
+    frontier = [alive[0]]
+    while frontier:
+        v = frontier.pop()
+        for w in g.neighbors(v):
+            if w in dead_nodes or canonical_edge(v, w) == dead_edge or w in reached:
+                continue
+            reached.add(w)
+            frontier.append(w)
+    return len(reached) == len(alive)
+
+
+def reference_bridges(g):
+    """Every edge whose single removal disconnects the graph."""
+    return {e for e in g.edges if not _reference_connected(g, dead_edge=e)}
+
+
+def reference_articulation_points(g):
+    """Every node whose single removal disconnects the remaining nodes."""
+    return {v for v in range(1, g.n + 1) if not _reference_connected(g, dead_nodes={v})}
+
+
+def reference_partition(g):
+    bridges = reference_bridges(g)
+    label = {}
+    for start in range(1, g.n + 1):
+        if start in label:
+            continue
+        label[start] = start
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in g.neighbors(v):
+                if w not in label and canonical_edge(v, w) not in bridges:
+                    label[w] = start
+                    frontier.append(w)
+    groups = {}
+    for v, root in label.items():
+        groups.setdefault(root, set()).add(v)
+    return {frozenset(vs) for vs in groups.values()}
+
+
+def assert_brute_matches_reference(g):
+    assert brute_bridges(g) == reference_bridges(g), g
+    assert brute_articulation_points(g) == reference_articulation_points(g), g
+    assert brute_bcc_partition(g) == reference_partition(g), g
+
+
+@strategies.composite
+def generated_graphs(draw):
+    seed = draw(strategies.integers(0, 10**6))
+    if draw(strategies.booleans()):
+        n = draw(strategies.integers(1, 40))
+        cap = n * (n - 1) // 2 - (n - 1)
+        g = generate_random_connected(n, draw(strategies.integers(0, min(2 * n, cap))), seed)
+    else:
+        k = draw(strategies.integers(1, 8))
+        g = generate_clustered(k, draw(strategies.integers(3, 40 // k)), seed)
+    if draw(strategies.booleans()):
+        g = shuffle_ports(g, draw(strategies.integers(0, 10**6)))
+    return g
+
+
+@strategies.composite
+def family_graphs(draw):
+    family = draw(strategies.sampled_from(["path", "cycle", "star"]))
+    n = draw(strategies.integers(3 if family == "cycle" else 1, 40))
+    if family == "path":
+        edges = [(v, v + 1) for v in range(1, n)]
+    elif family == "cycle":
+        edges = [(v, v % n + 1) for v in range(1, n + 1)]
+    else:
+        edges = [(1, v) for v in range(2, n + 1)]
+    label = draw(strategies.permutations(range(1, n + 1)))  # node v becomes label[v - 1]
+    return build_graph(n, [(label[u - 1], label[v - 1]) for u, v in edges])
+
+
+@strategies.composite
+def disconnected_graphs(draw):
+    """Unvalidated graphs whose edges never cross a random split of the nodes."""
+    n = draw(strategies.integers(2, 16))
+    side = draw(strategies.lists(strategies.booleans(), min_size=n, max_size=n))
+    side[draw(strategies.integers(1, n - 1))] = not side[0]  # both sides non-empty
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if side[u - 1] == side[v - 1]]
+    edges = sorted(draw(strategies.sets(strategies.sampled_from(pairs), max_size=3 * n)) if pairs else [])
+    ports = [[] for _ in range(n)]
+    for u, v in draw(strategies.permutations(edges)):
+        ports[u - 1].append(v)
+        ports[v - 1].append(u)
+    return Graph(n=n, edges=tuple(edges), ports=tuple(tuple(p) for p in ports))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(generated_graphs())
+def test_brute_force_matches_reference_on_generated_graphs(g):
+    assert_brute_matches_reference(g)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(family_graphs())
+def test_brute_force_matches_reference_on_families(g):
+    assert_brute_matches_reference(g)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(disconnected_graphs())
+def test_brute_force_matches_reference_on_disconnected_graphs(g):
+    assert not _reference_connected(g)
+    assert_brute_matches_reference(g)

@@ -162,9 +162,7 @@ def test_schedulers_are_fair_and_deterministic():
         assert len(round_boundaries(first, n)) > 10
 
 
-def test_weighted_scheduler_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        make_scheduler("weighted", seed=1, weights=[1.0, 0.0])
+def test_make_scheduler_rejects_unknown_name():
     with pytest.raises(ValueError):
         make_scheduler("nope")
 
