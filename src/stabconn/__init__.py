@@ -11,7 +11,6 @@ from .analysis import (
     CertificationReport,
     DetectionResult,
     NotStabilizedError,
-    alpha_independence,
     certify,
     extract,
 )
@@ -51,7 +50,6 @@ from .protocol import (
     classify_link,
     execute_step,
     format_path,
-    lex_compare,
     node_program,
     nonroot_program,
     register_bit_budget,
@@ -69,12 +67,11 @@ from .simulator import (
     Trace,
     UniformRandom,
     WeightedRandom,
+    alpha_independence,
     default_max_rounds,
     init_arbitrary,
     inject_fault,
-    is_legitimate,
     make_scheduler,
-    round_boundaries,
     run,
     step,
 )

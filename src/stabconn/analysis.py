@@ -19,8 +19,9 @@ from .oracle import (
     brute_bridges,
     components_without,
     ground_truth,
+    label_partition,
 )
-from .protocol import LinkClass, Path, Register, classify_link, format_path, is_prefix
+from .protocol import LinkClass, Path, Register, classify_link, is_prefix
 
 
 class NotStabilizedError(Exception):
@@ -34,10 +35,7 @@ class DetectionResult:
     component_of: dict[NodeId, Path]
 
     def partition(self) -> set[frozenset[NodeId]]:
-        groups: dict[Path, set[NodeId]] = {}
-        for v, label in self.component_of.items():
-            groups.setdefault(label, set()).add(v)
-        return {frozenset(vs) for vs in groups.values()}
+        return label_partition(self.component_of)
 
 
 def extract(
@@ -143,48 +141,3 @@ def certify(result: DetectionResult, g: Graph) -> CertificationReport:
         mismatches.append(f"brute-force component {sorted(part)} missed")
 
     return CertificationReport(match=not mismatches, mismatches=tuple(mismatches))
-
-
-def alpha_independence(
-    g: Graph,
-    shuffles: int,
-    seed: int,
-    scheduler_name: str = "round-robin",
-    max_rounds: int | None = None,
-) -> bool:
-    """Detection must not depend on the arbitrary port orderings.
-
-    Runs the full pipeline under ``shuffles`` random port re-orderings of the
-    same topology; true iff every run stabilizes and yields the same bridge
-    set, articulation set, and component partition.  Labels are paths and may
-    legitimately differ between orderings; the partition may not.
-    """
-    from . import simulator
-    from .graph import shuffle_ports
-
-    if shuffles < 2:
-        raise ValueError("need at least 2 port orderings to compare")
-
-    reference: tuple | None = None
-    for i in range(shuffles):
-        shuffled = shuffle_ports(g, seed + i) if i else g
-        sched = simulator.make_scheduler(scheduler_name, seed=seed + 100 + i)
-        init = simulator.init_arbitrary(shuffled, seed + 200 + i)
-        _, report = simulator.run(shuffled, sched, init, max_rounds=max_rounds)
-        if not report.stabilized or report.detection is None:
-            return False
-        d: DetectionResult = report.detection
-        key = (d.bridges, d.articulation_points, frozenset(d.partition()))
-        if reference is None:
-            reference = key
-        elif key != reference:
-            return False
-    return True
-
-
-def label_summary(result: DetectionResult) -> dict[str, list[NodeId]]:
-    """Readable component map: label string -> sorted members."""
-    groups: dict[str, list[NodeId]] = {}
-    for v, label in result.component_of.items():
-        groups.setdefault(format_path(label), []).append(v)
-    return {k: sorted(vs) for k, vs in sorted(groups.items())}

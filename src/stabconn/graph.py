@@ -96,19 +96,23 @@ class Graph:
 
     @cached_property
     def diameter(self) -> int:
+        ports = self.ports
         best = 0
         for src in range(1, self.n + 1):
-            dist = {src: 0}
+            seen = bytearray(self.n + 1)
+            seen[src] = 1
             frontier = [src]
+            depth = -1  # BFS levels below the source: its eccentricity
             while frontier:
+                depth += 1
                 nxt = []
                 for v in frontier:
-                    for w in self.ports[v - 1]:
-                        if w not in dist:
-                            dist[w] = dist[v] + 1
+                    for w in ports[v - 1]:
+                        if not seen[w]:
+                            seen[w] = 1
                             nxt.append(w)
                 frontier = nxt
-            best = max(best, max(dist.values()))
+            best = max(best, depth)
         return best
 
     def validate(self) -> None:

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Container, Iterable
+from typing import Container, Iterable, Mapping
 
 from .graph import Edge, Graph, NodeId, ROOT, canonical_edge
-from .protocol import Path, Register, ROOT_PATH, is_prefix
+from .protocol import Path, Register, ROOT_PATH
 
 
 def is_connected(
@@ -190,6 +190,14 @@ def first_dfs(g: Graph) -> tuple[dict[NodeId, Path], dict[NodeId, NodeId]]:
     return paths, parent
 
 
+def label_partition(labels: Mapping[NodeId, Path]) -> set[frozenset[NodeId]]:
+    """Group the nodes that carry equal labels: one part per label."""
+    groups: dict[Path, set[NodeId]] = {}
+    for v, label in labels.items():
+        groups.setdefault(label, set()).add(v)
+    return {frozenset(vs) for vs in groups.values()}
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Everything a stabilized run must agree with."""
@@ -213,10 +221,7 @@ class GroundTruth:
 
     @cached_property
     def partition(self) -> set[frozenset[NodeId]]:
-        groups: dict[Path, set[NodeId]] = {}
-        for v, label in self.bcc_labels.items():
-            groups.setdefault(label, set()).add(v)
-        return {frozenset(vs) for vs in groups.values()}
+        return label_partition(self.bcc_labels)
 
 
 def ground_truth(g: Graph) -> GroundTruth:
@@ -269,16 +274,3 @@ def ground_truth(g: Graph) -> GroundTruth:
         bridges=frozenset(bridges),
         articulation_points=frozenset(aps),
     )
-
-
-def classify_counts(g: Graph, gt: GroundTruth, v: NodeId) -> tuple[int, int]:
-    """(incoming, outgoing) non-tree edge counts at v, from path prefixes."""
-    n_in = n_out = 0
-    for w in g.neighbors(v):
-        if gt.parent.get(v) == w or gt.parent.get(w) == v:
-            continue
-        if is_prefix(gt.paths[v], gt.paths[w]):
-            n_in += 1
-        elif is_prefix(gt.paths[w], gt.paths[v]):
-            n_out += 1
-    return n_in, n_out

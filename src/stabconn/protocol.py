@@ -42,20 +42,6 @@ Path = tuple[int, ...]
 ROOT_PATH: Path = (BOTTOM,)
 
 
-def lex_compare(a: Path, b: Path) -> int:
-    """Total lexicographic order on symbol sequences: -1, 0, or 1.
-
-    BOTTOM sorts below every edge index and a proper prefix sorts below all
-    of its extensions.
-    """
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) < len(b) else 1
-
-
 def is_prefix(p: Path, q: Path) -> bool:
     """True when p is a (not necessarily proper) prefix of q."""
     return len(p) <= len(q) and q[: len(p)] == p
@@ -178,8 +164,6 @@ def nonroot_program(degree: int) -> tuple[MicroStep, ...]:
 class NodeProgram:
     """Static execution context of one node: schedule, ports, and bounds."""
 
-    node: NodeId
-    is_root: bool
     degree: int
     schedule: tuple[MicroStep, ...]
     #: reverse_ports[j-1] is the port number the neighbor on my port j uses for me
@@ -195,12 +179,9 @@ class NodeProgram:
 def node_program(g: Graph, v: NodeId) -> NodeProgram:
     """Build the program of node v for graph g (path bound n, count bound n^2)."""
     nbrs = g.neighbors(v)
-    is_root = v == ROOT
     return NodeProgram(
-        node=v,
-        is_root=is_root,
         degree=len(nbrs),
-        schedule=root_program() if is_root else nonroot_program(len(nbrs)),
+        schedule=root_program() if v == ROOT else nonroot_program(len(nbrs)),
         reverse_ports=tuple(g.port_to(w, v) for w in nbrs),
         path_bound=g.n,
         count_bound=g.n * g.n,
@@ -336,7 +317,8 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
             # root path, and blindly truncating it can freeze a corrupted value
             # into a stable cycle between neighbors.  Legitimate candidates are
             # never over-long, so the rule is invisible after convergence.
-            # Tuple order on int paths is lex_compare's order, so min applies.
+            # Python's tuple order is the paths' lexicographic order (BOTTOM
+            # lowest, a proper prefix before its extensions), so min applies.
             candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
             eligible = [c for c in candidates if len(c) <= bound]
             path = min(eligible) if eligible else min(c[:bound] for c in candidates)

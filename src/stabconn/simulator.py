@@ -7,9 +7,9 @@ corrupting every field of every node.  An omniscient observer compares
 registers against the centralized ground truth at the end of every round and
 declares stabilization after one legitimate round followed by one legitimate
 round that changed no register; the processors themselves never detect
-termination.  A run returns
-the final registers and, once stabilized, the detection sets read off them;
-certifying those sets is left to the caller.
+termination.  A run returns the final registers and, once stabilized, the
+detection sets read off them; certifying those sets is left to the caller.
+``alpha_independence`` repeats whole runs under port re-orderings.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import dataclasses
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from . import analysis
-from .graph import Graph, NodeId
+from .graph import Graph, NodeId, shuffle_ports
 from .oracle import GroundTruth, ground_truth
 from .protocol import (
     Path,
@@ -51,10 +51,6 @@ class Configuration:
 
     def registers(self) -> tuple[Register, ...]:
         return tuple(st.register for st in self.states)
-
-
-def is_legitimate(c: Configuration, gt: GroundTruth) -> bool:
-    return c.registers() == gt.registers
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +119,7 @@ def _random_path(rng: random.Random, path_bound: int, delta: int) -> Path:
 
 
 class FaultTargetError(ValueError):
-    """Fault names a node or field that does not exist, or an out-of-bound value."""
+    """Fault names a node or field that does not exist, or a bad trigger or count."""
 
 
 @dataclass(frozen=True)
@@ -135,15 +131,13 @@ class FaultSpec:
     per declaration, in the order given); anything else is rejected.
     ``targets`` lists (node, field) pairs with field one of path / count /
     bcc / pc / locals; ``random_fields`` (an int >= 0) additionally corrupts
-    that many random register-or-pc slots.  ``values`` optionally pins
-    explicit values per target; anything else is drawn randomly within type
-    bounds from ``seed``.
+    that many random register-or-pc slots.  Every corrupted value is drawn
+    randomly within type bounds from ``seed``.
     """
 
     trigger: int | str = 0
     targets: tuple[tuple[NodeId, str], ...] = ()
     random_fields: int = 0
-    values: Mapping[tuple[NodeId, str], object] | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -169,20 +163,6 @@ class FaultEvent:
     fields: tuple[str, ...]
 
 
-def _validate_path_value(value: object, path_bound: int, delta: int) -> Path:
-    if (
-        not isinstance(value, tuple)
-        or not value
-        or len(value) > path_bound
-        or any(not isinstance(s, int) or not 0 <= s <= delta for s in value)
-    ):
-        raise FaultTargetError(
-            f"path value {value!r} violates bounds (length 1..{path_bound}, "
-            f"symbols 0..{delta})"
-        )
-    return value
-
-
 def _apply_fault_targets(
     states: list[ProcessorState], g: Graph, spec: FaultSpec
 ) -> list[tuple[NodeId, str]]:
@@ -201,37 +181,22 @@ def _apply_fault_targets(
             )
         targets.extend(rng.sample(pool, spec.random_fields))
 
+    # each touched node is copied once, on its first target
+    copied: dict[NodeId, ProcessorState] = {}
     for v, fname in targets:
         if not 1 <= v <= g.n:
             raise FaultTargetError(f"fault target node {v} outside 1..{g.n}")
         if fname not in FAULT_FIELDS:
             raise FaultTargetError(f"unknown fault field {fname!r}")
-        st = states[v - 1].clone()
-        explicit = None if spec.values is None else spec.values.get((v, fname))
+        st = copied.get(v)
+        if st is None:
+            st = copied[v] = states[v - 1] = states[v - 1].clone()
         if fname == "path" or fname == "bcc":
-            if explicit is not None:
-                value = _validate_path_value(explicit, path_bound, delta)
-            else:
-                value = _random_path(rng, path_bound, delta)
-            st.register = st.register._replace(**{fname: value})
+            st.register = st.register._replace(**{fname: _random_path(rng, path_bound, delta)})
         elif fname == "count":
-            if explicit is not None:
-                if not isinstance(explicit, int) or abs(explicit) > count_bound:
-                    raise FaultTargetError(
-                        f"count value {explicit!r} outside [-{count_bound}, {count_bound}]"
-                    )
-                value = explicit
-            else:
-                value = rng.randint(-count_bound, count_bound)
-            st.register = st.register._replace(count=value)
+            st.register = st.register._replace(count=rng.randint(-count_bound, count_bound))
         elif fname == "pc":
-            prog_len = node_program(g, v).length
-            if explicit is not None:
-                if not isinstance(explicit, int) or not 0 <= explicit < prog_len:
-                    raise FaultTargetError(f"pc value {explicit!r} outside 0..{prog_len - 1}")
-                st.pc = explicit
-            else:
-                st.pc = rng.randrange(prog_len)
+            st.pc = rng.randrange(node_program(g, v).length)
         else:  # locals
             d = g.degree(v)
             st.path = _random_path(rng, path_bound, delta)
@@ -241,7 +206,6 @@ def _apply_fault_targets(
             st.read_path = [_random_path(rng, path_bound, delta) for _ in range(d)]
             st.read_count = [rng.randint(-count_bound, count_bound) for _ in range(d)]
             st.read_bcc = [_random_path(rng, path_bound, delta) for _ in range(d)]
-        states[v - 1] = st
     return targets
 
 
@@ -279,41 +243,20 @@ def _reader(states: list[ProcessorState], nbrs: Sequence[NodeId]):
     return read_neighbor
 
 
-def _step(c: Configuration, pid: NodeId) -> tuple[Configuration, StepEvent]:
-    g = c.graph
-    states = list(c.states)
-    read_neighbor = _reader(states, g.neighbors(pid))
-    new_state, event = execute_step(states[pid - 1], node_program(g, pid), read_neighbor)
-    states[pid - 1] = new_state
-    return Configuration(g, states), event
-
-
-def step(c: Configuration, pid: NodeId) -> Configuration:
+def step(c: Configuration, pid: NodeId) -> tuple[Configuration, StepEvent]:
     """Activate one processor for a single atomic step.
 
     Only states[pid] changes, and only its own register can be written;
-    every other processor state is returned untouched.
+    every other processor state is returned untouched, and so is ``c``.
+    Returns the new configuration and the step's register access.
     """
-    if not 1 <= pid <= c.graph.n:
-        raise ValueError(f"processor id {pid} outside 1..{c.graph.n}")
-    return _step(c, pid)[0]
-
-
-def round_boundaries(schedule: Sequence[NodeId], n: int) -> list[int]:
-    """Greedy round segmentation: 1-based indices of the steps that end rounds.
-
-    A round ends at the first step by which every one of the n processors
-    has been activated since the previous boundary; a trailing incomplete
-    segment contributes no boundary.
-    """
-    boundaries = []
-    seen: set[NodeId] = set()
-    for i, pid in enumerate(schedule, start=1):
-        seen.add(pid)
-        if len(seen) == n:
-            boundaries.append(i)
-            seen = set()
-    return boundaries
+    g = c.graph
+    if not 1 <= pid <= g.n:
+        raise ValueError(f"processor id {pid} outside 1..{g.n}")
+    states = list(c.states)
+    read_neighbor = _reader(states, g.neighbors(pid))
+    states[pid - 1], event = execute_step(states[pid - 1], node_program(g, pid), read_neighbor)
+    return Configuration(g, states), event
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +462,37 @@ def run(
         final_registers=final_registers,
     )
     return trace, report
+
+
+def alpha_independence(
+    g: Graph,
+    shuffles: int,
+    seed: int,
+    scheduler_name: str = "round-robin",
+    max_rounds: int | None = None,
+) -> bool:
+    """Detection must not depend on the arbitrary port orderings.
+
+    Runs the full pipeline under ``shuffles`` random port re-orderings of the
+    same topology; true iff every run stabilizes and yields the same bridge
+    set, articulation set, and component partition.  Labels are paths and may
+    legitimately differ between orderings; the partition may not.
+    """
+    if shuffles < 2:
+        raise ValueError("need at least 2 port orderings to compare")
+
+    reference: tuple | None = None
+    for i in range(shuffles):
+        shuffled = shuffle_ports(g, seed + i) if i else g
+        sched = make_scheduler(scheduler_name, seed=seed + 100 + i)
+        init = init_arbitrary(shuffled, seed + 200 + i)
+        _, report = run(shuffled, sched, init, max_rounds=max_rounds)
+        if not report.stabilized or report.detection is None:
+            return False
+        d: analysis.DetectionResult = report.detection
+        key = (d.bridges, d.articulation_points, frozenset(d.partition()))
+        if reference is None:
+            reference = key
+        elif key != reference:
+            return False
+    return True

@@ -21,7 +21,6 @@ from stabconn.oracle import (
     brute_articulation_points,
     brute_bcc_partition,
     brute_bridges,
-    classify_counts,
     ground_truth,
 )
 from stabconn.protocol import register_bit_budget
@@ -33,6 +32,7 @@ from stabconn.simulator import (
     run,
 )
 
+from reference import classify_counts
 from test_simulator import stabilized_configuration
 
 SCHEDULERS = ("round-robin", "random", "weighted")
@@ -214,7 +214,7 @@ def test_acceptance_8_fault_recovery():
 
 
 def test_acceptance_9_alpha_independence():
-    from stabconn.analysis import alpha_independence
+    from stabconn.simulator import alpha_independence
 
     rng = random.Random(9)
     graphs = [figure1()]

@@ -291,6 +291,23 @@ def test_dot_from_simulation(capsys):
     assert text.count("style=bold, color=red") == 1
 
 
+def test_run_dot_matches_dot_command(tmp_path, capsys):
+    from_run, from_dot = tmp_path / "run.dot", tmp_path / "dot.dot"
+    flags = ["--generate", "clustered:2x3", "--seed", "3"]
+    assert main(["run", *flags, "--dot", str(from_run)]) == EXIT_OK
+    assert main(["dot", *flags, "--out", str(from_dot)]) == EXIT_OK
+    capsys.readouterr()
+    assert from_run.read_bytes() == from_dot.read_bytes()
+
+
+def test_run_dot_refused_when_not_stabilized(tmp_path, capsys):
+    out = tmp_path / "never.dot"
+    code = main(["run", "--generate", "figure1", "--max-rounds", "1", "--dot", str(out)])
+    assert code == EXIT_NOT_STABILIZED
+    assert "cannot export DOT: run did not stabilize" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_spec_grammar():
     g = parse_generate_spec("random:10,12,5", seed=0)
     assert g.n == 10 and g.edge_count == 12

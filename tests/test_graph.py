@@ -21,6 +21,8 @@ from stabconn.graph import (
 )
 from stabconn.oracle import brute_bridges
 
+from reference import diameter as reference_diameter
+
 
 def test_parse_triangle():
     g = parse_graph("3 3\n1 2\n2 3\n3 1\n")
@@ -164,3 +166,30 @@ def test_shuffle_ports_keeps_topology():
     assert all(set(s.neighbors(v)) == set(g.neighbors(v)) for v in range(1, 17))
     assert shuffle_ports(g, 71) == s
     assert any(s.neighbors(v) != g.neighbors(v) for v in range(1, 17))
+
+
+def test_diameter_matches_reference():
+    def path(n):
+        return build_graph(n, [(v, v + 1) for v in range(1, n)])
+
+    def cycle(n):
+        return build_graph(n, [(v, v + 1) for v in range(1, n)] + [(1, n)])
+
+    def star(n):
+        return build_graph(n, [(1, v) for v in range(2, n + 1)])
+
+    known = [(path(1), 0), (path(2), 1), (figure1(), 7)]
+    known += [(path(n), n - 1) for n in (3, 4, 9)]
+    known += [(cycle(n), n // 2) for n in (3, 4, 7, 10)]
+    known += [(star(n), 2) for n in (3, 5, 8)]
+    for g, d in known:
+        assert g.diameter == reference_diameter(g) == d, g
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.randint(1, 40)
+        cap = n * (n - 1) // 2 - (n - 1)
+        g = generate_random_connected(n, rng.randint(0, min(2 * n, cap)), rng.randint(0, 999))
+        assert g.diameter == reference_diameter(g), g
+    for _ in range(15):
+        g = generate_clustered(rng.randint(1, 6), rng.randint(3, 6), rng.randint(0, 999))
+        assert g.diameter == reference_diameter(g), g

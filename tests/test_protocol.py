@@ -18,13 +18,14 @@ from stabconn.protocol import (
     classify_link,
     execute_step,
     format_path,
-    lex_compare,
     node_program,
     nonroot_program,
     register_bit_budget,
     register_bits,
     root_program,
 )
+
+from reference import lex_compare
 
 
 def random_path(rng, max_len=6, max_symbol=4, allow_empty=False):
