@@ -11,6 +11,8 @@ CLI reports include the stabilization verdict and move with it.  The run
 digests lock every ``RunReport`` field and the round trace of whole runs,
 with step faults, post-stabilization faults, closure windows and round caps,
 so they cover the stabilization rule, the closure window and the space meter.
+The CLI output digests pin the bytes and exit codes of ``sweep`` (row order,
+failure order and the summary) and of ``dot``.
 """
 
 import hashlib
@@ -259,6 +261,30 @@ CLI_RUNS = {
     ),
 }
 
+CLI_OUTPUTS = {
+    "sweep --graphs clustered:2x3;random:8,9 --seeds 0-5": (
+        0,
+        "ff6d68399f9461ce848438dcf0bc694c90f124851e568b3226829cca3d03f19a",
+    ),
+    # failures are listed in generation order (random first), rows sorted
+    "sweep --graphs random:4,3;clustered:2x3 --seeds 3 --max-rounds 10": (
+        1,
+        "bf34bac3f94ffde43cbcc26e58f9441de637572c10ac8d9d5dd4db2f71159737",
+    ),
+    "dot --generate figure1 --oracle": (
+        0,
+        "dc32964827c3c4ddf2d356a027b1df183fec47960f7d024b3868e9f3eb1205c2",
+    ),
+    "dot --generate clustered:2x3 --seed 3": (
+        0,
+        "a8531383725b0de13df995a7042042ff1a1a1146ca8b9e9b3e38d78e2773667e",
+    ),
+    "dot --generate random:12,18,6 --seed 1 --scheduler random --init-seed 4": (
+        0,
+        "70bf6c39dc69a6d24dfa1053e4f4c59ddfd72a8ebe45bbc10c8b4e2682accc6c",
+    ),
+}
+
 
 @pytest.mark.parametrize("name", sorted(INIT))
 def test_init_arbitrary_lock(name):
@@ -283,3 +309,8 @@ def test_run_report_lock(case):
 @pytest.mark.parametrize("flags", sorted(CLI_RUNS))
 def test_cli_run_report_lock(flags, tmp_path):
     assert cli_digest(flags.split(), tmp_path / "report.json") == CLI_RUNS[flags]
+
+
+@pytest.mark.parametrize("flags", sorted(CLI_OUTPUTS))
+def test_cli_sweep_and_dot_lock(flags, tmp_path):
+    assert cli_digest(flags.split(), tmp_path / "output") == CLI_OUTPUTS[flags]

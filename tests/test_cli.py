@@ -214,6 +214,14 @@ def test_run_certifies_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(calls) == 1
 
+    # sweep: one call per stabilized run, none for the runs that did not
+    calls.clear()
+    argv = ["sweep", "--graphs", "random:4,3;clustered:2x3", "--seeds", "3", "--max-rounds", "10"]
+    assert main(argv) == EXIT_NOT_STABILIZED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["stabilized"] == 2
+    assert len(calls) == 2
+
 
 def test_sweep_small_matrix(tmp_path):
     out = tmp_path / "sweep.json"
