@@ -1,8 +1,10 @@
 """Command-line front end: single runs, sweeps, and DOT exports.
 
 Reports are JSON with a stable key order so identical flags produce
-byte-identical output.  Exit codes: 0 on a stabilized and certified run,
-1 on non-convergence, 2 on a certification mismatch, 64 on usage errors.
+byte-identical output.  ``run`` and ``sweep`` certify each run once, in
+``build_report``; ``dot`` draws the ground truth without simulating.  Exit
+codes: 0 on a stabilized and certified run, 1 on non-convergence, 2 on a
+certification mismatch, 64 on usage errors.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ def exit_code(stabilized: bool, certified: bool | None) -> int:
     return EXIT_OK if certified else EXIT_MISMATCH
 
 
+def _certified(doc: dict) -> bool:
+    certification = doc["certification"]
+    return certification is not None and certification["match"]
+
+
 # ---------------------------------------------------------------------------
 # flag grammars
 
@@ -72,8 +79,6 @@ def parse_generate_spec(spec: str, seed: int) -> Graph:
         if kind == "clustered":
             k_str, _, size_str = rest.partition("x")
             return generate_clustered(int(k_str), int(size_str), seed)
-    except GraphError:
-        raise
     except ValueError:
         pass
     raise UsageError(
@@ -123,6 +128,8 @@ def parse_fault_spec(spec: str) -> FaultSpec:
     fname = None
     for item in target_str.split(","):
         key, _, value = item.partition("=")
+        if (key == "node" and node is not None) or (key == "field" and fname is not None):
+            raise UsageError(f"repeated --faults target key {key!r} in {spec!r}")
         if key == "node":
             try:
                 node = int(value)
@@ -159,18 +166,23 @@ def parse_seed_range(text: str) -> list[int]:
     return seeds
 
 
-def _check_rounds(args) -> None:
-    if args.max_rounds is not None and args.max_rounds < 1:
-        raise UsageError(f"--max-rounds must be >= 1, got {args.max_rounds}")
-    if getattr(args, "closure_rounds", 0) < 0:
-        raise UsageError(f"--closure-rounds must be >= 0, got {args.closure_rounds}")
+def _int_at_least(low: int):
+    """An argparse ``type=`` for integers >= low; argparse reports a ValueError."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _load_graph(args, seed: int) -> Graph:
-    if getattr(args, "graph", None):
+    if args.graph:
         with open(args.graph, "r", encoding="utf-8") as fh:
             return parse_graph(fh.read())
-    if getattr(args, "generate", None):
+    if args.generate:
         return parse_generate_spec(args.generate, seed)
     raise UsageError("one of --graph or --generate is required")
 
@@ -236,8 +248,7 @@ def build_report(
     }
 
 
-def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -299,15 +310,13 @@ def cmd_run(args) -> int:
         gt=gt,
     )
     doc = build_report(g, report, args.seed, args.init_seed)
-    _emit(doc, args.out)
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if args.dot:
         if report.detection is None:
             print("cannot export DOT: run did not stabilize", file=sys.stderr)
         else:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(render_dot(g, report.detection, gt))
-    certification = doc["certification"]
-    return exit_code(report.stabilized, certification is not None and certification["match"])
+            _emit(render_dot(g, report.detection, gt), args.dot)
+    return exit_code(report.stabilized, _certified(doc))
 
 
 def cmd_sweep(args) -> int:
@@ -319,46 +328,38 @@ def cmd_sweep(args) -> int:
         list(simulator.SCHEDULER_NAMES) if args.scheduler == "all" else [args.scheduler]
     )
     runs = []
-    max_ratio = 0.0
-    failures = []
     for spec in specs:
         for i, seed in enumerate(seeds):
             g = parse_generate_spec(spec, seed)
             sched_name = schedulers[i % len(schedulers)]
             scheduler = simulator.make_scheduler(sched_name, seed=seed + 1)
             init = simulator.init_arbitrary(g, seed + 2)
-            _, report = simulator.run(
-                g, scheduler, init, max_rounds=args.max_rounds
-            )
-            certified = (
-                report.detection is not None and analysis.certify(report.detection, g).match
-            )
-            denom = max(1, g.diameter) * g.n * max(1, g.max_degree)
-            ratio = (
-                None
-                if report.stabilization_round is None
-                else round(report.stabilization_round / denom, 4)
-            )
-            if ratio is not None:
-                max_ratio = max(max_ratio, ratio)
-            if not report.stabilized:
-                failures.append({"graph": spec, "seed": seed, "reason": "did not stabilize"})
-            elif not certified:
-                failures.append({"graph": spec, "seed": seed, "reason": "certification mismatch"})
+            _, report = simulator.run(g, scheduler, init, max_rounds=args.max_rounds)
+            doc = build_report(g, report, seed + 1, seed + 2)
+            graph, round_ = doc["graph"], doc["run"]["stabilization_round"]
+            denom = max(1, graph["d"]) * graph["n"] * max(1, graph["delta"])
             runs.append(
                 {
                     "graph": spec,
                     "seed": seed,
                     "scheduler": sched_name,
-                    "n": g.n,
-                    "m": g.edge_count,
-                    "stabilized": report.stabilized,
-                    "certified": certified,
-                    "stabilization_round": report.stabilization_round,
-                    "round_ratio": ratio,
+                    "n": graph["n"],
+                    "m": graph["m"],
+                    "stabilized": doc["run"]["stabilized"],
+                    "certified": _certified(doc),
+                    "stabilization_round": round_,
+                    "round_ratio": None if round_ is None else round(round_ / denom, 4),
                 }
             )
+    # a run is certified only if it stabilized
+    failures = [
+        {"graph": r["graph"], "seed": r["seed"],
+         "reason": "certification mismatch" if r["stabilized"] else "did not stabilize"}
+        for r in runs
+        if not r["certified"]
+    ]
     runs.sort(key=lambda r: (r["graph"], r["seed"]))
+    ratios = [r["round_ratio"] for r in runs if r["round_ratio"] is not None]
     doc = {
         "sweep": {
             "graphs": specs,
@@ -369,44 +370,26 @@ def cmd_sweep(args) -> int:
             "runs": len(runs),
             "stabilized": sum(r["stabilized"] for r in runs),
             "certified": sum(r["certified"] for r in runs),
-            "max_round_ratio": max_ratio,
+            "max_round_ratio": max(ratios, default=0.0),
             "failures": failures,
         },
         "runs": runs,
     }
-    _emit(doc, args.out)
+    _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return max(exit_code(r["stabilized"], r["certified"]) for r in runs)
 
 
 def cmd_export_dot(args) -> int:
     g = _load_graph(args, args.seed)
     gt = ground_truth(g)
-    if args.oracle:
-        detection = analysis.extract(g, gt.registers, gt=gt)
-    else:
-        scheduler = simulator.make_scheduler(args.scheduler, seed=args.seed)
-        init = simulator.init_arbitrary(g, args.init_seed)
-        _, report = simulator.run(g, scheduler, init, max_rounds=args.max_rounds, gt=gt)
-        if report.detection is None:
-            print("run did not stabilize; no DOT produced", file=sys.stderr)
-            return EXIT_NOT_STABILIZED
-        detection = report.detection
-    text = render_dot(g, detection, gt)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(render_dot(g, analysis.extract(g, gt.registers, gt=gt), gt), args.out)
     return EXIT_OK
 
 
-def _add_common_graph_flags(p: argparse.ArgumentParser) -> None:
+def _add_graph_flags(p: argparse.ArgumentParser, seed_help: str) -> None:
     p.add_argument("--graph", help="graph file to load")
     p.add_argument("--generate", help="generator spec: random:n,m[,seed] | clustered:KxSIZE | figure1")
-    p.add_argument("--scheduler", default="round-robin", choices=simulator.SCHEDULER_NAMES)
-    p.add_argument("--seed", type=int, default=0, help="scheduler (and generator) seed")
-    p.add_argument("--init-seed", type=int, default=0, help="initial-configuration seed")
-    p.add_argument("--max-rounds", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,10 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one execution and certify it")
-    _add_common_graph_flags(p_run)
+    _add_graph_flags(p_run, "scheduler (and generator) seed")
+    p_run.add_argument("--scheduler", default="round-robin", choices=simulator.SCHEDULER_NAMES)
+    p_run.add_argument("--init-seed", type=int, default=0, help="initial-configuration seed")
+    p_run.add_argument("--max-rounds", type=_int_at_least(1), default=None)
     p_run.add_argument("--faults", action="append", default=[], metavar="SPEC",
                        help="fault spec: (step=N|post):(node=V,field=F|random=K)[:seed=S]")
-    p_run.add_argument("--closure-rounds", type=int, default=0)
+    p_run.add_argument("--closure-rounds", type=_int_at_least(0), default=0)
     p_run.add_argument("--out", help="write the JSON report here instead of stdout")
     p_run.add_argument("--dot", help="also write an annotated DOT file")
     p_run.set_defaults(func=cmd_run)
@@ -428,14 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", required=True, help="'A-B' inclusive or a count N")
     p_sweep.add_argument("--scheduler", default="all",
                          choices=simulator.SCHEDULER_NAMES + ("all",))
-    p_sweep.add_argument("--max-rounds", type=int, default=None)
+    p_sweep.add_argument("--max-rounds", type=_int_at_least(1), default=None)
     p_sweep.add_argument("--out", help="write the JSON report here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_dot = sub.add_parser("dot", help="export an annotated DOT drawing")
-    _add_common_graph_flags(p_dot)
-    p_dot.add_argument("--oracle", action="store_true",
-                       help="derive annotations from ground truth without simulating")
+    p_dot = sub.add_parser("dot", help="export an annotated DOT drawing of the ground truth")
+    _add_graph_flags(p_dot, "generator seed")
     p_dot.add_argument("--out", help="write DOT here instead of stdout")
     p_dot.set_defaults(func=cmd_export_dot)
     return parser
@@ -445,7 +429,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_rounds(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

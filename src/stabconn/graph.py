@@ -178,6 +178,8 @@ def build_graph(
                 order[v - 1].append(u)
     if explicit_ports:
         for v, listed in explicit_ports.items():
+            if not 1 <= v <= n:
+                raise NodeRangeError(f"ports for node {v} outside 1..{n}")
             order[v - 1] = list(listed)
     g = Graph(
         n=n,

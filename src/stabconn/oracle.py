@@ -205,10 +205,8 @@ class GroundTruth:
     graph: Graph
     paths: dict[NodeId, Path]
     parent: dict[NodeId, NodeId]
-    children: dict[NodeId, list[NodeId]]
     counts: dict[NodeId, int]
     bcc_labels: dict[NodeId, Path]
-    representatives: frozenset[NodeId]
     bridges: frozenset[Edge]
     articulation_points: frozenset[NodeId]
 
@@ -227,9 +225,6 @@ class GroundTruth:
 def ground_truth(g: Graph) -> GroundTruth:
     """Assemble the stabilized register contents and the detection sets."""
     paths, parent = first_dfs(g)
-    children: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, g.n + 1)}
-    for v in range(2, g.n + 1):
-        children[parent[v]].append(v)
 
     # counts[c]: non-tree edges bypassing the link parent(c)-c;
     # splits[c]: those among them that end at parent(c).
@@ -260,17 +255,15 @@ def ground_truth(g: Graph) -> GroundTruth:
     }
 
     aps = {parent[c] for c in range(2, g.n + 1) if counts[c] == splits[c]} - {ROOT}
-    if len(children[ROOT]) >= 2:
+    if sum(parent[v] == ROOT for v in range(2, g.n + 1)) >= 2:
         aps.add(ROOT)
 
     return GroundTruth(
         graph=g,
         paths=paths,
         parent=parent,
-        children=children,
         counts=counts,
         bcc_labels=bcc_labels,
-        representatives=frozenset(representatives),
         bridges=frozenset(bridges),
         articulation_points=frozenset(aps),
     )

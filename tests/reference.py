@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from stabconn.graph import Graph, NodeId
+from stabconn.graph import ROOT, Graph, NodeId
 from stabconn.oracle import GroundTruth
 from stabconn.protocol import Path, is_prefix
 
@@ -56,6 +56,19 @@ def classify_counts(g: Graph, gt: GroundTruth, v: NodeId) -> tuple[int, int]:
         elif is_prefix(gt.paths[w], gt.paths[v]):
             n_out += 1
     return n_in, n_out
+
+
+def children(gt: GroundTruth) -> dict[NodeId, list[NodeId]]:
+    """Tree children of every node, in ascending order, from the parent map."""
+    kids: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, gt.graph.n + 1)}
+    for v in sorted(gt.parent):
+        kids[gt.parent[v]].append(v)
+    return kids
+
+
+def representatives(gt: GroundTruth) -> frozenset[NodeId]:
+    """Component representatives: the root and every node whose bypass count is 0."""
+    return frozenset({ROOT} | {v for v, count in gt.counts.items() if count == 0})
 
 
 def diameter(g: Graph) -> int:

@@ -32,7 +32,7 @@ from stabconn.simulator import (
     run,
 )
 
-from reference import classify_counts
+from reference import children, classify_counts
 from test_simulator import stabilized_configuration
 
 SCHEDULERS = ("round-robin", "random", "weighted")
@@ -116,11 +116,12 @@ def test_acceptance_3_count_identity(sweep):
     for r in sweep:
         g, gt = r.graph, r.gt
         regs = r.report.final_registers
+        kids = children(gt)
         assert regs[0].count == 0
         for v in range(2, g.n + 1):
             assert regs[v - 1].count == gt.counts[v]
             n_in, n_out = classify_counts(g, gt, v)
-            total = sum(regs[c - 1].count for c in gt.children[v]) - n_in + n_out
+            total = sum(regs[c - 1].count for c in kids[v]) - n_in + n_out
             assert regs[v - 1].count == total
             checked += 1
     _pass(3, f"register counts equal oracle bypass counts; recursion exact at {checked} nodes")

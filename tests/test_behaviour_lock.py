@@ -271,7 +271,7 @@ CLI_OUTPUTS = {
         1,
         "bf34bac3f94ffde43cbcc26e58f9441de637572c10ac8d9d5dd4db2f71159737",
     ),
-    "dot --generate figure1 --oracle": (
+    "dot --generate figure1": (
         0,
         "dc32964827c3c4ddf2d356a027b1df183fec47960f7d024b3868e9f3eb1205c2",
     ),
@@ -279,7 +279,7 @@ CLI_OUTPUTS = {
         0,
         "a8531383725b0de13df995a7042042ff1a1a1146ca8b9e9b3e38d78e2773667e",
     ),
-    "dot --generate random:12,18,6 --seed 1 --scheduler random --init-seed 4": (
+    "dot --generate random:12,18,6 --seed 1": (
         0,
         "70bf6c39dc69a6d24dfa1053e4f4c59ddfd72a8ebe45bbc10c8b4e2682accc6c",
     ),

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from stabconn import analysis
+from stabconn import analysis, simulator
 from stabconn.cli import (
     EXIT_MISMATCH,
     EXIT_NOT_STABILIZED,
@@ -265,7 +265,7 @@ def test_sweep_exit_mismatch_outranks_not_stabilized(monkeypatch, capsys):
 
 
 def test_dot_figure1(capsys):
-    code = main(["dot", "--generate", "figure1", "--oracle"])
+    code = main(["dot", "--generate", "figure1"])
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert text.count("style=bold, color=red") == 4
@@ -278,7 +278,7 @@ def test_dot_figure1(capsys):
 def test_dot_triangle_and_single_edge(tmp_path, capsys):
     graph_file = tmp_path / "tri.txt"
     graph_file.write_text("3 3\n1 2\n2 3\n3 1\n", encoding="utf-8")
-    assert main(["dot", "--graph", str(graph_file), "--oracle"]) == EXIT_OK
+    assert main(["dot", "--graph", str(graph_file)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "bold" not in text
     assert "doublecircle" not in text
@@ -287,13 +287,18 @@ def test_dot_triangle_and_single_edge(tmp_path, capsys):
 
     edge_file = tmp_path / "edge.txt"
     edge_file.write_text("2 1\n1 2\n", encoding="utf-8")
-    assert main(["dot", "--graph", str(edge_file), "--oracle"]) == EXIT_OK
+    assert main(["dot", "--graph", str(edge_file)]) == EXIT_OK
     text = capsys.readouterr().out
     assert text.count("style=bold, color=red") == 1
     assert "doublecircle" not in text  # both endpoints have degree one
 
 
-def test_dot_from_simulation(capsys):
+def test_dot_draws_without_simulating(monkeypatch, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("dot must not simulate")
+
+    for name in ("run", "init_arbitrary", "make_scheduler"):
+        monkeypatch.setattr(simulator, name, no_simulation)
     assert main(["dot", "--generate", "clustered:2x3", "--seed", "3"]) == EXIT_OK
     text = capsys.readouterr().out
     assert text.count("style=bold, color=red") == 1
@@ -342,6 +347,8 @@ def test_fault_spec_grammar():
         "post:random=x",
         "post:node=1,field=path:seed=x",
         "post",
+        "post:node=1,field=pc,node=2",
+        "post:node=1,field=path,field=count",
     ):
         with pytest.raises(UsageError):
             parse_fault_spec(bad)

@@ -55,6 +55,13 @@ def test_explicit_ports_override():
     assert g.neighbors(2) == (1, 3)
 
 
+@pytest.mark.parametrize("key", [0, -1, 4])
+def test_build_graph_rejects_explicit_ports_outside_node_range(key):
+    # 0 and -1 are valid Python indices into the port table, so range is checked explicitly
+    with pytest.raises(NodeRangeError):
+        build_graph(3, [(1, 2), (2, 3), (3, 1)], {key: (2, 1)})
+
+
 @pytest.mark.parametrize(
     "text, exc, line",
     [
