@@ -96,24 +96,27 @@ class Graph:
 
     @cached_property
     def diameter(self) -> int:
-        ports = self.ports
-        best = 0
-        for src in range(1, self.n + 1):
-            seen = bytearray(self.n + 1)
-            seen[src] = 1
-            frontier = [src]
-            depth = -1  # BFS levels below the source: its eccentricity
-            while frontier:
-                depth += 1
-                nxt = []
-                for v in frontier:
-                    for w in ports[v - 1]:
-                        if not seen[w]:
-                            seen[w] = 1
-                            nxt.append(w)
-                frontier = nxt
-            best = max(best, depth)
-        return best
+        """Largest eccentricity of a node within its component.
+
+        A breadth-first search from every node at once over Python-int
+        bitsets: after k passes, bit w of ``reach[v]`` is set when w lies
+        within distance k of v.  Every set stops growing at its node's
+        eccentricity, so the number of passes that grow some set is the
+        diameter.  That is d + 1 passes of 2m ORs of n-bit integers.
+        """
+        nbrs = [[w - 1 for w in ws] for ws in self.ports]
+        reach = [1 << v for v in range(self.n)]
+        d = 0
+        while True:
+            nxt = []
+            for r, ws in zip(reach, nbrs):
+                for w in ws:
+                    r |= reach[w]
+                nxt.append(r)
+            if nxt == reach:
+                return d
+            reach = nxt
+            d += 1
 
     def validate(self) -> None:
         """Check all structural invariants, raising a GraphError subclass."""

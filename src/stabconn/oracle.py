@@ -80,8 +80,9 @@ def is_connected(
 def _search_tree(g: Graph) -> list[NodeId] | None:
     """Parent list of a spanning tree from a stack search at node 1.
 
-    ``parent[v]`` is the node that reached v, for v in 2..n.  None when the search misses a node, which only an unvalidated,
-    disconnected graph allows.
+    ``parent[v]`` is the node that reached v, for v in 2..n.  None when the
+    search misses a node, which only an unvalidated, disconnected graph
+    allows.
     """
     n = g.n
     if n < 1:

@@ -22,11 +22,34 @@ There is one step kernel, ``advance``: it updates a ``ProcessorState`` in
 place and returns a shared, immutable ``StepEvent``.  ``execute_step`` is its
 copying wrapper, which steps a copy and leaves its input untouched;
 ``simulator.run`` copies each initial state once and calls ``advance``.
+
+``advance`` skips recomputation on unchanged inputs.  A legitimate path has
+DFS depth + 1 symbols, so classifying a link and building the A_WRITE
+candidates cost O(depth) each, and a cycle classifies the same links up to
+three times (B_PORT and the two parent-port scans of phase C).
+  * Link classes are memoised per port, keyed by the identity of the node's
+    own ``path`` and of the port's ``read_path`` entry.  The memo holds
+    references to both immutable tuples, so neither id can be reused by
+    another object, and a key that matches by identity matches by value.
+  * The A_WRITE minimum is kept with a copy of the ``read_path`` list it was
+    computed from and reused while the list compares equal to that copy.
+  * A non-root write that changes no field keeps the register object, so a
+    neighbour's A_READ stores the same tuple again and its memo hits.  (The
+    root writes only the constant ``ROOT_PATH`` object and 0.)
+Both results are pure functions of their keys and of the ``NodeProgram``
+(ports, reverse ports, bound), and the memo is emptied whenever a state is
+stepped under another program object, so every step equals the step of an
+unmemoised kernel.  The memo lives on ``ProcessorState`` as fields that
+equality and repr ignore, and ``clone()`` starts empty.  Faults cannot make
+it stale: whatever a fault writes into ``path`` or ``read_path``, an
+identity key matches only the very tuple it was computed from, the A_WRITE
+key is a private copy compared by value, and the fault injector corrupts a
+clone anyway.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from math import ceil, log2
@@ -190,7 +213,12 @@ def node_program(g: Graph, v: NodeId) -> NodeProgram:
 
 @dataclass(slots=True, eq=True)
 class ProcessorState:
-    """Register plus local variables and program counter of one processor."""
+    """Register plus local variables and program counter of one processor.
+
+    The underscored fields are ``advance``'s memo, a simulator cache and not
+    protocol state: equality and repr ignore them, the constructor does not
+    take them, and every new state, ``clone()`` included, starts without one.
+    """
 
     register: Register
     path: Path
@@ -201,6 +229,13 @@ class ProcessorState:
     read_count: list[int]
     read_bcc: list[Path]
     pc: int
+    #: the program the memo was filled under
+    _prog: NodeProgram | None = field(default=None, init=False, compare=False, repr=False)
+    #: per port, (path, read path, class) of its last classification
+    _links: list[tuple] | None = field(default=None, init=False, compare=False, repr=False)
+    #: the read paths of the last A_WRITE, and the minimum they gave
+    _min_key: list[Path] | None = field(default=None, init=False, compare=False, repr=False)
+    _min_path: Path | None = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "ProcessorState":
         return ProcessorState(
@@ -259,13 +294,26 @@ def _remote_read(field: str, port: int) -> StepEvent:
 ReadNeighbor = Callable[[int], Register]
 
 
+#: an empty link memo entry: no path is None, so it never matches
+_NO_LINK = (None, None, None)
+
+
+def _link(s: ProcessorState, prog: NodeProgram, j: int) -> LinkClass:
+    """``classify_link`` of port j, memoised on the identity of both paths."""
+    mine = s.path
+    theirs = s.read_path[j - 1]
+    memo = s._links[j - 1]
+    if memo[0] is mine and memo[1] is theirs:
+        return memo[2]
+    cls = classify_link(mine, theirs, j, prog.reverse_ports[j - 1])
+    s._links[j - 1] = (mine, theirs, cls)
+    return cls
+
+
 def _first_parent_port(s: ProcessorState, prog: NodeProgram) -> int:
     """Lowest port currently classified as the parent link, or 0 if none."""
     for j in range(1, prog.degree + 1):
-        if (
-            classify_link(s.path, s.read_path[j - 1], j, prog.reverse_ports[j - 1])
-            is LinkClass.PARENT
-        ):
+        if _link(s, prog, j) is LinkClass.PARENT:
             return j
     return 0
 
@@ -274,11 +322,24 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
     """Perform one atomic step on ``s`` in place: exactly one register access.
 
     This is the only step kernel.  It writes the ``read_*`` lists of ``s``
-    in place and replaces ``s.register`` on writes.  Conditional slots whose
-    guard fails are pure-local and are folded into the same activation; the
-    program counter is normalized modulo the schedule length, so the
-    function is total on corrupted states.
+    in place and replaces ``s.register`` on writes, except that a non-root
+    write that changes nothing keeps the register object.  Conditional slots
+    whose guard fails are pure-local and are folded into the same
+    activation; the program counter is normalized modulo the schedule
+    length, so the function is total on corrupted states.
+
+    Two results are memoised on ``s`` (see the module docstring): each
+    port's link class, keyed by the identity of ``s.path`` and of the port's
+    read path, and the A_WRITE minimum, keyed by a copy of ``s.read_path``
+    compared by value.  Both are pure functions of their keys and of
+    ``prog``, and the memo is emptied when ``prog`` is not the program it was
+    filled under, so every step is the one an unmemoised kernel would take,
+    also after a fault has rewritten any field of ``s``.
     """
+    if s._prog is not prog:
+        s._prog = prog
+        s._links = [_NO_LINK] * prog.degree
+        s._min_key = None
     schedule = prog.schedule
     n_slots = len(schedule)
     bound = prog.path_bound
@@ -296,7 +357,7 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
             return _remote_read("path", port)
 
         if kind == B_PORT:
-            cls = classify_link(s.path, s.read_path[port - 1], port, prog.reverse_ports[port - 1])
+            cls = _link(s, prog, port)
             if cls is LinkClass.CHILD:
                 value = read_neighbor(port).count
                 s.read_count[port - 1] = value
@@ -319,11 +380,18 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
             # never over-long, so the rule is invisible after convergence.
             # Python's tuple order is the paths' lexicographic order (BOTTOM
             # lowest, a proper prefix before its extensions), so min applies.
-            candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
-            eligible = [c for c in candidates if len(c) <= bound]
-            path = min(eligible) if eligible else min(c[:bound] for c in candidates)
-            s.register = Register(path, reg.count, reg.bcc)
-            return _PATH_WRITE[path != reg.path]
+            if s.read_path == s._min_key:
+                path = s._min_path
+            else:
+                candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
+                eligible = [c for c in candidates if len(c) <= bound]
+                path = min(eligible) if eligible else min(c[:bound] for c in candidates)
+                s._min_key = s.read_path.copy()
+                s._min_path = path
+            changed = path != reg.path
+            if changed:
+                s.register = Register(path, reg.count, reg.bcc)
+            return _PATH_WRITE[changed]
 
         if kind == B_READ_SELF:
             s.path = reg.path
@@ -332,8 +400,10 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
 
         if kind == B_WRITE:
             count = clamp(s.count, prog.count_bound)
-            s.register = Register(reg.path, count, reg.bcc)
-            return _COUNT_WRITE[count != reg.count]
+            changed = count != reg.count
+            if changed:
+                s.register = Register(reg.path, count, reg.bcc)
+            return _COUNT_WRITE[changed]
 
         if kind == C_READ_COUNT:
             s.count = reg.count
@@ -346,8 +416,10 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
         if kind == C_DECIDE:
             if s.count == 0:
                 bcc = s.path[:bound]
-                s.register = Register(reg.path, reg.count, bcc)
-                return _BCC_WRITE[bcc != reg.bcc]
+                changed = bcc != reg.bcc
+                if changed:
+                    s.register = Register(reg.path, reg.count, bcc)
+                return _BCC_WRITE[changed]
             continue
 
         if kind == C_READ_PARENT_BCC:
@@ -361,8 +433,10 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
             j = _first_parent_port(s, prog) if s.count != 0 else 0
             if j:
                 bcc = s.read_bcc[j - 1][:bound]
-                s.register = Register(reg.path, reg.count, bcc)
-                return _BCC_WRITE[bcc != reg.bcc]
+                changed = bcc != reg.bcc
+                if changed:
+                    s.register = Register(reg.path, reg.count, bcc)
+                return _BCC_WRITE[changed]
             continue
 
         if kind == R_WRITE_PATH:

@@ -185,10 +185,24 @@ def test_diameter_matches_reference():
     def star(n):
         return build_graph(n, [(1, v) for v in range(2, n + 1)])
 
-    known = [(path(1), 0), (path(2), 1), (figure1(), 7)]
+    def unvalidated(n, edges):
+        ports = [[] for _ in range(n)]
+        for u, v in edges:
+            ports[u - 1].append(v)
+            ports[v - 1].append(u)
+        return Graph(n, tuple(edges), tuple(map(tuple, ports)))
+
+    known = [(path(1), 0), (path(2), 1), (figure1(), 7), (Graph(1, (), ((),)), 0)]
     known += [(path(n), n - 1) for n in (3, 4, 9)]
     known += [(cycle(n), n // 2) for n in (3, 4, 7, 10)]
     known += [(star(n), 2) for n in (3, 5, 8)]
+    # disconnected: the largest eccentricity within a component
+    known += [
+        (unvalidated(3, []), 0),
+        (unvalidated(7, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]), 3),
+        (unvalidated(8, [(1, 2), (3, 4), (4, 5), (5, 3), (7, 8)]), 1),
+        (unvalidated(6, [(2, 3), (3, 4), (4, 5), (5, 6)]), 4),
+    ]
     for g, d in known:
         assert g.diameter == reference_diameter(g) == d, g
     rng = random.Random(5)

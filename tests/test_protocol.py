@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies
+from hypothesis import given, settings, strategies
 
-from stabconn.graph import build_graph, generate_random_connected
+from stabconn.graph import build_graph, figure1, generate_random_connected
 from stabconn.oracle import first_dfs, ground_truth
 from stabconn.protocol import (
     BOTTOM,
@@ -11,10 +12,13 @@ from stabconn.protocol import (
     A_WRITE,
     B_PORT,
     B_WRITE,
+    C_DECIDE,
+    C_WRITE_PARENT_BCC,
     LinkClass,
     ProcessorState,
     Register,
     ROOT_PATH,
+    advance,
     classify_link,
     execute_step,
     format_path,
@@ -26,6 +30,7 @@ from stabconn.protocol import (
 )
 
 from reference import lex_compare
+from test_simulator import stabilized_configuration
 
 
 def random_path(rng, max_len=6, max_symbol=4, allow_empty=False):
@@ -436,3 +441,109 @@ def test_register_bits_budget():
     assert register_bits(reg, 4, 256) <= budget
     small = Register((BOTTOM,), 0, (BOTTOM,))
     assert register_bits(small, 4, 256) < budget
+
+
+# ---------------------------------------------------------------------------
+# the kernel's memo and kept registers
+
+_FIG1 = figure1()
+_FIG1_GT = ground_truth(_FIG1)
+_CORRUPTIONS = ("path", "read-equal", "read-other", "pc", "program", "neighbour", "none")
+
+
+def _related_path(rng, p):
+    """A path that classifies against p in any of the ways, or in none."""
+    return rng.choice(
+        [p[:-1] or ROOT_PATH, p + (rng.randint(1, 4),), p + (1, 2), p[:1] + (9,), p, p[:-1] + (3,)]
+    )
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    strategies.integers(2, 16),
+    strategies.booleans(),
+    strategies.integers(0, 999),
+    strategies.lists(
+        strategies.tuples(strategies.sampled_from(_CORRUPTIONS), strategies.integers(0, 10**6)),
+        max_size=25,
+    ),
+)
+def test_memoised_steps_equal_steps_from_an_empty_memo(v, legitimate, seed, corruptions):
+    """One state keeps its memo across steps and in-place corruptions; a
+    clone of it before every step, whose memo is empty, must take the same
+    step."""
+    g, gt = _FIG1, _FIG1_GT
+    if legitimate:
+        s = stabilized_configuration(g, gt).states[v - 1]
+    else:
+        s = _states_for(g, seed=seed)[v - 1]
+    nbrs = g.neighbors(v)
+    garbage = _states_for(g, seed=seed + 1)
+    regs = list(gt.registers) if legitimate else [st.register for st in garbage]
+
+    def read(j):
+        return regs[nbrs[j - 1] - 1]
+
+    prog = node_program(g, v)
+    # same degree, other reverse ports: every class and candidate can differ
+    other = dataclasses.replace(prog, reverse_ports=tuple(r + 1 for r in prog.reverse_ports))
+    current = prog
+    for corruption, x in [("none", 3 * prog.length)] + corruptions:
+        rng = random.Random(x)
+        j = x % prog.degree
+        if corruption == "path":
+            # an equal value in another object, or another value
+            s.path = tuple(list(s.path)) if x % 2 else _related_path(rng, s.path)
+        elif corruption == "read-equal":
+            s.read_path[j] = tuple(list(s.read_path[j]))
+        elif corruption == "read-other":
+            s.read_path[j] = _related_path(rng, s.path)
+        elif corruption == "pc":
+            s.pc = x
+        elif corruption == "program":
+            current = other if current is prog else prog
+        elif corruption == "neighbour":
+            w = nbrs[j] - 1
+            regs[w] = regs[w]._replace(path=_related_path(rng, s.path))
+        for _ in range(1 + x % (2 * prog.length)):
+            fresh = s.clone()
+            event = advance(s, current, read)
+            assert advance(fresh, current, read) == event
+            assert s == fresh and repr(s) == repr(fresh)
+
+
+def test_unchanged_writes_keep_the_register_object():
+    """From the legitimate configuration every write changes nothing and
+    keeps ``s.register``; with the written field corrupted, the same write
+    replaces it with the legitimate register."""
+    g, gt = _FIG1, _FIG1_GT
+    write_fields = {A_WRITE: "path", B_WRITE: "count", C_DECIDE: "bcc", C_WRITE_PARENT_BCC: "bcc"}
+    covered = set()
+    for v in range(2, g.n + 1):
+        prog = node_program(g, v)
+        nbrs = g.neighbors(v)
+
+        def read(j, nbrs=nbrs):
+            return gt.registers[nbrs[j - 1] - 1]
+
+        for pc, (kind, _) in enumerate(prog.schedule):
+            if kind not in write_fields:
+                continue
+            s = stabilized_configuration(g, gt).states[v - 1]
+            s.pc = pc
+            before = s.register
+            event = advance(s, prog, read)
+            if event.kind != "write":
+                continue  # C_DECIDE or C_WRITE_PARENT_BCC whose guard failed
+            assert not event.changed and s.register is before, (v, kind)
+
+            s = stabilized_configuration(g, gt).states[v - 1]
+            s.pc = pc
+            field = write_fields[kind]
+            wrong = -1 if field == "count" else (BOTTOM, 9)
+            s.register = before = s.register._replace(**{field: wrong})
+            event = advance(s, prog, read)
+            assert event.changed and s.register is not before, (v, kind)
+            assert s.register == gt.registers[v - 1]
+            covered.add(kind)
+    assert covered == set(write_fields)
