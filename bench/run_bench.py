@@ -1,86 +1,157 @@
-"""Step-kernel throughput: ``simulator.run`` steps per second.
+"""Interleaved A/B timing of full stabilization runs: a base checkout against this one.
 
 Run from the repository root:
 
-    python3 bench/run_bench.py --label kernel --side change
-    python3 bench/run_bench.py --label kernel --side parent --src OTHER_CHECKOUT/src
+    python3 bench/run_bench.py --base OTHER_CHECKOUT --label slots
 
-For random (``random:n,2n-1``) and clustered graphs at n = 16, 40, 80, 160,
-each case runs ``simulator.run`` from ``init_arbitrary(g, INIT_SEED)`` under
-the seeded uniform-random scheduler for at most MAX_ROUNDS rounds, with the
-ground truth computed outside the timed region, and keeps the best steps per
-second of REPEATS runs.  The numbers are stored under ``--side`` in
-``BENCH_<label>.json`` at the repository root; other sides already in that
-file are kept, so two checkouts timed by this one script share a file.
-When both ``parent`` and ``change`` are present, their ratio is added.
+``--base`` is the root of another checkout (for example the parent commit,
+made with ``git archive``).  Both ``src/stabconn`` trees are loaded into this
+one process as two packages, so the sides share the host's state from moment
+to moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
+every pair times one ``init_arbitrary(g, INIT_SEED)`` and one full
+``simulator.run`` from it, under the seeded uniform-random scheduler until
+stabilization, on each side; the side that goes first alternates from pair
+to pair.  Ground truth is computed outside the timed region, and times are
+process CPU seconds.
+
+Per case and layer the result holds each side's median time, the median of
+the per-pair ratios base / change (above 1: the change is faster), the share
+of pairs the change won, and whether both sides agree: on the initial
+states, and on steps, rounds, stabilization and final registers.  It is
+written to ``BENCH_<label>.json`` at the repository root, or to ``--out``.
+The exit status is 1 when the sides disagree on any case.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (16, 40, 80, 160)
-CLUSTERS = {16: (4, 4), 40: (8, 5), 80: (16, 5), 160: (32, 5)}  # K x SIZE = n
+SIZES = (16, 40, 80, 160, 320)
+CLUSTER_SIZE = 5  # clustered:K x 5 with K = n / 5; n = 16 takes 4 x 4
 GRAPH_SEED = 0
 INIT_SEED = 7
-MAX_ROUNDS = 40
-REPEATS = 7
+SCHEDULER_SEED = 0
 
 
-def cases(stabconn):
-    for n in SIZES:
-        yield f"random:{n},{2 * n - 1}", stabconn.generate_random_connected(n, n, GRAPH_SEED)
-        k, size = CLUSTERS[n]
-        yield f"clustered:{k}x{size}", stabconn.generate_clustered(k, size, GRAPH_SEED)
+def load(checkout: Path, name: str):
+    """Import ``checkout/src/stabconn`` as the top-level package ``name``."""
+    init = checkout / "src" / "stabconn" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
-def measure(stabconn, g) -> dict:
-    gt = stabconn.ground_truth(g)
-    init = stabconn.init_arbitrary(g, INIT_SEED)
-    best = 0.0
-    for _ in range(REPEATS):
-        scheduler = stabconn.make_scheduler("random", seed=GRAPH_SEED)
-        t0 = time.perf_counter()
-        _, report = stabconn.run(g, scheduler, init, max_rounds=MAX_ROUNDS, gt=gt)
-        best = max(best, report.total_steps / (time.perf_counter() - t0))
-    return {"steps": report.total_steps, "rounds": report.rounds, "steps_per_s": round(best)}
+def cases(sizes):
+    for n in sizes:
+        yield f"random:{n},{2 * n - 1}", lambda p, n=n: p.generate_random_connected(n, n, GRAPH_SEED)
+        k, size = (4, 4) if n % CLUSTER_SIZE else (n // CLUSTER_SIZE, CLUSTER_SIZE)
+        yield f"clustered:{k}x{size}", lambda p, k=k, size=size: p.generate_clustered(k, size, GRAPH_SEED)
+
+
+def _state_key(st) -> tuple:
+    return (st.register, st.path, st.count, st.n_in, st.n_out,
+            st.read_path, st.read_count, st.read_bcc, st.pc)
+
+
+def _time(fn):
+    gc.collect()
+    t0 = time.process_time()
+    result = fn()
+    return time.process_time() - t0, result
+
+
+def one_side(pkg, g, gt):
+    """Time init_arbitrary and a full run on one side; return times and outcome."""
+    t_init, init = _time(lambda: pkg.init_arbitrary(g, INIT_SEED))
+    scheduler = pkg.make_scheduler("random", seed=SCHEDULER_SEED)
+    t_run, (_, report) = _time(lambda: pkg.run(g, scheduler, init, gt=gt))
+    outcome = {
+        "init": [_state_key(st) for st in init.states],
+        "run": (report.total_steps, report.rounds, report.stabilized, report.final_registers),
+    }
+    return {"init_arbitrary": t_init, "run": t_run}, outcome
+
+
+def summarize(base: list[float], change: list[float]) -> dict:
+    ratios = [b / c for b, c in zip(base, change)]
+    return {
+        "base_median_s": round(statistics.median(base), 6),
+        "change_median_s": round(statistics.median(change), 6),
+        "median_ratio": round(statistics.median(ratios), 3),
+        "won_share": round(sum(r > 1 for r in ratios) / len(ratios), 3),
+    }
+
+
+def measure(sides: dict, make_graph, pairs: int) -> dict:
+    graphs = {name: make_graph(pkg) for name, pkg in sides.items()}
+    truths = {name: pkg.ground_truth(graphs[name]) for name, pkg in sides.items()}
+    times = {name: {"init_arbitrary": [], "run": []} for name in sides}
+    outcomes = {}
+    order = list(sides)
+    for k in range(pairs):
+        for name in order if k % 2 == 0 else order[::-1]:
+            t, outcomes[name] = one_side(sides[name], graphs[name], truths[name])
+            for layer, seconds in t.items():
+                times[name][layer].append(seconds)
+    steps, rounds, stabilized, _ = outcomes["change"]["run"]
+    row = {
+        "n": graphs["change"].n,
+        "m": graphs["change"].edge_count,
+        "steps": steps,
+        "rounds": rounds,
+        "stabilized": stabilized,
+        "pairs": pairs,
+        "agree": {
+            "graph": graphs["base"].ports == graphs["change"].ports,
+            "init": outcomes["base"]["init"] == outcomes["change"]["init"],
+            "run": outcomes["base"]["run"] == outcomes["change"]["run"],
+        },
+    }
+    for layer in ("init_arbitrary", "run"):
+        row[layer] = summarize(times["base"][layer], times["change"][layer])
+    row["run"]["change_steps_per_s"] = round(steps / row["run"]["change_median_s"])
+    return row
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--side", required=True)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    parser.add_argument("--base", type=Path, required=True, help="root of the checkout to compare against")
+    parser.add_argument("--label", default="ab", help="writes BENCH_<label>.json")
+    parser.add_argument("--out", type=Path, help="write here instead of BENCH_<label>.json")
+    parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated n values")
+    parser.add_argument("--pairs", type=int, default=9, help="alternating pairs per case")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    import stabconn
+    sides = {"base": load(args.base.resolve(), "stabconn_base"), "change": load(ROOT, "stabconn_change")}
+    sizes = [int(x) for x in args.sizes.split(",")]
 
     rows = {}
-    for name, g in cases(stabconn):
-        rows[name] = {"n": g.n, "m": g.edge_count, **measure(stabconn, g)}
-        print(f"{args.side} {name}: {rows[name]}", flush=True)
-    out = ROOT / f"BENCH_{args.label}.json"
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    doc["script"] = "bench/run_bench.py"
-    doc.setdefault("sides", {})[args.side] = {
+    for name, make_graph in cases(sizes):
+        rows[name] = measure(sides, make_graph, args.pairs)
+        print(f"{name}: {json.dumps(rows[name])}", flush=True)
+    doc = {
+        "script": "bench/run_bench.py",
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "init_seed": INIT_SEED,
+        "scheduler": f"random, seed {SCHEDULER_SEED}",
         "cases": rows,
     }
-    if {"parent", "change"} <= doc["sides"].keys():
-        before, after = doc["sides"]["parent"]["cases"], doc["sides"]["change"]["cases"]
-        doc["change_over_parent"] = {
-            k: round(after[k]["steps_per_s"] / before[k]["steps_per_s"], 2)
-            for k in after if k in before
-        }
+    out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return 0
+    return 0 if all(all(row["agree"].values()) for row in rows.values()) else 1
 
 
 if __name__ == "__main__":

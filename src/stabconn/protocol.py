@@ -23,14 +23,28 @@ place and returns a shared, immutable ``StepEvent``.  ``execute_step`` is its
 copying wrapper, which steps a copy and leaves its input untouched;
 ``simulator.run`` copies each initial state once and calls ``advance``.
 
-``advance`` skips recomputation on unchanged inputs.  A legitimate path has
-DFS depth + 1 symbols, so classifying a link and building the A_WRITE
+``NodeProgram.schedule`` is the readable spec of a cycle: (kind, port) pairs.
+The kernel walks its ``SlotTable`` instead, derived on first use and shared
+by every program with the same schedule and degree.  Each slot holds its
+kind, port - 1, the next pc (the wrap is precomputed), and the events it can
+return, so a step neither builds nor looks up an event.  The kernel loops
+with a fold budget, the longest cyclic run of conditional slots, instead of
+a ``range`` over the whole schedule: a failed guard costs one decrement, and
+folding past the budget, which no activation of a valid schedule does,
+raises.  Link classes are compared with module-level aliases (``_CHILD`` and
+so on) because an ``Enum`` member lookup costs about ten times a global one,
+and a folded port makes several.
+
+``advance`` also skips recomputation on unchanged inputs.  A legitimate path
+has DFS depth + 1 symbols, so classifying a link and building the A_WRITE
 candidates cost O(depth) each, and a cycle classifies the same links up to
 three times (B_PORT and the two parent-port scans of phase C).
   * Link classes are memoised per port, keyed by the identity of the node's
-    own ``path`` and of the port's ``read_path`` entry.  The memo holds
-    references to both immutable tuples, so neither id can be reused by
-    another object, and a key that matches by identity matches by value.
+    own ``path`` and of the port's ``read_path`` entry, and checked inline in
+    B_PORT and in the one parent-port scan that both phase-C bcc slots share.
+    The memo holds references to both immutable tuples, so neither id can be
+    reused by another object, and a key that matches by identity matches by
+    value.
   * The A_WRITE minimum is kept with a copy of the ``read_path`` list it was
     computed from and reused while the list compares equal to that copy.
   * A non-root write that changes no field keeps the register object, so a
@@ -51,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from math import ceil, log2
 from typing import Callable, NamedTuple
 
@@ -82,6 +96,15 @@ class LinkClass(Enum):
     UNCLASSIFIED = "unclassified"
 
 
+# Module-level aliases: the kernel compares link classes several times per
+# folded port, and a global costs about a tenth of an ``Enum`` member lookup.
+_PARENT = LinkClass.PARENT
+_CHILD = LinkClass.CHILD
+_OUTGOING = LinkClass.OUTGOING_NONTREE
+_INCOMING = LinkClass.INCOMING_NONTREE
+_UNCLASSIFIED = LinkClass.UNCLASSIFIED
+
+
 def classify_link(my_path: Path, their_path: Path, my_port: int, their_port: int) -> LinkClass:
     """Classify one incident link from the two endpoint paths.
 
@@ -94,13 +117,13 @@ def classify_link(my_path: Path, their_path: Path, my_port: int, their_port: int
     mine, theirs = len(my_path), len(their_path)
     if theirs < mine and my_path[:theirs] == their_path:
         if mine == theirs + 1 and my_path[theirs] == their_port:
-            return LinkClass.PARENT
-        return LinkClass.OUTGOING_NONTREE
+            return _PARENT
+        return _OUTGOING
     if mine < theirs and their_path[:mine] == my_path:
         if theirs == mine + 1 and their_path[mine] == my_port:
-            return LinkClass.CHILD
-        return LinkClass.INCOMING_NONTREE
-    return LinkClass.UNCLASSIFIED
+            return _CHILD
+        return _INCOMING
+    return _UNCLASSIFIED
 
 
 class Register(NamedTuple):
@@ -160,6 +183,7 @@ def root_program() -> tuple[MicroStep, ...]:
     return ((R_WRITE_PATH, 0), (R_WRITE_COUNT, 0), (R_WRITE_BCC, 0))
 
 
+@cache  # every program of a degree shares one schedule
 def nonroot_program(degree: int) -> tuple[MicroStep, ...]:
     """Cyclic micro-step schedule of a non-root node with the given degree.
 
@@ -183,9 +207,26 @@ def nonroot_program(degree: int) -> tuple[MicroStep, ...]:
     return tuple(schedule)
 
 
+class SlotTable(NamedTuple):
+    """A schedule as the kernel walks it."""
+
+    #: per slot: its kind, port - 1, the pc after it, and what it returns:
+    #: a read's ``StepEvent``, a write's (unchanged, changed) pair indexed by
+    #: its changed flag, or for C_READ_PARENT_BCC one read event per port
+    slots: tuple[tuple[int, int, int, object], ...]
+    #: the longest cyclic run of conditional slots: the most slots one
+    #: activation can fold before it reaches a register access
+    fold_budget: int
+
+
 @dataclass(frozen=True)
 class NodeProgram:
-    """Static execution context of one node: schedule, ports, and bounds."""
+    """Static execution context of one node: schedule, ports, and bounds.
+
+    ``schedule`` is the readable spec; ``table`` is what the kernel walks,
+    derived from it on first use.  It cannot go stale: the fields are
+    frozen, and a ``dataclasses.replace`` copy starts without it.
+    """
 
     degree: int
     schedule: tuple[MicroStep, ...]
@@ -197,6 +238,10 @@ class NodeProgram:
     @property
     def length(self) -> int:
         return len(self.schedule)
+
+    @cached_property
+    def table(self) -> SlotTable:
+        return _slot_table(self.schedule, self.degree)
 
 
 def node_program(g: Graph, v: NodeId) -> NodeProgram:
@@ -291,6 +336,50 @@ def _remote_read(field: str, port: int) -> StepEvent:
     return StepEvent("read", field, port)
 
 
+#: what the slots that touch only the node's own register return
+_OWN_EVENTS = {
+    B_READ_SELF: _OWN_PATH_READ,
+    C_READ_PATH: _OWN_PATH_READ,
+    C_READ_COUNT: _OWN_COUNT_READ,
+    A_WRITE: _PATH_WRITE,
+    R_WRITE_PATH: _PATH_WRITE,
+    B_WRITE: _COUNT_WRITE,
+    R_WRITE_COUNT: _COUNT_WRITE,
+    C_DECIDE: _BCC_WRITE,
+    C_WRITE_PARENT_BCC: _BCC_WRITE,
+    R_WRITE_BCC: _BCC_WRITE,
+}
+
+
+#: slots whose guard can fail; the kernel folds a failed one into the
+#: activation, which goes on to the next slot
+_CONDITIONAL = frozenset({B_PORT, C_DECIDE, C_READ_PARENT_BCC, C_WRITE_PARENT_BCC})
+
+
+def _slot_events(kind: int, port: int, degree: int):
+    if kind == A_READ:
+        return _remote_read("path", port)
+    if kind == B_PORT:
+        return _remote_read("count", port)
+    if kind == C_READ_PARENT_BCC:
+        return tuple(_remote_read("bcc", j) for j in range(1, degree + 1))
+    return _OWN_EVENTS[kind]  # an unknown kind raises here, not in the kernel
+
+
+@cache  # one table per schedule and degree, shared by every program with them
+def _slot_table(schedule: tuple[MicroStep, ...], degree: int) -> SlotTable:
+    n = len(schedule)
+    slots = tuple(
+        (kind, port - 1, (pc + 1) % n, _slot_events(kind, port, degree))
+        for pc, (kind, port) in enumerate(schedule)
+    )
+    run = longest = 0
+    for kind, _ in schedule * 2:
+        run = run + 1 if kind in _CONDITIONAL else 0
+        longest = max(longest, run)
+    return SlotTable(slots, longest)
+
+
 ReadNeighbor = Callable[[int], Register]
 
 
@@ -298,35 +387,17 @@ ReadNeighbor = Callable[[int], Register]
 _NO_LINK = (None, None, None)
 
 
-def _link(s: ProcessorState, prog: NodeProgram, j: int) -> LinkClass:
-    """``classify_link`` of port j, memoised on the identity of both paths."""
-    mine = s.path
-    theirs = s.read_path[j - 1]
-    memo = s._links[j - 1]
-    if memo[0] is mine and memo[1] is theirs:
-        return memo[2]
-    cls = classify_link(mine, theirs, j, prog.reverse_ports[j - 1])
-    s._links[j - 1] = (mine, theirs, cls)
-    return cls
-
-
-def _first_parent_port(s: ProcessorState, prog: NodeProgram) -> int:
-    """Lowest port currently classified as the parent link, or 0 if none."""
-    for j in range(1, prog.degree + 1):
-        if _link(s, prog, j) is LinkClass.PARENT:
-            return j
-    return 0
-
-
 def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -> StepEvent:
     """Perform one atomic step on ``s`` in place: exactly one register access.
 
-    This is the only step kernel.  It writes the ``read_*`` lists of ``s``
-    in place and replaces ``s.register`` on writes, except that a non-root
-    write that changes nothing keeps the register object.  Conditional slots
-    whose guard fails are pure-local and are folded into the same
-    activation; the program counter is normalized modulo the schedule
-    length, so the function is total on corrupted states.
+    This is the only step kernel.  It walks ``prog.table`` from ``s.pc``
+    (normalized modulo the schedule length, so it is total on corrupted
+    states), writes the ``read_*`` lists of ``s`` in place and replaces
+    ``s.register`` on writes, except that a non-root write that changes
+    nothing keeps the register object.  A conditional slot whose guard fails
+    is pure-local and folded into the same activation, at most the table's
+    ``fold_budget`` of them; the slot that accesses a register returns its
+    precomputed event.
 
     Two results are memoised on ``s`` (see the module docstring): each
     port's link class, keyed by the identity of ``s.path`` and of the port's
@@ -340,35 +411,38 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
         s._prog = prog
         s._links = [_NO_LINK] * prog.degree
         s._min_key = None
-    schedule = prog.schedule
-    n_slots = len(schedule)
-    bound = prog.path_bound
-    pc = s.pc % n_slots
-    for _ in range(n_slots):
-        kind, port = schedule[pc]
-        pc += 1
-        if pc == n_slots:
-            pc = 0
+    slots, budget = prog.table
+    pc = s.pc % len(slots)
+    while budget >= 0:
+        kind, i, pc, event = slots[pc]
         s.pc = pc
 
         # the most frequent slots first: each cycle has degree many of both
         if kind == A_READ:
-            s.read_path[port - 1] = read_neighbor(port).path
-            return _remote_read("path", port)
+            s.read_path[i] = read_neighbor(i + 1).path
+            return event
 
         if kind == B_PORT:
-            cls = _link(s, prog, port)
-            if cls is LinkClass.CHILD:
-                value = read_neighbor(port).count
-                s.read_count[port - 1] = value
+            mine = s.path
+            theirs = s.read_path[i]
+            memo = s._links[i]
+            if memo[0] is mine and memo[1] is theirs:
+                cls = memo[2]
+            else:
+                cls = classify_link(mine, theirs, i + 1, prog.reverse_ports[i])
+                s._links[i] = (mine, theirs, cls)
+            if cls is _CHILD:
+                value = read_neighbor(i + 1).count
+                s.read_count[i] = value
                 s.count += value
-                return _remote_read("count", port)
-            if cls is LinkClass.INCOMING_NONTREE:
+                return event
+            if cls is _INCOMING:
                 s.n_in += 1
                 s.count -= 1
-            elif cls is LinkClass.OUTGOING_NONTREE:
+            elif cls is _OUTGOING:
                 s.n_out += 1
                 s.count += 1
+            budget -= 1
             continue
 
         reg = s.register
@@ -383,6 +457,7 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
             if s.read_path == s._min_key:
                 path = s._min_path
             else:
+                bound = prog.path_bound
                 candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
                 eligible = [c for c in candidates if len(c) <= bound]
                 path = min(eligible) if eligible else min(c[:bound] for c in candidates)
@@ -391,66 +466,73 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
             changed = path != reg.path
             if changed:
                 s.register = Register(path, reg.count, reg.bcc)
-            return _PATH_WRITE[changed]
+            return event[changed]
 
         if kind == B_READ_SELF:
             s.path = reg.path
             s.count = s.n_in = s.n_out = 0
-            return _OWN_PATH_READ
+            return event
 
         if kind == B_WRITE:
             count = clamp(s.count, prog.count_bound)
             changed = count != reg.count
             if changed:
                 s.register = Register(reg.path, count, reg.bcc)
-            return _COUNT_WRITE[changed]
+            return event[changed]
 
         if kind == C_READ_COUNT:
             s.count = reg.count
-            return _OWN_COUNT_READ
+            return event
 
         if kind == C_READ_PATH:
             s.path = reg.path
-            return _OWN_PATH_READ
+            return event
 
         if kind == C_DECIDE:
             if s.count == 0:
-                bcc = s.path[:bound]
+                bcc = s.path[: prog.path_bound]
                 changed = bcc != reg.bcc
                 if changed:
                     s.register = Register(reg.path, reg.count, bcc)
-                return _BCC_WRITE[changed]
+                return event[changed]
+            budget -= 1
             continue
 
-        if kind == C_READ_PARENT_BCC:
-            j = _first_parent_port(s, prog) if s.count != 0 else 0
-            if j:
-                s.read_bcc[j - 1] = read_neighbor(j).bcc
-                return _remote_read("bcc", j)
-            continue
-
-        if kind == C_WRITE_PARENT_BCC:
-            j = _first_parent_port(s, prog) if s.count != 0 else 0
-            if j:
-                bcc = s.read_bcc[j - 1][:bound]
-                changed = bcc != reg.bcc
-                if changed:
-                    s.register = Register(reg.path, reg.count, bcc)
-                return _BCC_WRITE[changed]
+        if kind == C_READ_PARENT_BCC or kind == C_WRITE_PARENT_BCC:
+            # both act on the lowest port that classifies as the parent link
+            if s.count != 0:
+                mine = s.path
+                links = s._links
+                for j in range(prog.degree):
+                    theirs = s.read_path[j]
+                    memo = links[j]
+                    if memo[0] is mine and memo[1] is theirs:
+                        cls = memo[2]
+                    else:
+                        cls = classify_link(mine, theirs, j + 1, prog.reverse_ports[j])
+                        links[j] = (mine, theirs, cls)
+                    if cls is _PARENT:
+                        if kind == C_READ_PARENT_BCC:
+                            s.read_bcc[j] = read_neighbor(j + 1).bcc
+                            return event[j]
+                        bcc = s.read_bcc[j][: prog.path_bound]
+                        changed = bcc != reg.bcc
+                        if changed:
+                            s.register = Register(reg.path, reg.count, bcc)
+                        return event[changed]
+            budget -= 1
             continue
 
         if kind == R_WRITE_PATH:
             s.register = Register(ROOT_PATH, reg.count, reg.bcc)
-            return _PATH_WRITE[reg.path != ROOT_PATH]
+            return event[reg.path != ROOT_PATH]
         if kind == R_WRITE_COUNT:
             s.register = Register(reg.path, 0, reg.bcc)
-            return _COUNT_WRITE[reg.count != 0]
-        if kind == R_WRITE_BCC:
-            s.register = Register(reg.path, reg.count, ROOT_PATH)
-            return _BCC_WRITE[reg.bcc != ROOT_PATH]
-
-        raise AssertionError(f"unknown micro-step kind {kind}")
-    raise AssertionError("schedule contains no unconditional register access")
+            return event[reg.count != 0]
+        # R_WRITE_BCC: the slot table admits no other kind
+        s.register = Register(reg.path, reg.count, ROOT_PATH)
+        return event[reg.bcc != ROOT_PATH]
+    raise AssertionError("folded more slots than the schedule has conditional ones in a row")
 
 
 def execute_step(

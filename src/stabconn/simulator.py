@@ -114,8 +114,10 @@ def make_scheduler(name: str, seed: int = 0):
 # arbitrary initial states and fault injection
 
 def _random_path(rng: random.Random, path_bound: int, delta: int) -> Path:
-    length = rng.randint(1, path_bound)
-    return tuple(rng.randint(0, delta) for _ in range(length))
+    # randint(a, b) is randrange(a, b + 1): the same draws, one frame less
+    randrange = rng.randrange
+    symbols = delta + 1
+    return tuple([randrange(symbols) for _ in range(randrange(1, path_bound + 1))])
 
 
 class FaultTargetError(ValueError):
@@ -163,9 +165,25 @@ class FaultEvent:
     fields: tuple[str, ...]
 
 
+def _check_fault_targets(g: Graph, spec: FaultSpec) -> None:
+    """Raise ``FaultTargetError`` unless ``spec`` can fire on ``g``: every
+    target names a node of g (an int, not a bool) and a fault field, and
+    ``random_fields`` is at most the number of register-or-pc slots."""
+    for v, fname in spec.targets:
+        # type(), not isinstance(): a bool is an int and would hit node 1
+        if type(v) is not int or not 1 <= v <= g.n:
+            raise FaultTargetError(f"fault target node {v!r} outside 1..{g.n}")
+        if fname not in FAULT_FIELDS:
+            raise FaultTargetError(f"unknown fault field {fname!r}")
+    pool = g.n * (len(REGISTER_FIELDS) + 1)
+    if spec.random_fields > pool:
+        raise FaultTargetError(f"cannot pick {spec.random_fields} distinct fields from {pool}")
+
+
 def _apply_fault_targets(
     states: list[ProcessorState], g: Graph, spec: FaultSpec
 ) -> list[tuple[NodeId, str]]:
+    _check_fault_targets(g, spec)
     rng = random.Random(spec.seed)
     delta = g.max_degree
     path_bound = g.n
@@ -175,19 +193,11 @@ def _apply_fault_targets(
         pool = [
             (v, f) for v in range(1, g.n + 1) for f in REGISTER_FIELDS + ("pc",)
         ]
-        if spec.random_fields > len(pool):
-            raise FaultTargetError(
-                f"cannot pick {spec.random_fields} distinct fields from {len(pool)}"
-            )
         targets.extend(rng.sample(pool, spec.random_fields))
 
     # each touched node is copied once, on its first target
     copied: dict[NodeId, ProcessorState] = {}
     for v, fname in targets:
-        if not 1 <= v <= g.n:
-            raise FaultTargetError(f"fault target node {v} outside 1..{g.n}")
-        if fname not in FAULT_FIELDS:
-            raise FaultTargetError(f"unknown fault field {fname!r}")
         st = copied.get(v)
         if st is None:
             st = copied[v] = states[v - 1] = states[v - 1].clone()
@@ -345,11 +355,18 @@ def run(
     outside the legitimate configuration, is reported as not stabilized, not
     raised.  A stabilized report carries the detection sets read off the
     final registers, uncertified.  ``trace`` is filled only on request.
+    Every fault is checked against ``g`` before the first step; one that
+    names a missing node or field, or more random fields than exist, raises
+    ``FaultTargetError``.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    # a fault that could never fire on g is an input error, whether or not
+    # the run would reach its trigger
+    for spec in faults:
+        _check_fault_targets(g, spec)
     if gt is None:
         gt = ground_truth(g)
     gt_regs = gt.registers
@@ -365,10 +382,12 @@ def run(
         )
     )
     post_faults = deque(f for f in faults if f.trigger == POST_STABILIZATION)
-    activations = scheduler.activations(n)
     # hard safety net: a fair scheduler closes rounds almost surely, but a
     # bounded run must terminate even on pathological random tails
     step_cap = 1000 * n * (max_rounds + closure_rounds + 10)
+    # the one per-step test is steps >= limit, where limit is the next step
+    # fault's trigger or the step cap, whichever comes first; 0 sets it
+    limit = 0
 
     trace = Trace()
     fault_events: list[FaultEvent] = []
@@ -377,6 +396,7 @@ def run(
     attempt_start = 0  # max_rounds counts from the last post-stabilization fault
     # stamp[pid] == rounds once pid has stepped in the current round
     stamp = [-1] * (n + 1)
+    unseen = n  # processors not yet stepped in the current round
     changed = False  # a register changed or a fault fired in the current round
     prev_legitimate = False
     stabilization_round: int | None = None
@@ -386,40 +406,43 @@ def run(
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
 
-    while closure_left is not None or rounds - attempt_start < max_rounds:
-        unseen = n
-        while unseen and steps < step_cap:
+    for pid in scheduler.activations(n):
+        if steps >= limit:
+            if steps >= step_cap:
+                break  # inside a round, which stays unfinished
             while step_faults and step_faults[0].trigger <= steps:
                 fault_events += _fire(step_faults.popleft(), g, states, steps, rounds)
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
-            pid = next(activations)
-            st = states[pid - 1]
-            event = advance(st, programs[pid - 1], readers[pid - 1])
-            steps += 1
-            if record_steps:
-                trace.steps.append((steps, pid, event))
-            # only a changed write can grow the register; reads never change it
-            if event.changed:
-                changed = True
-                if closure_left is not None:
-                    closure_changes += 1
-                lp = len(st.register.path)
-                lb = len(st.register.bcc)
-                if lp + lb > max_symbols:
-                    max_symbols = lp + lb
-                if lp > max_path_len:
-                    max_path_len = lp
-                if lb > max_path_len:
-                    max_path_len = lb
-            if stamp[pid] != rounds:
-                stamp[pid] = rounds
-                unseen -= 1
+            limit = min(step_faults[0].trigger, step_cap) if step_faults else step_cap
+        st = states[pid - 1]
+        event = advance(st, programs[pid - 1], readers[pid - 1])
+        steps += 1
+        if record_steps:
+            trace.steps.append((steps, pid, event))
+        # only a changed write can grow the register; reads never change it
+        if event.changed:
+            changed = True
+            if closure_left is not None:
+                closure_changes += 1
+            lp = len(st.register.path)
+            lb = len(st.register.bcc)
+            if lp + lb > max_symbols:
+                max_symbols = lp + lb
+            if lp > max_path_len:
+                max_path_len = lp
+            if lb > max_path_len:
+                max_path_len = lb
+        if stamp[pid] == rounds:
+            continue
+        stamp[pid] = rounds
+        unseen -= 1
         if unseen:
-            break  # step cap hit inside the round
+            continue
 
         # round end: every round-level decision of the run is made here
         rounds += 1
+        unseen = n
         registers = tuple(st.register for st in states)
         legitimate = registers == gt_regs
         if record_rounds:
@@ -444,6 +467,10 @@ def run(
                 if not closure_rounds:
                     break
                 closure_left = closure_rounds
+        if closure_left is None and rounds - attempt_start >= max_rounds:
+            break
+    else:
+        raise ValueError(f"scheduler {scheduler!r} stopped activating processors")
 
     final_registers = tuple(st.register for st in states)
     # a closure window can end outside the legitimate configuration

@@ -7,11 +7,35 @@ against it.  None of them is part of the ``stabconn`` API.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import cmp_to_key
+from typing import Callable, Sequence
 
 from stabconn.graph import ROOT, Graph, NodeId
 from stabconn.oracle import GroundTruth
-from stabconn.protocol import Path, is_prefix
+from stabconn.protocol import (
+    A_READ,
+    A_WRITE,
+    B_PORT,
+    B_READ_SELF,
+    B_WRITE,
+    C_DECIDE,
+    C_READ_COUNT,
+    C_READ_PARENT_BCC,
+    C_READ_PATH,
+    C_WRITE_PARENT_BCC,
+    R_WRITE_BCC,
+    R_WRITE_COUNT,
+    R_WRITE_PATH,
+    ROOT_PATH,
+    LinkClass,
+    NodeProgram,
+    Path,
+    ProcessorState,
+    Register,
+    StepEvent,
+    clamp,
+    is_prefix,
+)
 
 
 def lex_compare(a: Path, b: Path) -> int:
@@ -87,3 +111,106 @@ def diameter(g: Graph) -> int:
             frontier = nxt
         best = max(best, max(dist.values()))
     return best
+
+
+def link_class(my_path: Path, their_path: Path, my_port: int, their_port: int) -> LinkClass:
+    """The class of one link, from the prefix relation of the two paths."""
+    if len(their_path) < len(my_path) and is_prefix(their_path, my_path):
+        if my_path == their_path + (their_port,):
+            return LinkClass.PARENT
+        return LinkClass.OUTGOING_NONTREE
+    if len(my_path) < len(their_path) and is_prefix(my_path, their_path):
+        if their_path == my_path + (my_port,):
+            return LinkClass.CHILD
+        return LinkClass.INCOMING_NONTREE
+    return LinkClass.UNCLASSIFIED
+
+
+def advance(
+    s: ProcessorState, prog: NodeProgram, read_neighbor: Callable[[int], Register]
+) -> StepEvent:
+    """One activation of the micro-step machine, as a plain ``if`` chain.
+
+    It walks ``prog.schedule`` from ``s.pc`` modulo its length and folds a
+    conditional slot whose guard fails into the same activation, until a
+    slot accesses a register.  Nothing is memoised or precomputed: every
+    link is classified afresh, every write builds a new register, and every
+    event is a new object.
+    """
+    n_slots = len(prog.schedule)
+    bound = prog.path_bound
+
+    def parent_port() -> int:
+        for j in range(1, prog.degree + 1):
+            cls = link_class(s.path, s.read_path[j - 1], j, prog.reverse_ports[j - 1])
+            if cls is LinkClass.PARENT:
+                return j
+        return 0
+
+    def write(field: str, value) -> StepEvent:
+        before = s.register
+        s.register = before._replace(**{field: value})
+        return StepEvent("write", field, None, s.register != before)
+
+    pc = s.pc % n_slots
+    for _ in range(n_slots):
+        kind, port = prog.schedule[pc]
+        pc = (pc + 1) % n_slots
+        s.pc = pc
+        if kind == A_READ:
+            s.read_path[port - 1] = read_neighbor(port).path
+            return StepEvent("read", "path", port)
+        if kind == A_WRITE:
+            candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
+            eligible = [c for c in candidates if len(c) <= bound]
+            if not eligible:
+                eligible = [c[:bound] for c in candidates]
+            return write("path", min(eligible, key=cmp_to_key(lex_compare)))
+        if kind == B_READ_SELF:
+            s.path = s.register.path
+            s.count = s.n_in = s.n_out = 0
+            return StepEvent("read", "path", None)
+        if kind == B_PORT:
+            cls = link_class(s.path, s.read_path[port - 1], port, prog.reverse_ports[port - 1])
+            if cls is LinkClass.CHILD:
+                s.read_count[port - 1] = read_neighbor(port).count
+                s.count += s.read_count[port - 1]
+                return StepEvent("read", "count", port)
+            if cls is LinkClass.INCOMING_NONTREE:
+                s.n_in += 1
+                s.count -= 1
+            elif cls is LinkClass.OUTGOING_NONTREE:
+                s.n_out += 1
+                s.count += 1
+            continue
+        if kind == B_WRITE:
+            return write("count", clamp(s.count, prog.count_bound))
+        if kind == C_READ_COUNT:
+            s.count = s.register.count
+            return StepEvent("read", "count", None)
+        if kind == C_READ_PATH:
+            s.path = s.register.path
+            return StepEvent("read", "path", None)
+        if kind == C_DECIDE:
+            if s.count == 0:
+                return write("bcc", s.path[:bound])
+            continue
+        if kind == C_READ_PARENT_BCC:
+            j = parent_port() if s.count != 0 else 0
+            if j:
+                s.read_bcc[j - 1] = read_neighbor(j).bcc
+                return StepEvent("read", "bcc", j)
+            continue
+        if kind == C_WRITE_PARENT_BCC:
+            j = parent_port() if s.count != 0 else 0
+            if j:
+                return write("bcc", s.read_bcc[j - 1][:bound])
+            continue
+        if kind == R_WRITE_PATH:
+            return write("path", ROOT_PATH)
+        if kind == R_WRITE_COUNT:
+            return write("count", 0)
+        if kind == R_WRITE_BCC:
+            return write("bcc", ROOT_PATH)
+        raise AssertionError(f"unknown micro-step kind {kind}")
+    raise AssertionError("schedule contains no unconditional register access")

@@ -182,6 +182,12 @@ def test_usage_errors(capsys):
     assert main(["run", "--generate", "figure1", "--faults", "step=-1:random=1"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--faults", "step=0:random=-1"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--faults", "post:random=-2"]) == EXIT_USAGE
+    # fault targets are checked against the graph before the first step,
+    # also when the run would never reach the trigger
+    assert main(["run", "--generate", "figure1", "--faults", "step=99999999:node=99,field=path"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--max-rounds", "5",
+                 "--faults", "post:node=99,field=path"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "step=0:random=65"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--max-rounds", "0"]) == EXIT_USAGE
     assert main(["run", "--generate", "figure1", "--closure-rounds", "-3"]) == EXIT_USAGE
     assert main(["sweep", "--graphs", "clustered:2x3", "--seeds", "2", "--max-rounds", "-2"]) == EXIT_USAGE

@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies
 
-from stabconn.graph import build_graph, figure1, generate_random_connected
+from stabconn.graph import (
+    build_graph,
+    figure1,
+    generate_clustered,
+    generate_random_connected,
+    shuffle_ports,
+)
 from stabconn.oracle import first_dfs, ground_truth
 from stabconn.protocol import (
     BOTTOM,
@@ -29,6 +35,7 @@ from stabconn.protocol import (
     root_program,
 )
 
+import reference
 from reference import lex_compare
 from test_simulator import stabilized_configuration
 
@@ -547,3 +554,71 @@ def test_unchanged_writes_keep_the_register_object():
             assert s.register == gt.registers[v - 1]
             covered.add(kind)
     assert covered == set(write_fields)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the plain reference machine
+
+_REFERENCE_GRAPHS = (
+    _FIG1,
+    shuffle_ports(_FIG1, 5),
+    build_graph(4, [(1, 2), (1, 3), (1, 4)]),  # a star: three degree-1 leaves
+    build_graph(4, [(1, 2), (2, 3), (3, 4)]),  # a path: the root has degree 1
+    generate_clustered(3, 4, 2),
+)
+_REFERENCE_TRUTHS = tuple(ground_truth(g) for g in _REFERENCE_GRAPHS)
+_PERTURBATIONS = ("none", "pc", "path", "count", "neighbour", "neighbour-garbage")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    strategies.integers(0, len(_REFERENCE_GRAPHS) - 1),
+    strategies.integers(0, 10**6),
+    strategies.booleans(),
+    strategies.integers(-60, 60),
+    strategies.lists(
+        strategies.tuples(strategies.sampled_from(_PERTURBATIONS), strategies.integers(0, 10**6)),
+        max_size=12,
+    ),
+)
+def test_kernel_steps_like_the_plain_reference(gi, seed, legitimate, pc, perturbations):
+    """``advance`` and ``reference.advance`` step two equal states side by
+    side; after every step the events and the full states must be equal.
+    The states start as garbage or legitimate, with any pc, and between
+    steps both get the same corruption: pc, own path or count, or a
+    neighbour's register."""
+    g, gt = _REFERENCE_GRAPHS[gi], _REFERENCE_TRUTHS[gi]
+    v = 1 + seed % g.n
+    prog = node_program(g, v)
+    if legitimate:
+        s = stabilized_configuration(g, gt).states[v - 1]
+        regs = list(gt.registers)
+    else:
+        s = _states_for(g, seed=seed)[v - 1]
+        regs = [st.register for st in _states_for(g, seed=seed + 1)]
+    s.pc = pc
+    ref = s.clone()
+    nbrs = g.neighbors(v)
+
+    def read(j):
+        return regs[nbrs[j - 1] - 1]
+
+    for perturbation, x in [("none", 2 * prog.length)] + perturbations:
+        rng = random.Random(x)
+        if perturbation == "pc":
+            s.pc = ref.pc = x % 121 - 60
+        elif perturbation == "path":
+            s.path = ref.path = _related_path(rng, s.register.path)
+        elif perturbation == "count":
+            s.count = ref.count = rng.choice([0, 0, rng.randint(-9, 9)])
+        elif perturbation.startswith("neighbour") and nbrs:
+            w = rng.choice(nbrs) - 1
+            if perturbation == "neighbour":
+                path = _related_path(rng, s.register.path)
+                regs[w] = Register(path, rng.randint(-2, 2), _related_path(rng, path))
+            else:
+                regs[w] = Register(random_path(rng, max_len=9), rng.randint(-99, 99), random_path(rng))
+        for _ in range(1 + x % (prog.length + 3)):
+            event = advance(s, prog, read)
+            assert event == reference.advance(ref, prog, read), (gi, v)
+            assert s == ref, (gi, v)

@@ -388,6 +388,53 @@ def test_fault_rejects_bad_targets(triangle):
         inject_fault(conf, FaultSpec(trigger=0, targets=((9, "path"),)))
     with pytest.raises(FaultTargetError):
         inject_fault(conf, FaultSpec(trigger=0, targets=((1, "nope"),)))
+    with pytest.raises(FaultTargetError):  # a bool is an int, but no node id
+        inject_fault(conf, FaultSpec(trigger=0, targets=((True, "path"),)))
+
+
+class _RecordingScheduler:
+    """Activates node 1 forever and records every activation it hands out."""
+
+    name = "recording"
+
+    def __init__(self, limit=None):
+        self.drawn = 0
+        self.limit = limit
+
+    def activations(self, n):
+        while self.limit is None or self.drawn < self.limit:
+            self.drawn += 1
+            yield 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FaultSpec(trigger=10**8, targets=((99, "path"),)),
+        FaultSpec(trigger=POST_STABILIZATION, targets=((0, "path"),)),
+        FaultSpec(trigger=5, targets=((2, "nope"),)),
+        FaultSpec(trigger=5, targets=((True, "pc"),)),
+        FaultSpec(trigger=POST_STABILIZATION, random_fields=16 * 4 + 1),
+    ],
+    ids=["node-99-late", "node-0-post", "field", "bool-node", "random-oversized"],
+)
+def test_run_rejects_bad_fault_before_the_first_step(fig1, spec):
+    """Even a fault whose trigger the run never reaches is checked up front."""
+    scheduler = _RecordingScheduler()
+    with pytest.raises(FaultTargetError):
+        run(fig1, scheduler, init_arbitrary(fig1, 1), faults=[FaultSpec(), spec], max_rounds=2)
+    assert scheduler.drawn == 0
+
+
+def test_run_accepts_every_field_at_the_pool_size(fig1):
+    spec = FaultSpec(trigger=3, random_fields=16 * 4)
+    _, report = run(fig1, make_scheduler("round-robin"), init_arbitrary(fig1, 1), faults=[spec])
+    assert len(report.fault_events) == 16
+
+
+def test_run_rejects_a_scheduler_that_stops(fig1):
+    with pytest.raises(ValueError, match="stopped activating"):
+        run(fig1, _RecordingScheduler(limit=20), init_arbitrary(fig1, 1))
 
 
 @pytest.mark.parametrize("trigger", ["post", True, -1, 2.0, None])
