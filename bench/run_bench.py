@@ -8,11 +8,12 @@ Run from the repository root:
 made with ``git archive``).  Both ``src/stabconn`` trees are loaded into this
 one process as two packages, so the sides share the host's state from moment
 to moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
-every pair times one ``init_arbitrary(g, INIT_SEED)`` and one full
+each of ``PAIRS`` pairs times one ``init_arbitrary(g, INIT_SEED)`` and one full
 ``simulator.run`` from it, under the seeded uniform-random scheduler until
 stabilization, on each side; the side that goes first alternates from pair
-to pair.  Ground truth is computed outside the timed region, and times are
-process CPU seconds.
+to pair.  Ground truth is computed outside the timed region, times are
+process CPU seconds, and the garbage collector is off while a call is timed,
+so neither side pays for collecting the other's objects.
 
 Per case and layer the result holds each side's median time, the median of
 the per-pair ratios base / change (above 1: the change is faster), the share
@@ -35,8 +36,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (16, 40, 80, 160, 320)
-CLUSTER_SIZE = 5  # clustered:K x 5 with K = n / 5; n = 16 takes 4 x 4
+SIZES = (16, 40, 80, 160, 320, 640)
+#: clustered graph (clusters, cluster size) per n: K x 5 with K = n / 5, and 4 x 4 for n = 16
+CLUSTERS = {16: (4, 4), 40: (8, 5), 80: (16, 5), 160: (32, 5), 320: (64, 5), 640: (128, 5)}
+PAIRS = 7
 GRAPH_SEED = 0
 INIT_SEED = 7
 SCHEDULER_SEED = 0
@@ -54,10 +57,10 @@ def load(checkout: Path, name: str):
     return package
 
 
-def cases(sizes):
-    for n in sizes:
+def cases():
+    for n in SIZES:
         yield f"random:{n},{2 * n - 1}", lambda p, n=n: p.generate_random_connected(n, n, GRAPH_SEED)
-        k, size = (4, 4) if n % CLUSTER_SIZE else (n // CLUSTER_SIZE, CLUSTER_SIZE)
+        k, size = CLUSTERS[n]
         yield f"clustered:{k}x{size}", lambda p, k=k, size=size: p.generate_clustered(k, size, GRAPH_SEED)
 
 
@@ -68,9 +71,13 @@ def _state_key(st) -> tuple:
 
 def _time(fn):
     gc.collect()
-    t0 = time.process_time()
-    result = fn()
-    return time.process_time() - t0, result
+    gc.disable()
+    try:
+        t0 = time.process_time()
+        result = fn()
+        return time.process_time() - t0, result
+    finally:
+        gc.enable()
 
 
 def one_side(pkg, g, gt):
@@ -95,13 +102,13 @@ def summarize(base: list[float], change: list[float]) -> dict:
     }
 
 
-def measure(sides: dict, make_graph, pairs: int) -> dict:
+def measure(sides: dict, make_graph) -> dict:
     graphs = {name: make_graph(pkg) for name, pkg in sides.items()}
     truths = {name: pkg.ground_truth(graphs[name]) for name, pkg in sides.items()}
     times = {name: {"init_arbitrary": [], "run": []} for name in sides}
     outcomes = {}
     order = list(sides)
-    for k in range(pairs):
+    for k in range(PAIRS):
         for name in order if k % 2 == 0 else order[::-1]:
             t, outcomes[name] = one_side(sides[name], graphs[name], truths[name])
             for layer, seconds in t.items():
@@ -113,7 +120,7 @@ def measure(sides: dict, make_graph, pairs: int) -> dict:
         "steps": steps,
         "rounds": rounds,
         "stabilized": stabilized,
-        "pairs": pairs,
+        "pairs": PAIRS,
         "agree": {
             "graph": graphs["base"].ports == graphs["change"].ports,
             "init": outcomes["base"]["init"] == outcomes["change"]["init"],
@@ -131,15 +138,12 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="root of the checkout to compare against")
     parser.add_argument("--label", default="ab", help="writes BENCH_<label>.json")
     parser.add_argument("--out", type=Path, help="write here instead of BENCH_<label>.json")
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated n values")
-    parser.add_argument("--pairs", type=int, default=9, help="alternating pairs per case")
     args = parser.parse_args(argv)
     sides = {"base": load(args.base.resolve(), "stabconn_base"), "change": load(ROOT, "stabconn_change")}
-    sizes = [int(x) for x in args.sizes.split(",")]
 
     rows = {}
-    for name, make_graph in cases(sizes):
-        rows[name] = measure(sides, make_graph, args.pairs)
+    for name, make_graph in cases():
+        rows[name] = measure(sides, make_graph)
         print(f"{name}: {json.dumps(rows[name])}", flush=True)
     doc = {
         "script": "bench/run_bench.py",

@@ -24,16 +24,15 @@ copying wrapper, which steps a copy and leaves its input untouched;
 ``simulator.run`` copies each initial state once and calls ``advance``.
 
 ``NodeProgram.schedule`` is the readable spec of a cycle: (kind, port) pairs.
-The kernel walks its ``SlotTable`` instead, derived on first use and shared
+The kernel walks its slot table instead, derived on first use and shared
 by every program with the same schedule and degree.  Each slot holds its
 kind, port - 1, the next pc (the wrap is precomputed), and the events it can
 return, so a step neither builds nor looks up an event.  The kernel loops
-with a fold budget, the longest cyclic run of conditional slots, instead of
-a ``range`` over the whole schedule: a failed guard costs one decrement, and
-folding past the budget, which no activation of a valid schedule does,
-raises.  Link classes are compared with module-level aliases (``_CHILD`` and
-so on) because an ``Enum`` member lookup costs about ten times a global one,
-and a folded port makes several.
+with a fold budget of one schedule length instead of a ``range`` over it: a
+failed guard costs one decrement, and folding a whole schedule, which no
+activation of a valid schedule does, raises.  Link classes are compared
+with module-level aliases (``_CHILD`` and so on) because an ``Enum`` member
+lookup costs about ten times a global one, and a folded port makes several.
 
 ``advance`` also skips recomputation on unchanged inputs.  A legitimate path
 has DFS depth + 1 symbols, so classifying a link and building the A_WRITE
@@ -207,18 +206,6 @@ def nonroot_program(degree: int) -> tuple[MicroStep, ...]:
     return tuple(schedule)
 
 
-class SlotTable(NamedTuple):
-    """A schedule as the kernel walks it."""
-
-    #: per slot: its kind, port - 1, the pc after it, and what it returns:
-    #: a read's ``StepEvent``, a write's (unchanged, changed) pair indexed by
-    #: its changed flag, or for C_READ_PARENT_BCC one read event per port
-    slots: tuple[tuple[int, int, int, object], ...]
-    #: the longest cyclic run of conditional slots: the most slots one
-    #: activation can fold before it reaches a register access
-    fold_budget: int
-
-
 @dataclass(frozen=True)
 class NodeProgram:
     """Static execution context of one node: schedule, ports, and bounds.
@@ -240,7 +227,13 @@ class NodeProgram:
         return len(self.schedule)
 
     @cached_property
-    def table(self) -> SlotTable:
+    def table(self) -> tuple[tuple[int, int, int, object], ...]:
+        """Per slot: its kind, port - 1, the pc after it, and what it returns.
+
+        That is a read's ``StepEvent``, a write's (unchanged, changed) pair
+        indexed by its changed flag, or for C_READ_PARENT_BCC one read event
+        per port.
+        """
         return _slot_table(self.schedule, self.degree)
 
 
@@ -351,11 +344,6 @@ _OWN_EVENTS = {
 }
 
 
-#: slots whose guard can fail; the kernel folds a failed one into the
-#: activation, which goes on to the next slot
-_CONDITIONAL = frozenset({B_PORT, C_DECIDE, C_READ_PARENT_BCC, C_WRITE_PARENT_BCC})
-
-
 def _slot_events(kind: int, port: int, degree: int):
     if kind == A_READ:
         return _remote_read("path", port)
@@ -367,17 +355,12 @@ def _slot_events(kind: int, port: int, degree: int):
 
 
 @cache  # one table per schedule and degree, shared by every program with them
-def _slot_table(schedule: tuple[MicroStep, ...], degree: int) -> SlotTable:
+def _slot_table(schedule: tuple[MicroStep, ...], degree: int) -> tuple:
     n = len(schedule)
-    slots = tuple(
+    return tuple(
         (kind, port - 1, (pc + 1) % n, _slot_events(kind, port, degree))
         for pc, (kind, port) in enumerate(schedule)
     )
-    run = longest = 0
-    for kind, _ in schedule * 2:
-        run = run + 1 if kind in _CONDITIONAL else 0
-        longest = max(longest, run)
-    return SlotTable(slots, longest)
 
 
 ReadNeighbor = Callable[[int], Register]
@@ -395,8 +378,8 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
     states), writes the ``read_*`` lists of ``s`` in place and replaces
     ``s.register`` on writes, except that a non-root write that changes
     nothing keeps the register object.  A conditional slot whose guard fails
-    is pure-local and folded into the same activation, at most the table's
-    ``fold_budget`` of them; the slot that accesses a register returns its
+    is pure-local and folded into the same activation, fewer than one
+    schedule length of them; the slot that accesses a register returns its
     precomputed event.
 
     Two results are memoised on ``s`` (see the module docstring): each
@@ -411,9 +394,10 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
         s._prog = prog
         s._links = [_NO_LINK] * prog.degree
         s._min_key = None
-    slots, budget = prog.table
-    pc = s.pc % len(slots)
-    while budget >= 0:
+    slots = prog.table
+    budget = len(slots)
+    pc = s.pc % budget
+    while budget > 0:
         kind, i, pc, event = slots[pc]
         s.pc = pc
 
@@ -532,7 +516,7 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
         # R_WRITE_BCC: the slot table admits no other kind
         s.register = Register(reg.path, reg.count, ROOT_PATH)
         return event[reg.bcc != ROOT_PATH]
-    raise AssertionError("folded more slots than the schedule has conditional ones in a row")
+    raise AssertionError("schedule contains no unconditional register access")
 
 
 def execute_step(

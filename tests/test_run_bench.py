@@ -12,9 +12,11 @@ def test_run_bench_compares_a_tree_with_itself(tmp_path):
     spec = importlib.util.spec_from_file_location("run_bench", ROOT / "bench" / "run_bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    bench.SIZES = (16,)
+    bench.PAIRS = 2
     out = tmp_path / "ab.json"
     try:
-        assert bench.main(["--base", str(ROOT), "--sizes", "16", "--pairs", "2", "--out", str(out)]) == 0
+        assert bench.main(["--base", str(ROOT), "--out", str(out)]) == 0
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] in ("stabconn_base", "stabconn_change")]:
             del sys.modules[name]
