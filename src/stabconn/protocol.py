@@ -54,10 +54,9 @@ Both results are pure functions of their keys and of the ``NodeProgram``
 stepped under another program object, so every step equals the step of an
 unmemoised kernel.  The memo lives on ``ProcessorState`` as fields that
 equality and repr ignore, and ``clone()`` starts empty.  Faults cannot make
-it stale: whatever a fault writes into ``path`` or ``read_path``, an
-identity key matches only the very tuple it was computed from, the A_WRITE
-key is a private copy compared by value, and the fault injector corrupts a
-clone anyway.
+it stale: a fault corrupts a state in place and keeps its memo, but an
+identity key matches only the very tuple it was computed from, and the
+A_WRITE key is a private copy compared by value.
 """
 
 from __future__ import annotations

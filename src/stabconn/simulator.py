@@ -14,7 +14,6 @@ detection sets read off them; certifying those sets is left to the caller.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from . import analysis
 from .graph import Graph, NodeId, shuffle_ports
 from .oracle import GroundTruth, ground_truth
 from .protocol import (
+    NodeProgram,
     Path,
     ProcessorState,
     Register,
@@ -181,34 +181,30 @@ def _check_fault_targets(g: Graph, spec: FaultSpec) -> None:
 
 
 def _apply_fault_targets(
-    states: list[ProcessorState], g: Graph, spec: FaultSpec
+    states: list[ProcessorState], programs: Sequence[NodeProgram], g: Graph, spec: FaultSpec
 ) -> list[tuple[NodeId, str]]:
-    _check_fault_targets(g, spec)
+    """Corrupt the caller's ``states`` in place, ``spec`` already checked;
+    return the (node, field) pairs hit.  Each node's bounds come from its
+    program, path symbols from [bottom, max degree]."""
     rng = random.Random(spec.seed)
     delta = g.max_degree
-    path_bound = g.n
-    count_bound = g.n * g.n
     targets = list(spec.targets)
     if spec.random_fields:
-        pool = [
-            (v, f) for v in range(1, g.n + 1) for f in REGISTER_FIELDS + ("pc",)
-        ]
+        pool = [(v, f) for v in range(1, g.n + 1) for f in REGISTER_FIELDS + ("pc",)]
         targets.extend(rng.sample(pool, spec.random_fields))
 
-    # each touched node is copied once, on its first target
-    copied: dict[NodeId, ProcessorState] = {}
     for v, fname in targets:
-        st = copied.get(v)
-        if st is None:
-            st = copied[v] = states[v - 1] = states[v - 1].clone()
+        st = states[v - 1]
+        prog = programs[v - 1]
+        path_bound, count_bound = prog.path_bound, prog.count_bound
         if fname == "path" or fname == "bcc":
             st.register = st.register._replace(**{fname: _random_path(rng, path_bound, delta)})
         elif fname == "count":
             st.register = st.register._replace(count=rng.randint(-count_bound, count_bound))
         elif fname == "pc":
-            st.pc = rng.randrange(node_program(g, v).length)
+            st.pc = rng.randrange(prog.length)
         else:  # locals
-            d = g.degree(v)
+            d = prog.degree
             st.path = _random_path(rng, path_bound, delta)
             st.count = rng.randint(-count_bound, count_bound)
             st.n_in = rng.randint(0, delta)
@@ -219,26 +215,28 @@ def _apply_fault_targets(
     return targets
 
 
-def inject_fault(c: Configuration, spec: FaultSpec, seed: int | None = None) -> Configuration:
-    """Apply one fault spec to a configuration; everything untargeted is unchanged."""
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
-    states = list(c.states)
-    _apply_fault_targets(states, c.graph, spec)
-    return Configuration(c.graph, states)
+def inject_fault(c: Configuration, spec: FaultSpec) -> Configuration:
+    """Return a corrupted copy of ``c``, owned by the caller; ``c`` is
+    unchanged.  Values are drawn within each node's program bounds."""
+    g = c.graph
+    _check_fault_targets(g, spec)
+    states = [st.clone() for st in c.states]
+    _apply_fault_targets(states, [node_program(g, v) for v in range(1, g.n + 1)], g, spec)
+    return Configuration(g, states)
 
 
 def init_arbitrary(g: Graph, seed: int) -> Configuration:
     """Every register field, local variable, and pc independently random.
 
-    This is a fault on every field of every node of a zeroed configuration,
-    so all values respect the type bounds (path length <= n, symbols in
+    This is a fault on every field of fresh zeroed states, in place, so all
+    values respect each node's program bounds (path length <= n, symbols in
     [bottom, max degree], counts in [-n^2, n^2]); nothing else is assumed.
     """
-    nodes = range(1, g.n + 1)
-    zeroed = Configuration(g, [initial_state(node_program(g, v)) for v in nodes])
-    every_field = tuple((v, f) for v in nodes for f in FAULT_FIELDS)
-    return inject_fault(zeroed, FaultSpec(targets=every_field, seed=seed))
+    programs = [node_program(g, v) for v in range(1, g.n + 1)]
+    states = [initial_state(prog) for prog in programs]
+    every_field = tuple((v, f) for v in range(1, g.n + 1) for f in FAULT_FIELDS)
+    _apply_fault_targets(states, programs, g, FaultSpec(targets=every_field, seed=seed))
+    return Configuration(g, states)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +308,11 @@ def default_max_rounds(g: Graph) -> int:
 
 
 def _fire(
-    spec: FaultSpec, g: Graph, states: list[ProcessorState], steps: int, rounds: int
+    spec: FaultSpec, g: Graph, states: list[ProcessorState], programs: list[NodeProgram],
+    steps: int, rounds: int,
 ) -> list[FaultEvent]:
-    """Apply one fault to ``states``; return one event per node it hit."""
-    touched = _apply_fault_targets(states, g, spec)
+    """Apply one fault to the run's ``states``; return one event per node it hit."""
+    touched = _apply_fault_targets(states, programs, g, spec)
     nodes = sorted({v for v, _ in touched})
     return [FaultEvent(steps, rounds, v, tuple(f for w, f in touched if w == v)) for v in nodes]
 
@@ -361,8 +360,8 @@ def run(
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    if max_rounds < 1 or closure_rounds < 0:
+        raise ValueError("need max_rounds >= 1 and closure_rounds >= 0")
     # a fault that could never fire on g is an input error, whether or not
     # the run would reach its trigger
     for spec in faults:
@@ -372,7 +371,7 @@ def run(
     gt_regs = gt.registers
     n = g.n
 
-    # the run owns these copies and steps them in place
+    # the run owns these copies: it steps them and fires faults into them in place
     states = [st.clone() for st in init.states]
     programs = [node_program(g, v) for v in range(1, n + 1)]
     readers = [_reader(states, g.neighbors(v)) for v in range(1, n + 1)]
@@ -411,7 +410,7 @@ def run(
             if steps >= step_cap:
                 break  # inside a round, which stays unfinished
             while step_faults and step_faults[0].trigger <= steps:
-                fault_events += _fire(step_faults.popleft(), g, states, steps, rounds)
+                fault_events += _fire(step_faults.popleft(), g, states, programs, steps, rounds)
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
             limit = min(step_faults[0].trigger, step_cap) if step_faults else step_cap
@@ -458,7 +457,7 @@ def run(
             if post_faults:
                 # a new attempt: the fault counts as a change of the next
                 # round, so that round cannot confirm a declaration
-                fault_events += _fire(post_faults.popleft(), g, states, steps, rounds)
+                fault_events += _fire(post_faults.popleft(), g, states, programs, steps, rounds)
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
                 attempt_start = rounds
@@ -484,7 +483,7 @@ def run(
         detection=analysis.extract(g, final_registers, gt=gt) if stabilized else None,
         post_stabilization_changes=None if closure_left is None else closure_changes,
         max_path_len=max_path_len,
-        max_register_bits=payload_bits(max_symbols, g.max_degree, n * n),
+        max_register_bits=payload_bits(max_symbols, g.max_degree, programs[0].count_bound),
         scheduler=getattr(scheduler, "name", type(scheduler).__name__),
         final_registers=final_registers,
     )

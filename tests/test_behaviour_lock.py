@@ -15,6 +15,7 @@ The CLI output digests pin the bytes and exit codes of ``sweep`` (row order,
 failure order and the summary) and of ``dot``.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -75,7 +76,7 @@ def fault_digest(kind: str) -> str:
             else:
                 spec = FaultSpec(targets=tuple((v, kind) for v in (1, 2, g.n)), seed=seed)
             out.append(_states(inject_fault(base, spec)))
-            out.append(_states(inject_fault(base, spec, seed=seed + 100)))
+            out.append(_states(inject_fault(base, dataclasses.replace(spec, seed=seed + 100))))
     return _digest(out)
 
 

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
+from stabconn import simulator
 from stabconn.analysis import certify
-from stabconn.graph import figure1, generate_random_connected, parse_graph
+from stabconn.graph import figure1, generate_random_connected, parse_graph, shuffle_ports
 from stabconn.oracle import ground_truth
-from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH, node_program
+from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH, advance, node_program
 from stabconn.simulator import (
+    FAULT_FIELDS,
     Configuration,
     FaultSpec,
     FaultTargetError,
@@ -19,6 +22,7 @@ from stabconn.simulator import (
     step,
 )
 
+import reference
 from reference import round_boundaries
 
 
@@ -322,12 +326,37 @@ def _deep_snapshot(c):
     ]
 
 
-def test_run_does_not_mutate_init(fig1):
+#: faults that a run applies in place to the states it owns
+_RUN_FAULTS = {
+    "no-fault": (),
+    "step-locals-pc": (
+        FaultSpec(trigger=20, targets=((5, "locals"), (5, "pc"), (9, "pc")), seed=4),
+    ),
+    "post-pc": (FaultSpec(trigger=POST_STABILIZATION, targets=((7, "pc"),), seed=2),),
+}
+
+
+@pytest.mark.parametrize("faults", list(_RUN_FAULTS.values()), ids=list(_RUN_FAULTS))
+def test_run_does_not_mutate_init(fig1, faults):
     # tuples, not a clone: a clone holding the same lists would change along
     init = init_arbitrary(fig1, 55)
     snapshot = _deep_snapshot(init)
-    run(fig1, make_scheduler("round-robin"), init)
+    _, report = run(fig1, make_scheduler("round-robin"), init, faults=faults)
+    assert {ev.node for ev in report.fault_events} == {v for f in faults for v, _ in f.targets}
     assert _deep_snapshot(init) == snapshot
+
+
+def test_init_and_run_build_one_program_per_node(fig1, monkeypatch):
+    built = []
+    real = simulator.node_program
+    monkeypatch.setattr(simulator, "node_program", lambda g, v: built.append(v) or real(g, v))
+    init = init_arbitrary(fig1, 55)
+    assert sorted(built) == list(range(1, fig1.n + 1))
+    built.clear()
+    faults = _RUN_FAULTS["step-locals-pc"] + _RUN_FAULTS["post-pc"]
+    _, report = run(fig1, make_scheduler("round-robin"), init, faults=faults)
+    assert len(report.fault_events) == 3
+    assert sorted(built) == list(range(1, fig1.n + 1))
 
 
 @pytest.mark.parametrize("scheduler", ["round-robin", "random", "weighted"])
@@ -379,7 +408,58 @@ def test_fault_deterministic(fig1):
     conf = init_arbitrary(fig1, 3)
     spec = FaultSpec(trigger=0, random_fields=4, seed=9)
     assert inject_fault(conf, spec) == inject_fault(conf, spec)
-    assert inject_fault(conf, spec) != inject_fault(conf, spec, seed=10)
+    assert inject_fault(conf, spec) != inject_fault(conf, dataclasses.replace(spec, seed=10))
+
+
+def _fault_on(kind, nodes, seed):
+    """A fault on field ``kind`` of every node in ``nodes``, or, for
+    "random_fields", on as many random fields."""
+    if kind == "random_fields":
+        return FaultSpec(random_fields=len(nodes), seed=seed)
+    return FaultSpec(targets=tuple((v, kind) for v in nodes), seed=seed)
+
+
+@pytest.mark.parametrize("kind", FAULT_FIELDS + ("random_fields",))
+def test_inject_fault_leaves_its_input_unchanged(fig1, kind):
+    conf = init_arbitrary(fig1, 4)
+    snapshot = _deep_snapshot(conf)
+    after = inject_fault(conf, _fault_on(kind, (1, 6, 16), seed=3))
+    assert _deep_snapshot(conf) == snapshot
+    assert _deep_snapshot(after) != snapshot
+
+
+@pytest.mark.parametrize("kind", FAULT_FIELDS + ("random_fields",))
+@pytest.mark.parametrize("shuffled", [False, True], ids=["figure1", "figure1-shuffled"])
+def test_memo_stays_sound_across_an_in_place_fault(shuffled, kind):
+    """Each node fills its kernel memo over one cycle from the legitimate
+    configuration; a fault on it and its neighbours then corrupts the states
+    in place, memo kept.  Every step before and after must equal the step of
+    the plain reference machine on a twin configuration given the same
+    fault."""
+    g = shuffle_ports(figure1(), 5) if shuffled else figure1()
+    gt = ground_truth(g)
+    programs = [node_program(g, v) for v in range(1, g.n + 1)]
+    for v in range(1, g.n + 1):
+        prog = programs[v - 1]
+        nbrs = g.neighbors(v)
+        spec = _fault_on(kind, (v, *nbrs), seed=v)
+        mine = stabilized_configuration(g, gt).states
+        twin = stabilized_configuration(g, gt).states
+
+        def read_mine(j):
+            return mine[nbrs[j - 1] - 1].register
+
+        def read_twin(j):
+            return twin[nbrs[j - 1] - 1].register
+
+        for k in range(3 * prog.length):
+            if k == prog.length:
+                simulator._apply_fault_targets(mine, programs, g, spec)
+                simulator._apply_fault_targets(twin, programs, g, spec)
+                assert mine[v - 1]._prog is prog  # the memo survived the fault
+            event = advance(mine[v - 1], prog, read_mine)
+            assert event == reference.advance(twin[v - 1], prog, read_twin), (v, k)
+            assert mine == twin, (v, k)
 
 
 def test_fault_rejects_bad_targets(triangle):
@@ -430,6 +510,14 @@ def test_run_accepts_every_field_at_the_pool_size(fig1):
     spec = FaultSpec(trigger=3, random_fields=16 * 4)
     _, report = run(fig1, make_scheduler("round-robin"), init_arbitrary(fig1, 1), faults=[spec])
     assert len(report.fault_events) == 16
+
+
+def test_run_rejects_negative_closure_rounds(fig1):
+    # unchecked, the closure window never closes and the run goes on to the step cap
+    scheduler = _RecordingScheduler()
+    with pytest.raises(ValueError, match="closure_rounds"):
+        run(fig1, scheduler, init_arbitrary(fig1, 1), max_rounds=200, closure_rounds=-1)
+    assert scheduler.drawn == 0
 
 
 def test_run_rejects_a_scheduler_that_stops(fig1):
