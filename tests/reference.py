@@ -2,14 +2,20 @@
 
 Each one restates a definition in the most direct way, with no attention to
 speed, so a test can check the package's faster or more indirect route
-against it.  None of them is part of the ``stabconn`` API.
+against it.  None of them is part of the ``stabconn`` API.  ``watch_runs``
+is no reference but a probe: it shows the full processor states that
+``simulator.run`` keeps to itself.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cmp_to_key
+from types import SimpleNamespace
 from typing import Callable, Sequence
+from unittest.mock import patch
 
+from stabconn import simulator
 from stabconn.graph import ROOT, Graph, NodeId
 from stabconn.oracle import GroundTruth
 from stabconn.protocol import (
@@ -214,3 +220,51 @@ def advance(
             return write("bcc", ROOT_PATH)
         raise AssertionError(f"unknown micro-step kind {kind}")
     raise AssertionError("schedule contains no unconditional register access")
+
+
+def full_state(states: Sequence[ProcessorState]) -> tuple:
+    """Every protocol field of every state, as plain tuples."""
+    return tuple(
+        (
+            tuple(st.register),
+            st.path,
+            st.count,
+            st.n_in,
+            st.n_out,
+            tuple(st.read_path),
+            tuple(st.read_count),
+            tuple(st.read_bcc),
+            st.pc,
+        )
+        for st in states
+    )
+
+
+@contextmanager
+def watch_runs():
+    """Log the full processor states of the ``simulator.run`` calls in the block.
+
+    ``run`` keeps its states to itself, so this wraps two private helpers it
+    calls: ``_widest``, which every run calls first with its live states
+    list, and ``_fire``, which applies one fault to that list.  The log's
+    ``states`` is the live list of the latest run; ``firings`` gets one
+    (steps, spec, states before, states after) per fault fired, the states
+    as ``full_state`` tuples.
+    """
+    log = SimpleNamespace(states=None, firings=[])
+    fire, widest = simulator._fire, simulator._widest
+
+    def logged_fire(spec, g, states, programs, steps, rounds):
+        before = full_state(states)
+        events = fire(spec, g, states, programs, steps, rounds)
+        log.firings.append((steps, spec, before, full_state(states)))
+        return events
+
+    def logged_widest(states, *meter):
+        log.states = states
+        return widest(states, *meter)
+
+    with patch.object(simulator, "_fire", logged_fire), patch.object(
+        simulator, "_widest", logged_widest
+    ):
+        yield log

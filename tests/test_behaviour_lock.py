@@ -11,6 +11,9 @@ CLI reports include the stabilization verdict and move with it.  The run
 digests lock every ``RunReport`` field and the round trace of whole runs,
 with step faults, post-stabilization faults, closure windows and round caps,
 so they cover the stabilization rule, the closure window and the space meter.
+The full-state digests lock every field of every processor state, locals
+and program counter included, at each fault firing and at the end of whole
+runs, which the register-level digests cannot see.
 The CLI output digests pin the bytes and exit codes of ``sweep`` (row order,
 failure order and the summary) and of ``dot``.
 """
@@ -22,6 +25,7 @@ import pytest
 
 from stabconn import cli
 from stabconn.graph import figure1, generate_clustered, generate_random_connected
+from stabconn.oracle import ground_truth
 from stabconn.simulator import (
     POST_STABILIZATION,
     SCHEDULER_NAMES,
@@ -31,6 +35,9 @@ from stabconn.simulator import (
     make_scheduler,
     run,
 )
+
+from reference import full_state, watch_runs
+from test_simulator import stabilized_configuration
 
 GRAPHS = {
     "figure1": figure1,
@@ -44,20 +51,7 @@ def _digest(item) -> str:
 
 
 def _states(c) -> tuple:
-    return tuple(
-        (
-            tuple(st.register),
-            st.path,
-            st.count,
-            st.n_in,
-            st.n_out,
-            tuple(st.read_path),
-            tuple(st.read_count),
-            tuple(st.read_bcc),
-            st.pc,
-        )
-        for st in c.states
-    )
+    return full_state(c.states)
 
 
 def init_digest(name: str) -> str:
@@ -172,6 +166,37 @@ def run_digest(name: str, variant: str) -> str:
     return _digest(out)
 
 
+#: whole runs whose full processor states are locked, besides each RUNS
+#: graph under these variants: two post pc faults into the legitimate
+#: configuration of random:40,79 (seed 0), a cascade and then, under
+#: round-robin, a premature verdict with closure-window changes
+FULL_STATE_VARIANTS = ("closure-30", "post", "step-post-post")
+RECOVER_FAULTS = [
+    FaultSpec(trigger=POST_STABILIZATION, targets=((v, "pc"),), seed=3) for v in (27, 33)
+]
+
+
+def full_state_digest(name: str, variant: str) -> str:
+    """Every processor state, fields past the register included, before and
+    after each fault firing and at the end of the run, per scheduler."""
+    if variant == "recover":
+        g = generate_random_connected(40, 40, seed=0)
+        init = stabilized_configuration(g, ground_truth(g))
+        kwargs = {"faults": RECOVER_FAULTS, "closure_rounds": 60}
+    else:
+        g = RUN_GRAPHS[name]()
+        init = init_arbitrary(g, RUN_INIT_SEEDS[name])
+        kwargs = RUN_VARIANTS[variant](g)
+    out = []
+    with watch_runs() as log:
+        for i, scheduler in enumerate(SCHEDULER_NAMES):
+            log.firings.clear()
+            run(g, make_scheduler(scheduler, seed=i + 1), init, **kwargs)
+            firings = [(steps, before, after) for steps, _, before, after in log.firings]
+            out.append((firings, full_state(log.states)))
+    return _digest(out)
+
+
 def cli_digest(argv: list[str], out_path) -> tuple[int, str]:
     code = cli.main([*argv, "--out", str(out_path)])
     return code, hashlib.sha256(out_path.read_bytes()).hexdigest()
@@ -230,6 +255,22 @@ RUNS = {
     ("random-16-144", "post"): "eb7571331210e9e6170248e23f9b3343908c9ba133d0497358cb46fd3cdb9b1d",
     ("random-16-144", "step-post-post"): "60bc34c4f088b78ceaeb2759d3747e643f017e80ca6ea7a201a61caac847132b",
     ("random-16-144", "capped"): "6b8c0fffa5803bb5433478d4a85e82a8e587603106c9009ee6459a78ffced1d8",
+}
+
+FULL_STATES = {
+    ("figure1", "closure-30"): "dfe528183285703e1f0a4506f68405b38ec658c2f1d11cbd4410317902cd0b91",
+    ("figure1", "post"): "13e01fb70c83994162c6f5bcf8100b39c9af2ee7f8c99d2783f3766aa942eda0",
+    ("figure1", "step-post-post"): "ad5a2feea31b1bf220f77927e0d7dab926ace5419017d9f78abe1fe6a79f1118",
+    ("random-12", "closure-30"): "c2bc90b2b9569cc6bf86cac673993913adaf5864435b845ac039365852e5dd80",
+    ("random-12", "post"): "a70b77e42f468718412a51dbec814a1cc062716aff63332da0345edc5ac2ae77",
+    ("random-12", "step-post-post"): "50b6bcf7df3c2d3214e7fa42240e7acd7f3b3dcbf1220f793f4cfd4eea320b07",
+    ("clustered-3x4", "closure-30"): "4988a1f9516496b29a8c2ee83bccf769d10d488ac6294c0c0bf480a4b3771dcd",
+    ("clustered-3x4", "post"): "e411c2851327e922cb3889b725a2ad679bb67f82d95915c01a4ffb08b4e1ebe2",
+    ("clustered-3x4", "step-post-post"): "20f37059116eaf2ed0663183e2e4602fd4a9c065b4d8adcd94b382ed6eef366c",
+    ("random-16-144", "closure-30"): "9db2c39056ba4e7858a31e3a1b039b3e336ca04293da78b1f0c4d734465b16e8",
+    ("random-16-144", "post"): "ac1b0e954bdaf4fe38aef485e5a4b1f937c03b1e8c4d4d29151430a50130822f",
+    ("random-16-144", "step-post-post"): "0177f8cac9925a87dbd6c3bec6fc34b42819c7c5b38f818e9565da433f1271db",
+    ("random-40-legitimate", "recover"): "ffda33a69cb25eaf96117ccb3048ab49ae81a4b91ee5d88bb3e5cdcb0d6dd73a",
 }
 
 CLI_RUNS = {
@@ -305,6 +346,11 @@ def test_run_step_stream_lock(case):
 @pytest.mark.parametrize("case", sorted(RUNS))
 def test_run_report_lock(case):
     assert run_digest(*case) == RUNS[case]
+
+
+@pytest.mark.parametrize("case", sorted(FULL_STATES))
+def test_run_full_state_lock(case):
+    assert full_state_digest(*case) == FULL_STATES[case]
 
 
 @pytest.mark.parametrize("flags", sorted(CLI_RUNS))
