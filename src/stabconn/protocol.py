@@ -21,7 +21,8 @@ program counters never raise.
 There is one step kernel, ``advance``: it updates a ``ProcessorState`` in
 place and returns a shared, immutable ``StepEvent``.  ``execute_step`` is its
 copying wrapper, which steps a copy and leaves its input untouched;
-``simulator.run`` copies each initial state once and calls ``advance``.
+``simulator.run`` copies each initial state once and calls ``advance``,
+except for quiet nodes, which replay a cycle ``advance`` recorded.
 
 ``NodeProgram.schedule`` is the readable spec of a cycle: (kind, port) pairs.
 The kernel walks its slot table instead, derived on first use and shared

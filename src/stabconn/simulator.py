@@ -7,7 +7,8 @@ corrupting every field of every node.  An omniscient observer compares
 registers against the centralized ground truth at the end of every round and
 declares stabilization after one legitimate round followed by one legitimate
 round that changed no register; the processors themselves never detect
-termination.  A run returns the final registers and, once stabilized, the
+termination.  Quiet nodes replay a recorded cycle instead of stepping (see
+``run``).  A run returns the final registers and, once stabilized, the
 detection sets read off them; certifying those sets is left to the caller.
 ``alpha_independence`` repeats whole runs under port re-orderings.
 """
@@ -113,11 +114,27 @@ def make_scheduler(name: str, seed: int = 0):
 # ---------------------------------------------------------------------------
 # arbitrary initial states and fault injection
 
-def _random_path(rng: random.Random, path_bound: int, delta: int) -> Path:
-    # randint(a, b) is randrange(a, b + 1): the same draws, one frame less
-    randrange = rng.randrange
+def _below(bits, width: int) -> int:
+    """``randrange(width)`` by its own rule, without its argument checks:
+    ``width.bit_length()`` bits from ``bits`` (a ``getrandbits``), redrawn
+    while the value is >= width, so values and generator state match it."""
+    k = width.bit_length()
+    r = bits(k)
+    while r >= width:
+        r = bits(k)
+    return r
+
+
+def _random_path(bits, path_bound: int, delta: int) -> Path:
     symbols = delta + 1
-    return tuple([randrange(symbols) for _ in range(randrange(1, path_bound + 1))])
+    k = symbols.bit_length()
+    path = []
+    for _ in range(1 + _below(bits, path_bound)):
+        r = bits(k)
+        while r >= symbols:
+            r = bits(k)
+        path.append(r)
+    return tuple(path)
 
 
 class FaultTargetError(ValueError):
@@ -187,6 +204,7 @@ def _apply_fault_targets(
     return the (node, field) pairs hit.  Each node's bounds come from its
     program, path symbols from [bottom, max degree]."""
     rng = random.Random(spec.seed)
+    bits = rng.getrandbits
     delta = g.max_degree
     targets = list(spec.targets)
     if spec.random_fields:
@@ -197,21 +215,25 @@ def _apply_fault_targets(
         st = states[v - 1]
         prog = programs[v - 1]
         path_bound, count_bound = prog.path_bound, prog.count_bound
-        if fname == "path" or fname == "bcc":
-            st.register = st.register._replace(**{fname: _random_path(rng, path_bound, delta)})
+        counts = 2 * count_bound + 1  # randint(-bound, bound) is -bound + _below(counts)
+        reg = st.register
+        if fname == "path":
+            st.register = Register(_random_path(bits, path_bound, delta), reg.count, reg.bcc)
         elif fname == "count":
-            st.register = st.register._replace(count=rng.randint(-count_bound, count_bound))
+            st.register = Register(reg.path, _below(bits, counts) - count_bound, reg.bcc)
+        elif fname == "bcc":
+            st.register = Register(reg.path, reg.count, _random_path(bits, path_bound, delta))
         elif fname == "pc":
-            st.pc = rng.randrange(prog.length)
+            st.pc = _below(bits, prog.length)
         else:  # locals
             d = prog.degree
-            st.path = _random_path(rng, path_bound, delta)
-            st.count = rng.randint(-count_bound, count_bound)
-            st.n_in = rng.randint(0, delta)
-            st.n_out = rng.randint(0, delta)
-            st.read_path = [_random_path(rng, path_bound, delta) for _ in range(d)]
-            st.read_count = [rng.randint(-count_bound, count_bound) for _ in range(d)]
-            st.read_bcc = [_random_path(rng, path_bound, delta) for _ in range(d)]
+            st.path = _random_path(bits, path_bound, delta)
+            st.count = _below(bits, counts) - count_bound
+            st.n_in = _below(bits, delta + 1)
+            st.n_out = _below(bits, delta + 1)
+            st.read_path = [_random_path(bits, path_bound, delta) for _ in range(d)]
+            st.read_count = [_below(bits, counts) - count_bound for _ in range(d)]
+            st.read_bcc = [_random_path(bits, path_bound, delta) for _ in range(d)]
     return targets
 
 
@@ -330,6 +352,11 @@ def _widest(
     return max_path_len, max_symbols
 
 
+#: a node's count in ``run`` while it replays; while it records, the count
+#: is minus the slots recorded so far, never this low
+_REPLAYING = -(1 << 62)
+
+
 def run(
     g: Graph,
     scheduler,
@@ -357,6 +384,26 @@ def run(
     Every fault is checked against ``g`` before the first step; one that
     names a missing node or field, or more random fields than exist, raises
     ``FaultTargetError``.
+
+    Quiet nodes replay their cycle instead of calling ``advance``.  Each
+    node counts down 2L of its activations, L its schedule length; every
+    changed write restarts the count of the writer and its neighbours, and
+    every fault that of all nodes.  At 0 the node steps one more cycle and
+    records, per start pc, the next pc, the event and the new ``count``,
+    ``n_in`` and ``n_out``; once that cycle closes exactly L slots on, its
+    activations apply the record.  This is exact:
+      * ``advance`` is a deterministic function of the node's state and its
+        neighbours' registers;
+      * each value a cycle uses was written earlier in the same cycle:
+        phase-A reads feed A_WRITE and phase B, and phase C reads the node's
+        own register, and the parent's bcc just before writing it;
+      * 2L activations cover at least 2L slots, so they hold a full cycle
+        from pc 0 after the last change;
+      * after it, ``path``, ``read_*`` and the register are only rewritten
+        with equal values, and only ``count``, ``n_in``, ``n_out`` and
+        ``pc`` vary within a cycle, which the record stores.
+    So every state stays what ``advance`` would make it, and nothing is
+    restored when replay stops.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
@@ -404,6 +451,13 @@ def run(
     # register bits grow with the symbols of both paths, so the meter keeps
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
+    # replay (see above), per node: 2L; activations left before it records,
+    # minus the slots recorded while it does, or _REPLAYING; its recorded
+    # cycle; and the nodes whose count a changed write of it restarts
+    span = [0] + [2 * prog.length for prog in programs]
+    left = span.copy()
+    cycles: list[list | None] = [None] * (n + 1)
+    around = [()] + [(v, *g.neighbors(v)) for v in range(1, n + 1)]
 
     for pid in scheduler.activations(n):
         if steps >= limit:
@@ -413,15 +467,35 @@ def run(
                 fault_events += _fire(step_faults.popleft(), g, states, programs, steps, rounds)
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
+                left = span.copy()
             limit = min(step_faults[0].trigger, step_cap) if step_faults else step_cap
         st = states[pid - 1]
-        event = advance(st, programs[pid - 1], readers[pid - 1])
+        wait = left[pid]
+        if wait > 0:
+            left[pid] = wait - 1
+            event = advance(st, programs[pid - 1], readers[pid - 1])
+        elif wait == _REPLAYING:
+            st.pc, event, st.count, st.n_in, st.n_out = cycles[pid][st.pc]
+        else:  # record a cycle by start pc; replay it once it closes
+            pc = st.pc
+            event = advance(st, programs[pid - 1], readers[pid - 1])
+            length = programs[pid - 1].length
+            if not wait:
+                cycles[pid] = [None] * length
+            cycles[pid][pc] = (st.pc, event, st.count, st.n_in, st.n_out)
+            covered = (st.pc - pc) % length - wait
+            if covered == length:
+                left[pid] = _REPLAYING
+            else:  # still recording; an overshoot, which the argument rules out, restarts
+                left[pid] = -covered if covered < length else 0
         steps += 1
         if record_steps:
             trace.steps.append((steps, pid, event))
         # only a changed write can grow the register; reads never change it
         if event.changed:
             changed = True
+            for v in around[pid]:
+                left[v] = span[v]
             if closure_left is not None:
                 closure_changes += 1
             lp = len(st.register.path)
@@ -460,6 +534,7 @@ def run(
                 fault_events += _fire(post_faults.popleft(), g, states, programs, steps, rounds)
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
+                left = span.copy()
                 attempt_start = rounds
             else:
                 stabilization_round = rounds - 1

@@ -1,6 +1,55 @@
+import signal
+import threading
+
 import pytest
 
 from stabconn.graph import build_graph, figure1, parse_graph
+
+
+#: no tier-1 test needs more than a few seconds; one that runs this long is
+#: almost surely a run that never converges going on to its round cap
+TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an ``Exception``, so that neither the code under test nor
+    hypothesis, which would shrink on it, catches it."""
+
+
+def _expire(signum, frame):
+    raise TimeLimitExceeded(f"test phase ran longer than {TIME_LIMIT_S} s")
+
+
+def _time_limited():
+    """Fail the test phase run at the yield if it takes over TIME_LIMIT_S.
+
+    A hook, not a fixture, so that the limit also covers the set-up of
+    module-scoped fixtures, which pytest makes before any function's."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    yield from _time_limited()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    yield from _time_limited()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    yield from _time_limited()
 
 
 @pytest.fixture

@@ -41,6 +41,7 @@ from stabconn.protocol import (
     StepEvent,
     clamp,
     is_prefix,
+    node_program,
 )
 
 
@@ -238,6 +239,39 @@ def full_state(states: Sequence[ProcessorState]) -> tuple:
         )
         for st in states
     )
+
+
+def run_loop(
+    g: Graph,
+    scheduler,
+    init: Sequence[ProcessorState],
+    firings: Sequence[tuple[int, simulator.FaultSpec]],
+    steps: int,
+) -> tuple[list[tuple[int, NodeId, StepEvent]], list[ProcessorState]]:
+    """Take ``steps`` activations of ``scheduler`` from copies of ``init``,
+    every one stepped by ``advance`` above, nothing skipped or replayed.
+
+    ``firings`` lists (steps, fault) in firing order; each fault is applied
+    once that many steps are done.  Returns the step stream, as
+    ``Trace.steps`` holds it, and the final states.
+    """
+    states = [st.clone() for st in init]
+    programs = [node_program(g, v) for v in range(1, g.n + 1)]
+    activations = scheduler.activations(g.n)
+    pending = list(firings)
+    stream = []
+    for done in range(steps + 1):
+        while pending and pending[0][0] == done:
+            spec = pending.pop(0)[1]
+            states = simulator.inject_fault(simulator.Configuration(g, states), spec).states
+        if done == steps:
+            return stream, states
+        pid = next(activations)
+        nbrs = g.neighbors(pid)
+        event = advance(
+            states[pid - 1], programs[pid - 1], lambda port: states[nbrs[port - 1] - 1].register
+        )
+        stream.append((done + 1, pid, event))
 
 
 @contextmanager

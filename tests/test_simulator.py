@@ -1,11 +1,19 @@
 import dataclasses
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from stabconn import simulator
 from stabconn.analysis import certify
-from stabconn.graph import figure1, generate_random_connected, parse_graph, shuffle_ports
+from stabconn.graph import (
+    figure1,
+    generate_clustered,
+    generate_random_connected,
+    parse_graph,
+    shuffle_ports,
+)
 from stabconn.oracle import ground_truth
 from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH, advance, node_program
 from stabconn.simulator import (
@@ -14,6 +22,7 @@ from stabconn.simulator import (
     FaultSpec,
     FaultTargetError,
     POST_STABILIZATION,
+    SCHEDULER_NAMES,
     default_max_rounds,
     init_arbitrary,
     inject_fault,
@@ -64,6 +73,16 @@ def test_init_respects_type_bounds(fig1):
             assert all(0 <= s <= fig1.max_degree for s in p)
         assert abs(st.register.count) <= bound
         assert 0 <= st.pc < node_program(fig1, v).length
+
+
+@pytest.mark.parametrize(
+    "width", [1, 2, 3, 4, 5, 8, 15, 17, 2**32 - 1, 2**32 + 1, 2**40 - 1, 2**40 + 1, 1601]
+)
+def test_below_draws_like_randrange(width):
+    mine, theirs = random.Random(width), random.Random(width)
+    drawn = [simulator._below(mine.getrandbits, width) for _ in range(300)]
+    assert drawn == [theirs.randrange(width) for _ in range(300)]
+    assert mine.getstate() == theirs.getstate()
 
 
 def test_init_almost_never_legitimate(fig1, triangle):
@@ -378,6 +397,75 @@ def test_run_steps_match_replay_through_step(graph, scheduler):
         c, replayed = step(c, pid)
         assert replayed == event, (k, pid)
     assert c.registers() == report.final_registers
+
+
+@strategies.composite
+def _replay_cases(draw):
+    """A graph with n <= 12, a scheduler, a start, step and post faults of
+    every field kind, and a closure window of up to 100 rounds."""
+    seed = draw(strategies.integers(0, 10**6))
+    if draw(strategies.booleans()):
+        n = draw(strategies.integers(1, 12))
+        extra = draw(strategies.integers(0, min(n, n * (n - 1) // 2 - (n - 1))))
+        g = generate_random_connected(n, extra, seed)
+    else:
+        k = draw(strategies.integers(1, 4))
+        g = generate_clustered(k, draw(strategies.integers(3, 12 // k)), seed)
+    if draw(strategies.booleans()):
+        init = init_arbitrary(g, seed)
+    else:
+        init = stabilized_configuration(g, ground_truth(g))
+    target = strategies.tuples(strategies.integers(1, g.n), strategies.sampled_from(FAULT_FIELDS))
+    fault = strategies.builds(
+        FaultSpec,
+        trigger=strategies.just(POST_STABILIZATION) | strategies.integers(0, 40 * g.n),
+        targets=strategies.lists(target, min_size=1, max_size=3).map(tuple),
+        random_fields=strategies.integers(0, 2),
+        seed=strategies.integers(0, 10**6),
+    )
+    faults = draw(strategies.lists(fault, max_size=3))
+    scheduler = make_scheduler(draw(strategies.sampled_from(SCHEDULER_NAMES)), seed)
+    return g, scheduler, init, faults, draw(strategies.integers(0, 100))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_replay_cases())
+def test_run_steps_like_a_loop_without_replay(case):
+    # quiet nodes replay recorded cycles; a loop that calls the kernel on
+    # every activation must give the same steps and the same full states
+    # the cap is above every attempt these cases need; it keeps a run that
+    # a faulty replay stops from converging short
+    g, scheduler, init, faults, closure_rounds = case
+    with reference.watch_runs() as log:
+        trace, report = run(
+            g,
+            scheduler,
+            init,
+            faults=faults,
+            max_rounds=200,
+            closure_rounds=closure_rounds,
+            record_steps=True,
+        )
+    firings = [(steps, spec) for steps, spec, _, _ in log.firings]
+    assert {steps for steps, _ in firings} == {ev.step for ev in report.fault_events}
+    stream, states = reference.run_loop(g, scheduler, init.states, firings, report.total_steps)
+    assert trace.steps == stream
+    assert reference.full_state(log.states) == reference.full_state(states)
+
+
+def test_quiet_nodes_replay_their_cycle(fig1):
+    # each node steps with the kernel for 2L activations, then for one
+    # recorded cycle of at most L, and replays that cycle from then on
+    calls = []
+    with patch.object(simulator, "advance", lambda *a: calls.append(1) or advance(*a)):
+        _, report = run(
+            fig1,
+            make_scheduler("round-robin"),
+            stabilized_configuration(fig1, ground_truth(fig1)),
+            closure_rounds=200,
+        )
+    bound = sum(3 * node_program(fig1, v).length for v in range(1, fig1.n + 1))
+    assert len(calls) <= bound < report.total_steps // 3
 
 
 def test_default_max_rounds(fig1):
