@@ -129,7 +129,7 @@ def _random_path(bits, path_bound: int, delta: int) -> Path:
     symbols = delta + 1
     k = symbols.bit_length()
     path = []
-    for _ in range(1 + _below(bits, path_bound)):
+    for _ in range(1 + _below(bits, path_bound)):  # _below inlined: up to n symbols
         r = bits(k)
         while r >= symbols:
             r = bits(k)

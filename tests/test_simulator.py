@@ -432,9 +432,9 @@ def _replay_cases(draw):
 @given(_replay_cases())
 def test_run_steps_like_a_loop_without_replay(case):
     # quiet nodes replay recorded cycles; a loop that calls the kernel on
-    # every activation must give the same steps and the same full states
-    # the cap is above every attempt these cases need; it keeps a run that
-    # a faulty replay stops from converging short
+    # every activation must give the same steps and the same full states.
+    # max_rounds is above every attempt these cases need, and keeps a run
+    # that a faulty replay stops from converging short
     g, scheduler, init, faults, closure_rounds = case
     with reference.watch_runs() as log:
         trace, report = run(
