@@ -352,9 +352,9 @@ def _widest(
     return max_path_len, max_symbols
 
 
-#: a node's count in ``run`` while it replays; while it records, the count
-#: is minus the slots recorded so far, never this low
-_REPLAYING = -(1 << 62)
+#: a node's count in ``run`` while it records its cycle, and while it replays it
+_RECORDING = -1
+_REPLAYING = -2
 
 
 def run(
@@ -386,24 +386,21 @@ def run(
     ``FaultTargetError``.
 
     Quiet nodes replay their cycle instead of calling ``advance``.  Each
-    node counts down 2L of its activations, L its schedule length; every
+    node counts down L of its activations, L its schedule length; every
     changed write restarts the count of the writer and its neighbours, and
-    every fault that of all nodes.  At 0 the node steps one more cycle and
-    records, per start pc, the next pc, the event and the new ``count``,
-    ``n_in`` and ``n_out``; once that cycle closes exactly L slots on, its
-    activations apply the record.  This is exact:
+    every fault that of all nodes.  At 0 the node records, per start pc, the
+    next pc, the event and the new ``count``, ``n_in`` and ``n_out``; once
+    an activation ends on a start pc already recorded, so is every pc that
+    one leads to, and the node's activations apply the record.  Its other
+    fields are then only rewritten with the values they hold, so nothing is
+    restored when replay stops.  This is exact because
       * ``advance`` is a deterministic function of the node's state and its
         neighbours' registers;
-      * each value a cycle uses was written earlier in the same cycle:
-        phase-A reads feed A_WRITE and phase B, and phase C reads the node's
-        own register, and the parent's bcc just before writing it;
-      * 2L activations cover at least 2L slots, so they hold a full cycle
-        from pc 0 after the last change;
-      * after it, ``path``, ``read_*`` and the register are only rewritten
-        with equal values, and only ``count``, ``n_in``, ``n_out`` and
-        ``pc`` vary within a cycle, which the record stores.
-    So every state stays what ``advance`` would make it, and nothing is
-    restored when replay stops.
+      * a cycle from slot 0 reads only values it wrote itself: phase-A
+        reads feed A_WRITE and phase B, and phase C reads the node's own
+        register, and the parent's bcc just before writing it;
+      * L activations take at least L slots, so a node that records has run
+        slot 0 since the last change.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
@@ -451,10 +448,10 @@ def run(
     # register bits grow with the symbols of both paths, so the meter keeps
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
-    # replay (see above), per node: 2L; activations left before it records,
-    # minus the slots recorded while it does, or _REPLAYING; its recorded
-    # cycle; and the nodes whose count a changed write of it restarts
-    span = [0] + [2 * prog.length for prog in programs]
+    # replay (see above), per node: L; activations left before it records,
+    # or _RECORDING or _REPLAYING; its recorded cycle; and the nodes whose
+    # count a changed write of it restarts
+    span = [0] + [prog.length for prog in programs]
     left = span.copy()
     cycles: list[list | None] = [None] * (n + 1)
     around = [()] + [(v, *g.neighbors(v)) for v in range(1, n + 1)]
@@ -476,18 +473,16 @@ def run(
             event = advance(st, programs[pid - 1], readers[pid - 1])
         elif wait == _REPLAYING:
             st.pc, event, st.count, st.n_in, st.n_out = cycles[pid][st.pc]
-        else:  # record a cycle by start pc; replay it once it closes
+        else:  # record the cycle by start pc; replay it once a start pc recurs
+            if not wait:
+                cycles[pid] = [None] * span[pid]
+                left[pid] = _RECORDING
+            cycle = cycles[pid]
             pc = st.pc
             event = advance(st, programs[pid - 1], readers[pid - 1])
-            length = programs[pid - 1].length
-            if not wait:
-                cycles[pid] = [None] * length
-            cycles[pid][pc] = (st.pc, event, st.count, st.n_in, st.n_out)
-            covered = (st.pc - pc) % length - wait
-            if covered == length:
+            cycle[pc] = (st.pc, event, st.count, st.n_in, st.n_out)
+            if cycle[st.pc] is not None:
                 left[pid] = _REPLAYING
-            else:  # still recording; an overshoot, which the argument rules out, restarts
-                left[pid] = -covered if covered < length else 0
         steps += 1
         if record_steps:
             trace.steps.append((steps, pid, event))
