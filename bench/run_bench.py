@@ -1,4 +1,4 @@
-"""Interleaved A/B timing of full stabilization runs: a base checkout against this one.
+"""Interleaved A/B timing of the run's layers: a base checkout against this one.
 
 Run from the repository root:
 
@@ -8,19 +8,23 @@ Run from the repository root:
 made with ``git archive``).  Both ``src/stabconn`` trees are loaded into this
 one process as two packages, so the sides share the host's state from moment
 to moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
-each of ``PAIRS`` pairs times one ``init_arbitrary(g, INIT_SEED)`` and one full
-``simulator.run`` from it, under the seeded uniform-random scheduler until
-stabilization, on each side; the side that goes first alternates from pair
-to pair.  Ground truth is computed outside the timed region, times are
-process CPU seconds, and the garbage collector is off while a call is timed,
-so neither side pays for collecting the other's objects.
+each of ``PAIRS`` pairs times, on each side, one ``ground_truth(g)``, one
+``init_arbitrary(g, INIT_SEED)``, one full ``simulator.run`` from it under
+the seeded uniform-random scheduler until stabilization, and one
+``analysis.certify`` of the legitimate detection sets (extracted from the
+ground-truth registers) against the brute-force oracles.  The side that goes
+first alternates from pair to pair.  The run uses a ground truth computed
+outside its timed region, times are process CPU seconds, and the garbage
+collector is off while a call is timed, so neither side pays for collecting
+the other's objects.
 
 Per case and layer the result holds each side's median time, the median of
 the per-pair ratios base / change (above 1: the change is faster), the share
 of pairs the change won, and whether both sides agree: on the initial
-states, and on steps, rounds, stabilization and final registers.  It is
-written to ``BENCH_<label>.json`` at the repository root, or to ``--out``.
-The exit status is 1 when the sides disagree on any case.
+states, and on steps, rounds, stabilization, final registers and the
+certification report.  It is written to ``BENCH_<label>.json`` at the
+repository root, or to ``--out``.  The exit status is 1 when the sides
+disagree on any case.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ SIZES = (16, 40, 80, 160, 320, 640)
 #: clustered graph (clusters, cluster size) per n: K x 5 with K = n / 5, and 4 x 4 for n = 16
 CLUSTERS = {16: (4, 4), 40: (8, 5), 80: (16, 5), 160: (32, 5), 320: (64, 5), 640: (128, 5)}
 PAIRS = 7
+LAYERS = ("ground_truth", "init_arbitrary", "run", "certify")
 GRAPH_SEED = 0
 INIT_SEED = 7
 SCHEDULER_SEED = 0
@@ -81,15 +86,20 @@ def _time(fn):
 
 
 def one_side(pkg, g, gt):
-    """Time init_arbitrary and a full run on one side; return times and outcome."""
+    """Time each of LAYERS once on one side; return times and outcome."""
+    t_truth, _ = _time(lambda: pkg.ground_truth(g))
     t_init, init = _time(lambda: pkg.init_arbitrary(g, INIT_SEED))
     scheduler = pkg.make_scheduler("random", seed=SCHEDULER_SEED)
     t_run, (_, report) = _time(lambda: pkg.run(g, scheduler, init, gt=gt))
+    detection = pkg.extract(g, gt.registers, gt=gt)
+    t_certify, cert = _time(lambda: pkg.certify(detection, g))
     outcome = {
         "init": [_state_key(st) for st in init.states],
-        "run": (report.total_steps, report.rounds, report.stabilized, report.final_registers),
+        "run": (report.total_steps, report.rounds, report.stabilized, report.final_registers,
+                cert.match, cert.mismatches),
     }
-    return {"init_arbitrary": t_init, "run": t_run}, outcome
+    times = {"ground_truth": t_truth, "init_arbitrary": t_init, "run": t_run, "certify": t_certify}
+    return times, outcome
 
 
 def summarize(base: list[float], change: list[float]) -> dict:
@@ -105,7 +115,7 @@ def summarize(base: list[float], change: list[float]) -> dict:
 def measure(sides: dict, make_graph) -> dict:
     graphs = {name: make_graph(pkg) for name, pkg in sides.items()}
     truths = {name: pkg.ground_truth(graphs[name]) for name, pkg in sides.items()}
-    times = {name: {"init_arbitrary": [], "run": []} for name in sides}
+    times = {name: {layer: [] for layer in LAYERS} for name in sides}
     outcomes = {}
     order = list(sides)
     for k in range(PAIRS):
@@ -113,7 +123,7 @@ def measure(sides: dict, make_graph) -> dict:
             t, outcomes[name] = one_side(sides[name], graphs[name], truths[name])
             for layer, seconds in t.items():
                 times[name][layer].append(seconds)
-    steps, rounds, stabilized, _ = outcomes["change"]["run"]
+    steps, rounds, stabilized = outcomes["change"]["run"][:3]
     row = {
         "n": graphs["change"].n,
         "m": graphs["change"].edge_count,
@@ -127,7 +137,7 @@ def measure(sides: dict, make_graph) -> dict:
             "run": outcomes["base"]["run"] == outcomes["change"]["run"],
         },
     }
-    for layer in ("init_arbitrary", "run"):
+    for layer in LAYERS:
         row[layer] = summarize(times["base"][layer], times["change"][layer])
     row["run"]["change_steps_per_s"] = round(steps / row["run"]["change_median_s"])
     return row

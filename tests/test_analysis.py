@@ -133,19 +133,23 @@ def test_partition_invariant_under_port_shuffles(fig1):
 
 def test_certify_runs_each_single_removal_once(fig1, monkeypatch):
     # certify tests single removals along a spanning tree of its own: each
-    # tree edge, and each node of tree degree >= 2, exactly once
+    # tree edge, and each node of tree degree >= 2, exactly once, by the
+    # local test; the whole-graph search is left to disconnected graphs
     from stabconn import oracle
 
     calls = []
-    real = oracle.is_connected
+    real = oracle._disconnects
 
-    def recording(g, removed_nodes=(), removed_edges=()):
-        removed_nodes, removed_edges = list(removed_nodes), list(removed_edges)
-        calls.append((tuple(removed_nodes), tuple(canonical_edge(*e) for e in removed_edges)))
-        return real(g, removed_nodes, removed_edges)
+    def recording(g, node=0, edge=(0, 0)):
+        calls.append(((node,), ()) if node else ((), (canonical_edge(*edge),)))
+        return real(g, node, edge)
+
+    def whole_graph(*args, **kwargs):
+        raise AssertionError("a connected graph needs no whole-graph search")
 
     detection = extract(fig1, ground_truth(fig1).registers)
-    monkeypatch.setattr(oracle, "is_connected", recording)
+    monkeypatch.setattr(oracle, "_disconnects", recording)
+    monkeypatch.setattr(oracle, "is_connected", whole_graph)
     assert certify(detection, fig1).match
 
     assert all(len(nodes) + len(edges) == 1 for nodes, edges in calls)

@@ -13,6 +13,7 @@ from stabconn.graph import (
     shuffle_ports,
 )
 from stabconn.oracle import (
+    _disconnects,
     brute_articulation_points,
     brute_bcc_partition,
     brute_bridges,
@@ -387,3 +388,33 @@ def test_brute_force_matches_reference_on_families(g):
 def test_brute_force_matches_reference_on_disconnected_graphs(g):
     assert not _reference_connected(g)
     assert_brute_matches_reference(g)
+
+
+@strategies.composite
+def clique_graphs(draw):
+    """A complete graph, or two cliques joined by a path: many terminals at
+    one node and sides of very different sizes."""
+    a = draw(strategies.integers(1, 12))
+    edges = [(u, v) for u in range(1, a + 1) for v in range(u + 1, a + 1)]
+    n = a
+    if draw(strategies.booleans()):
+        b = draw(strategies.integers(1, 12))
+        length = draw(strategies.integers(1, 4))  # edges on the joining path
+        path = [draw(strategies.integers(1, a))] + list(range(a + 1, a + length))
+        n = a + length - 1 + b
+        path.append(draw(strategies.integers(a + length, n)))
+        edges += list(zip(path, path[1:]))
+        edges += [(u, v) for u in range(a + length, n + 1) for v in range(u + 1, n + 1)]
+    label = draw(strategies.permutations(range(1, n + 1)))  # node v becomes label[v - 1]
+    g = build_graph(n, [(label[u - 1], label[v - 1]) for u, v in edges])
+    return shuffle_ports(g, draw(strategies.integers(0, 10**6)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(strategies.one_of(generated_graphs(), family_graphs(), clique_graphs()))
+def test_local_removal_test_agrees_with_whole_graph_search(g):
+    # every node and every edge, not only the candidates the oracles test
+    for v in range(1, g.n + 1):
+        assert _disconnects(g, node=v) == (not is_connected(g, removed_nodes=[v])), (g, v)
+    for e in g.edges:
+        assert _disconnects(g, edge=e) == (not is_connected(g, removed_edges=[e])), (g, e)
