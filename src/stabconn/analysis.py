@@ -84,9 +84,9 @@ def extract(
         aps.add(ROOT)
     for v in range(2, g.n + 1):
         for child in children[v]:
-            child_path = paths[v] + (g.port_to(v, child),)
+            # a child's path is paths[v] plus v's port for it (CHILD rule)
             arrivals = sum(
-                1 for l in incoming_nbrs[v] if is_prefix(child_path, paths[l])
+                1 for l in incoming_nbrs[v] if is_prefix(paths[child], paths[l])
             )
             if counts[child] == arrivals:
                 aps.add(v)

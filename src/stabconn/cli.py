@@ -142,7 +142,7 @@ def parse_fault_spec(spec: str) -> FaultSpec:
     if node is None or fname is None:
         raise UsageError(f"--faults target needs node=V,field=F, got {target_str!r}")
     if fname == "all":
-        targets = tuple((node, f) for f in ("path", "count", "bcc"))
+        targets = tuple((node, f) for f in simulator.REGISTER_FIELDS)
     elif fname in simulator.FAULT_FIELDS:
         targets = ((node, fname),)
     else:

@@ -19,10 +19,13 @@ granularity.  All operations are total: corrupted registers, locals, and
 program counters never raise.
 
 There is one step kernel, ``advance``: it updates a ``ProcessorState`` in
-place and returns a shared, immutable ``StepEvent``.  ``execute_step`` is its
-copying wrapper, which steps a copy and leaves its input untouched;
-``simulator.run`` copies each initial state once and calls ``advance``,
-except for quiet nodes, which replay a cycle ``advance`` recorded.
+place and returns a shared, immutable ``StepEvent``.  It is given the
+neighbours' states in port order and touches only their ``register``: a
+remote read takes one field of one neighbour's register, as in the paper's
+read/write atomicity.  ``execute_step`` is its copying wrapper, which steps
+a copy and leaves its input untouched; ``simulator.run`` copies each
+initial state once and calls ``advance``, except for quiet nodes, which
+replay a cycle ``advance`` recorded.
 
 ``NodeProgram.schedule`` is the readable spec of a cycle: (kind, port) pairs.
 The kernel walks its slot table instead, derived on first use and shared
@@ -66,7 +69,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, cached_property
 from math import ceil, log2
-from typing import Callable, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, NodeId, ROOT
 
@@ -363,14 +366,11 @@ def _slot_table(schedule: tuple[MicroStep, ...], degree: int) -> tuple:
     )
 
 
-ReadNeighbor = Callable[[int], Register]
-
-
 #: an empty link memo entry: no path is None, so it never matches
 _NO_LINK = (None, None, None)
 
 
-def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -> StepEvent:
+def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]) -> StepEvent:
     """Perform one atomic step on ``s`` in place: exactly one register access.
 
     This is the only step kernel.  It walks ``prog.table`` from ``s.pc``
@@ -380,7 +380,8 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
     nothing keeps the register object.  A conditional slot whose guard fails
     is pure-local and folded into the same activation, fewer than one
     schedule length of them; the slot that accesses a register returns its
-    precomputed event.
+    precomputed event.  ``nbrs[j - 1]`` is the neighbour on port j; a remote
+    read takes one field of its ``register`` and nothing else of it.
 
     Two results are memoised on ``s`` (see the module docstring): each
     port's link class, keyed by the identity of ``s.path`` and of the port's
@@ -403,7 +404,7 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
 
         # the most frequent slots first: each cycle has degree many of both
         if kind == A_READ:
-            s.read_path[i] = read_neighbor(i + 1).path
+            s.read_path[i] = nbrs[i].register.path
             return event
 
         if kind == B_PORT:
@@ -416,7 +417,7 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
                 cls = classify_link(mine, theirs, i + 1, prog.reverse_ports[i])
                 s._links[i] = (mine, theirs, cls)
             if cls is _CHILD:
-                value = read_neighbor(i + 1).count
+                value = nbrs[i].register.count
                 s.read_count[i] = value
                 s.count += value
                 return event
@@ -497,7 +498,7 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
                         links[j] = (mine, theirs, cls)
                     if cls is _PARENT:
                         if kind == C_READ_PARENT_BCC:
-                            s.read_bcc[j] = read_neighbor(j + 1).bcc
+                            s.read_bcc[j] = nbrs[j].register.bcc
                             return event[j]
                         bcc = s.read_bcc[j][: prog.path_bound]
                         changed = bcc != reg.bcc
@@ -520,8 +521,8 @@ def advance(s: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor) -
 
 
 def execute_step(
-    state: ProcessorState, prog: NodeProgram, read_neighbor: ReadNeighbor
+    state: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
 ) -> tuple[ProcessorState, StepEvent]:
     """Copying wrapper of ``advance``: step a copy, leave ``state`` untouched."""
     s = state.clone()
-    return s, advance(s, prog, read_neighbor)
+    return s, advance(s, prog, nbrs)

@@ -264,15 +264,6 @@ def init_arbitrary(g: Graph, seed: int) -> Configuration:
 # ---------------------------------------------------------------------------
 # stepping
 
-def _reader(states: list[ProcessorState], nbrs: Sequence[NodeId]):
-    """The register reader of a node with neighbours ``nbrs``, by port."""
-
-    def read_neighbor(port: int) -> Register:
-        return states[nbrs[port - 1] - 1].register
-
-    return read_neighbor
-
-
 def step(c: Configuration, pid: NodeId) -> tuple[Configuration, StepEvent]:
     """Activate one processor for a single atomic step.
 
@@ -284,8 +275,8 @@ def step(c: Configuration, pid: NodeId) -> tuple[Configuration, StepEvent]:
     if not 1 <= pid <= g.n:
         raise ValueError(f"processor id {pid} outside 1..{g.n}")
     states = list(c.states)
-    read_neighbor = _reader(states, g.neighbors(pid))
-    states[pid - 1], event = execute_step(states[pid - 1], node_program(g, pid), read_neighbor)
+    nbrs = tuple(states[w - 1] for w in g.neighbors(pid))
+    states[pid - 1], event = execute_step(states[pid - 1], node_program(g, pid), nbrs)
     return Configuration(g, states), event
 
 
@@ -370,13 +361,14 @@ def run(
 ) -> tuple[Trace, RunReport]:
     """Execute until stabilization (plus optional closure window) or max_rounds.
 
-    Stabilization is declared at the end of round r when rounds r-1 and r
-    both ended with every register equal to the ground truth and round r
-    changed no register and fired no fault: one legitimate round, then one
-    legitimate quiet round.  The stabilization round is r-1.  A declaration
-    fires the next post-stabilization fault, if any, and the run goes on to
-    re-stabilize; the last one opens the closure window, which counts the
-    register changes of the next ``closure_rounds`` rounds.  Non-convergence
+    Stabilization is declared at the end of round r > 1 when it ended with
+    every register equal to the ground truth, changed no register and fired
+    no fault.  Such a round ends in the registers round r-1 ended in, so
+    this is one legitimate round, then one legitimate quiet round.  The
+    stabilization round is r-1.  A declaration fires the next
+    post-stabilization fault, if any, and the run goes on to re-stabilize;
+    the last one opens the closure window, which counts the register
+    changes of the next ``closure_rounds`` rounds.  Non-convergence
     within ``max_rounds`` (per attempt), or a closure window that ends
     outside the legitimate configuration, is reported as not stabilized, not
     raised.  A stabilized report carries the detection sets read off the
@@ -415,10 +407,12 @@ def run(
     gt_regs = gt.registers
     n = g.n
 
-    # the run owns these copies: it steps them and fires faults into them in place
+    # the run owns these copies: it steps them, replays into them and fires
+    # faults into them, all in place, so each node's neighbour tuple, in port
+    # order, stays valid for the whole run
     states = [st.clone() for st in init.states]
     programs = [node_program(g, v) for v in range(1, n + 1)]
-    readers = [_reader(states, g.neighbors(v)) for v in range(1, n + 1)]
+    nbr_states = [tuple(states[w - 1] for w in g.neighbors(v)) for v in range(1, n + 1)]
     step_faults = deque(
         sorted(
             (f for f in faults if isinstance(f.trigger, int)), key=lambda f: f.trigger
@@ -441,7 +435,6 @@ def run(
     stamp = [-1] * (n + 1)
     unseen = n  # processors not yet stepped in the current round
     changed = False  # a register changed or a fault fired in the current round
-    prev_legitimate = False
     stabilization_round: int | None = None
     closure_left: int | None = None  # rounds left once the closure window opens
     closure_changes = 0
@@ -470,7 +463,7 @@ def run(
         wait = left[pid]
         if wait > 0:
             left[pid] = wait - 1
-            event = advance(st, programs[pid - 1], readers[pid - 1])
+            event = advance(st, programs[pid - 1], nbr_states[pid - 1])
         elif wait == _REPLAYING:
             st.pc, event, st.count, st.n_in, st.n_out = cycles[pid][st.pc]
         else:  # record the cycle by start pc; replay it once a start pc recurs
@@ -479,7 +472,7 @@ def run(
                 left[pid] = _RECORDING
             cycle = cycles[pid]
             pc = st.pc
-            event = advance(st, programs[pid - 1], readers[pid - 1])
+            event = advance(st, programs[pid - 1], nbr_states[pid - 1])
             cycle[pc] = (st.pc, event, st.count, st.n_in, st.n_out)
             if cycle[st.pc] is not None:
                 left[pid] = _REPLAYING
@@ -515,8 +508,9 @@ def run(
         legitimate = registers == gt_regs
         if record_rounds:
             trace.rounds.append(RoundRecord(rounds, steps, legitimate, changed, registers))
-        declared = prev_legitimate and legitimate and not changed
-        prev_legitimate = legitimate
+        # a round with no changed write and no fault ends in the registers
+        # the previous round ended in, so that round was legitimate too
+        declared = legitimate and not changed and rounds > 1
         changed = False
         if closure_left is not None:
             closure_left -= 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from functools import cmp_to_key
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Sequence
 from unittest.mock import patch
 
 from stabconn import simulator
@@ -37,7 +37,6 @@ from stabconn.protocol import (
     NodeProgram,
     Path,
     ProcessorState,
-    Register,
     StepEvent,
     clamp,
     is_prefix,
@@ -133,10 +132,10 @@ def link_class(my_path: Path, their_path: Path, my_port: int, their_port: int) -
     return LinkClass.UNCLASSIFIED
 
 
-def advance(
-    s: ProcessorState, prog: NodeProgram, read_neighbor: Callable[[int], Register]
-) -> StepEvent:
+def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]) -> StepEvent:
     """One activation of the micro-step machine, as a plain ``if`` chain.
+
+    ``nbrs[j - 1]`` is the neighbour on port j; only its ``register`` is read.
 
     It walks ``prog.schedule`` from ``s.pc`` modulo its length and folds a
     conditional slot whose guard fails into the same activation, until a
@@ -165,7 +164,7 @@ def advance(
         pc = (pc + 1) % n_slots
         s.pc = pc
         if kind == A_READ:
-            s.read_path[port - 1] = read_neighbor(port).path
+            s.read_path[port - 1] = nbrs[port - 1].register.path
             return StepEvent("read", "path", port)
         if kind == A_WRITE:
             candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
@@ -180,7 +179,7 @@ def advance(
         if kind == B_PORT:
             cls = link_class(s.path, s.read_path[port - 1], port, prog.reverse_ports[port - 1])
             if cls is LinkClass.CHILD:
-                s.read_count[port - 1] = read_neighbor(port).count
+                s.read_count[port - 1] = nbrs[port - 1].register.count
                 s.count += s.read_count[port - 1]
                 return StepEvent("read", "count", port)
             if cls is LinkClass.INCOMING_NONTREE:
@@ -205,7 +204,7 @@ def advance(
         if kind == C_READ_PARENT_BCC:
             j = parent_port() if s.count != 0 else 0
             if j:
-                s.read_bcc[j - 1] = read_neighbor(j).bcc
+                s.read_bcc[j - 1] = nbrs[j - 1].register.bcc
                 return StepEvent("read", "bcc", j)
             continue
         if kind == C_WRITE_PARENT_BCC:
@@ -253,9 +252,15 @@ def run_loop(
 
     ``firings`` lists (steps, fault) in firing order; each fault is applied
     once that many steps are done.  Returns the step stream, as
-    ``Trace.steps`` holds it, and the final states.
+    ``Trace.steps`` holds it, and the final states.  ``inject_fault``
+    returns new state objects, so the neighbour tuples are rebuilt after it.
     """
     states = [st.clone() for st in init]
+
+    def neighbour_states():
+        return [tuple(states[w - 1] for w in g.neighbors(v)) for v in range(1, g.n + 1)]
+
+    nbrs = neighbour_states()
     programs = [node_program(g, v) for v in range(1, g.n + 1)]
     activations = scheduler.activations(g.n)
     pending = list(firings)
@@ -264,13 +269,11 @@ def run_loop(
         while pending and pending[0][0] == done:
             spec = pending.pop(0)[1]
             states = simulator.inject_fault(simulator.Configuration(g, states), spec).states
+            nbrs = neighbour_states()
         if done == steps:
             return stream, states
         pid = next(activations)
-        nbrs = g.neighbors(pid)
-        event = advance(
-            states[pid - 1], programs[pid - 1], lambda port: states[nbrs[port - 1] - 1].register
-        )
+        event = advance(states[pid - 1], programs[pid - 1], nbrs[pid - 1])
         stream.append((done + 1, pid, event))
 
 

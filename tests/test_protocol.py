@@ -34,6 +34,7 @@ from stabconn.protocol import (
     register_bits,
     root_program,
 )
+from stabconn.simulator import init_arbitrary
 
 import reference
 from reference import lex_compare
@@ -169,7 +170,34 @@ def _states_for(g, registers=None, seed=0):
     return states
 
 
-def _drive_cycle(state, prog, read_neighbor):
+class _Nbr:
+    """A neighbour as the kernel may see it: a register and nothing else."""
+
+    __slots__ = ("register",)
+
+    def __init__(self, register):
+        self.register = register
+
+
+def _nbrs(g, v, registers):
+    """v's neighbours in port order, each holding its entry of ``registers``."""
+    return tuple(_Nbr(registers[w - 1]) for w in g.neighbors(v))
+
+
+class _Drawn:
+    """A neighbour whose register is drawn afresh at every read, which it counts."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.reads = 0
+
+    @property
+    def register(self):
+        self.reads += 1
+        return self.draw()
+
+
+def _drive_cycle(state, prog, nbrs):
     """Run one full schedule pass from slot 0; return accesses whose slot
     lies inside the pass.
 
@@ -181,19 +209,11 @@ def _drive_cycle(state, prog, read_neighbor):
     vp = 0
     while vp < prog.length:
         old = state.pc
-        state, ev = execute_step(state, prog, read_neighbor)
+        state, ev = execute_step(state, prog, nbrs)
         delta = (state.pc - old) % prog.length or prog.length
         if vp + delta - 1 < prog.length:
             events.append(ev)
         vp += delta
-    return state, events
-
-
-def _drive_activations(state, prog, read_neighbor, activations):
-    events = []
-    for _ in range(activations):
-        state, ev = execute_step(state, prog, read_neighbor)
-        events.append(ev)
     return state, events
 
 
@@ -209,13 +229,14 @@ def test_root_rewrites_register_in_three_activations(single_edge):
     for pc in (0, 1, 2, 7, -3):
         st = _states_for(single_edge, seed=rng.randint(0, 99))[0]
         st.pc = pc
+        nbrs = (_Nbr(Register((1,), 5, (2,))),)
         for _ in range(3):
-            st, ev = execute_step(st, prog, lambda j: Register((1,), 5, (2,)))
+            st, ev = execute_step(st, prog, nbrs)
             assert ev.kind == "write"
         assert st.register == Register(ROOT_PATH, 0, ROOT_PATH)
         # further activations never change it again
         for _ in range(4):
-            st, ev = execute_step(st, prog, lambda j: Register((1,), 5, (2,)))
+            st, ev = execute_step(st, prog, nbrs)
             assert not ev.changed
 
 
@@ -232,24 +253,35 @@ def test_nonroot_program_shape():
 
 def test_every_activation_is_one_register_access(fig1):
     rng = random.Random(13)
+
+    def draw():
+        return Register(random_path(rng), rng.randint(-3, 3), random_path(rng))
+
+    def check(st, prog):
+        nbrs = [_Drawn(draw) for _ in range(prog.degree)]
+        _, ev = execute_step(st, prog, nbrs)
+        reads = [nbr.reads for nbr in nbrs]
+        assert ev.kind in ("read", "write")
+        # a remote read touches exactly one neighbor register, the one on the
+        # port it reports; writes and own-register reads touch none
+        remote = ev.kind == "read" and ev.port is not None
+        assert reads == [int(remote and j == ev.port) for j in range(1, prog.degree + 1)]
+
     for trial in range(30):
         v = rng.randint(1, 16)
         prog = node_program(fig1, v)
         st = _states_for(fig1, seed=trial)[v - 1]
         st.pc = rng.randrange(prog.length)
-        neighbor_reads = [0]
-
-        def counting_read(j, _n=neighbor_reads):
-            _n[0] += 1
-            return Register(random_path(rng), rng.randint(-3, 3), random_path(rng))
-
-        before = neighbor_reads[0]
-        st, ev = execute_step(st, prog, counting_read)
-        remote = neighbor_reads[0] - before
-        assert ev.kind in ("read", "write")
-        # a remote read touches exactly one neighbor register; writes and
-        # own-register reads touch none
-        assert remote == (1 if (ev.kind == "read" and ev.port is not None) else 0)
+        check(st, prog)
+    # legitimate locals classify the parent link, so every remote-read slot
+    # of every node, the parent-bcc read included, reads here
+    legitimate = stabilized_configuration(fig1, ground_truth(fig1)).states
+    for v in range(1, fig1.n + 1):
+        prog = node_program(fig1, v)
+        for pc in range(prog.length):
+            st = legitimate[v - 1].clone()
+            st.pc = pc
+            check(st, prog)
 
 
 def test_cycle_access_bound(fig1):
@@ -260,15 +292,10 @@ def test_cycle_access_bound(fig1):
         # worst case over arbitrary states and over the stabilized state
         for seed in range(6):
             st = _states_for(fig1, seed=seed)[v - 1]
-            _, events = _drive_cycle(
-                st, prog, lambda j, v=v: Register((BOTTOM, 1), 1, (BOTTOM,))
-            )
+            _, events = _drive_cycle(st, prog, (_Nbr(Register((BOTTOM, 1), 1, (BOTTOM,))),) * d)
             assert len(events) <= 2 * d + 6
         st = _states_for(fig1, registers=gt.registers)[v - 1]
-        nbrs = fig1.neighbors(v)
-        _, events = _drive_cycle(
-            st, prog, lambda j, nbrs=nbrs: gt.registers[nbrs[j - 1] - 1]
-        )
+        _, events = _drive_cycle(st, prog, _nbrs(fig1, v, gt.registers))
         assert len(events) <= 2 * d + 6
 
 
@@ -285,16 +312,13 @@ def test_phase_b_arithmetic_child_counts_and_incoming():
     }
     st = _states_for(g, seed=1)[1]
     st.register = Register(my_path, 0, ROOT_PATH)
-    nbrs = g.neighbors(2)
-
-    def read(j):
-        return regs[nbrs[j - 1]]
+    nbrs = tuple(_Nbr(regs[w]) for w in g.neighbors(2))
 
     # phase A fills read_path, then phase B must write 1 + 2 - 1 = 2
     st.pc = 0
     writes = {}
     for _ in range(prog.length + 4):
-        st, ev = execute_step(st, prog, read)
+        st, ev = execute_step(st, prog, nbrs)
         if ev.kind == "write":
             writes[ev.field] = getattr(st.register, ev.field)
         if "count" in writes:
@@ -309,8 +333,7 @@ def test_representative_writes_own_path_into_bcc(fig1):
     prog = node_program(fig1, v)
     st = _states_for(fig1, registers=gt.registers, seed=3)[v - 1]
     st.register = st.register._replace(bcc=(3, 3))  # corrupt the label
-    nbrs = fig1.neighbors(v)
-    st, events = _drive_cycle(st, prog, lambda j: gt.registers[nbrs[j - 1] - 1])
+    st, events = _drive_cycle(st, prog, _nbrs(fig1, v, gt.registers))
     assert st.register.bcc == gt.paths[v]
 
 
@@ -320,8 +343,7 @@ def test_nonrepresentative_copies_parent_bcc(fig1):
     prog = node_program(fig1, v)
     st = _states_for(fig1, registers=gt.registers, seed=3)[v - 1]
     st.register = st.register._replace(bcc=(2,))
-    nbrs = fig1.neighbors(v)
-    st, _ = _drive_cycle(st, prog, lambda j: gt.registers[nbrs[j - 1] - 1])
+    st, _ = _drive_cycle(st, prog, _nbrs(fig1, v, gt.registers))
     assert st.register.bcc == gt.bcc_labels[7]
 
 
@@ -330,8 +352,7 @@ def test_leaf_count_equals_outgoing(triangle):
     gt = ground_truth(triangle)
     prog = node_program(triangle, 3)
     st = _states_for(triangle, registers=gt.registers, seed=5)[2]
-    nbrs = triangle.neighbors(3)
-    st, _ = _drive_cycle(st, prog, lambda j: gt.registers[nbrs[j - 1] - 1])
+    st, _ = _drive_cycle(st, prog, _nbrs(triangle, 3, gt.registers))
     assert st.n_in == 0
     assert st.register.count == st.n_out == 1
 
@@ -342,30 +363,35 @@ def test_fixpoint_full_cycles_keep_ground_truth(fig1, triangle, single_edge):
     # changes a register again
     for g in (fig1, triangle, single_edge):
         gt = ground_truth(g)
-        registers = list(gt.registers)
-        states = _states_for(g, registers=registers, seed=11)
+        states = _states_for(g, registers=gt.registers, seed=11)
         for st in states:
             st.pc = 0
         progs = [node_program(g, v) for v in range(1, g.n + 1)]
+        # the live registers, which every node reads and rebinds its own in
+        live = [_Nbr(r) for r in gt.registers]
         for sweep in range(2):
             for v in range(1, g.n + 1):
-                nbrs = g.neighbors(v)
-
-                def read(j, nbrs=nbrs):
-                    return registers[nbrs[j - 1] - 1]
-
+                nbrs = tuple(live[w - 1] for w in g.neighbors(v))
                 st = states[v - 1]
                 for _ in range(progs[v - 1].length):
-                    st, ev = execute_step(st, progs[v - 1], read)
+                    st, ev = execute_step(st, progs[v - 1], nbrs)
                     if ev.kind == "write":
                         assert not ev.changed, (g.n, v, ev)
-                    registers[v - 1] = st.register
+                    live[v - 1].register = st.register
                 states[v - 1] = st
-        assert tuple(registers) == gt.registers
+        assert tuple(nbr.register for nbr in live) == gt.registers
 
 
 def test_execute_step_total_on_garbage(fig1):
     rng = random.Random(99)
+
+    def draw():
+        return Register(
+            random_path(rng, allow_empty=True),
+            rng.randint(-100, 100),
+            random_path(rng, allow_empty=True),
+        )
+
     for trial in range(200):
         v = rng.randint(1, 16)
         prog = node_program(fig1, v)
@@ -385,15 +411,7 @@ def test_execute_step_total_on_garbage(fig1):
             read_bcc=[random_path(rng, allow_empty=True) for _ in range(d)],
             pc=rng.randint(-100, 100),
         )
-        st, ev = execute_step(
-            st,
-            prog,
-            lambda j: Register(
-                random_path(rng, allow_empty=True),
-                rng.randint(-100, 100),
-                random_path(rng, allow_empty=True),
-            ),
-        )
+        st, ev = execute_step(st, prog, [_Drawn(draw) for _ in range(d)])
         assert ev.kind in ("read", "write")
         assert 0 <= st.pc < prog.length
 
@@ -411,9 +429,9 @@ def test_execute_step_does_not_mutate_input(fig1):
         list(st.read_bcc),
         st.pc,
     )
-    nbrs = fig1.neighbors(5)
+    nbrs = _nbrs(fig1, 5, gt.registers)
     for _ in range(prog.length):
-        execute_step(st, prog, lambda j: gt.registers[nbrs[j - 1] - 1])
+        execute_step(st, prog, nbrs)
     assert snapshot == (
         st.register,
         st.path,
@@ -428,16 +446,15 @@ def test_execute_step_does_not_mutate_input(fig1):
 def test_path_writes_respect_length_bound(fig1):
     rng = random.Random(3)
     prog = node_program(fig1, 11)
+
+    def draw():
+        return Register(random_path(rng, max_len=16), rng.randint(-9, 9), random_path(rng, max_len=16))
+
+    nbrs = [_Drawn(draw) for _ in range(prog.degree)]
     for _ in range(50):
         st = _states_for(fig1, seed=rng.randint(0, 999))[10]
         for _ in range(prog.length):
-            st, ev = execute_step(
-                st,
-                prog,
-                lambda j: Register(
-                    random_path(rng, max_len=16), rng.randint(-9, 9), random_path(rng, max_len=16)
-                ),
-            )
+            st, ev = execute_step(st, prog, nbrs)
             assert len(st.register.path) <= fig1.n
             assert len(st.register.bcc) <= fig1.n
 
@@ -486,11 +503,8 @@ def test_memoised_steps_equal_steps_from_an_empty_memo(v, legitimate, seed, corr
         s = _states_for(g, seed=seed)[v - 1]
     nbrs = g.neighbors(v)
     garbage = _states_for(g, seed=seed + 1)
-    regs = list(gt.registers) if legitimate else [st.register for st in garbage]
-
-    def read(j):
-        return regs[nbrs[j - 1] - 1]
-
+    live = [_Nbr(r) for r in (gt.registers if legitimate else [st.register for st in garbage])]
+    neighbours = tuple(live[w - 1] for w in nbrs)
     prog = node_program(g, v)
     # same degree, other reverse ports: every class and candidate can differ
     other = dataclasses.replace(prog, reverse_ports=tuple(r + 1 for r in prog.reverse_ports))
@@ -511,12 +525,35 @@ def test_memoised_steps_equal_steps_from_an_empty_memo(v, legitimate, seed, corr
             current = other if current is prog else prog
         elif corruption == "neighbour":
             w = nbrs[j] - 1
-            regs[w] = regs[w]._replace(path=_related_path(rng, s.path))
+            live[w].register = live[w].register._replace(path=_related_path(rng, s.path))
         for _ in range(1 + x % (2 * prog.length)):
             fresh = s.clone()
-            event = advance(s, current, read)
-            assert advance(fresh, current, read) == event
+            event = advance(s, current, neighbours)
+            assert advance(fresh, current, neighbours) == event
             assert s == fresh and repr(s) == repr(fresh)
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["figure1", "figure1-shuffled"])
+def test_kernel_reads_neighbours_only_through_their_register(shuffled):
+    """Every node steps through 3 cycles from arbitrary states, round-robin,
+    on two twin configurations: one against its neighbours' real states, one
+    against ``_Nbr`` holders of the twin's live registers, which have no
+    other attribute.  Events and full states must be equal throughout."""
+    g = shuffle_ports(_FIG1, 5) if shuffled else _FIG1
+    programs = [node_program(g, v) for v in range(1, g.n + 1)]
+    real = init_arbitrary(g, 3).states
+    twin = [st.clone() for st in real]
+    live = [_Nbr(st.register) for st in twin]
+    for k in range(3 * max(prog.length for prog in programs)):
+        for v in range(1, g.n + 1):
+            prog = programs[v - 1]
+            if k >= 3 * prog.length:
+                continue
+            nbrs = g.neighbors(v)
+            event = advance(real[v - 1], prog, tuple(real[w - 1] for w in nbrs))
+            assert advance(twin[v - 1], prog, tuple(live[w - 1] for w in nbrs)) == event, (v, k)
+            live[v - 1].register = twin[v - 1].register
+            assert reference.full_state(real) == reference.full_state(twin), (v, k)
 
 
 def test_unchanged_writes_keep_the_register_object():
@@ -528,18 +565,14 @@ def test_unchanged_writes_keep_the_register_object():
     covered = set()
     for v in range(2, g.n + 1):
         prog = node_program(g, v)
-        nbrs = g.neighbors(v)
-
-        def read(j, nbrs=nbrs):
-            return gt.registers[nbrs[j - 1] - 1]
-
+        neighbours = _nbrs(g, v, gt.registers)
         for pc, (kind, _) in enumerate(prog.schedule):
             if kind not in write_fields:
                 continue
             s = stabilized_configuration(g, gt).states[v - 1]
             s.pc = pc
             before = s.register
-            event = advance(s, prog, read)
+            event = advance(s, prog, neighbours)
             if event.kind != "write":
                 continue  # C_DECIDE or C_WRITE_PARENT_BCC whose guard failed
             assert not event.changed and s.register is before, (v, kind)
@@ -549,7 +582,7 @@ def test_unchanged_writes_keep_the_register_object():
             field = write_fields[kind]
             wrong = -1 if field == "count" else (BOTTOM, 9)
             s.register = before = s.register._replace(**{field: wrong})
-            event = advance(s, prog, read)
+            event = advance(s, prog, neighbours)
             assert event.changed and s.register is not before, (v, kind)
             assert s.register == gt.registers[v - 1]
             covered.add(kind)
@@ -592,16 +625,14 @@ def test_kernel_steps_like_the_plain_reference(gi, seed, legitimate, pc, perturb
     prog = node_program(g, v)
     if legitimate:
         s = stabilized_configuration(g, gt).states[v - 1]
-        regs = list(gt.registers)
+        live = [_Nbr(r) for r in gt.registers]
     else:
         s = _states_for(g, seed=seed)[v - 1]
-        regs = [st.register for st in _states_for(g, seed=seed + 1)]
+        live = [_Nbr(st.register) for st in _states_for(g, seed=seed + 1)]
     s.pc = pc
     ref = s.clone()
     nbrs = g.neighbors(v)
-
-    def read(j):
-        return regs[nbrs[j - 1] - 1]
+    neighbours = tuple(live[w - 1] for w in nbrs)
 
     for perturbation, x in [("none", 2 * prog.length)] + perturbations:
         rng = random.Random(x)
@@ -615,10 +646,12 @@ def test_kernel_steps_like_the_plain_reference(gi, seed, legitimate, pc, perturb
             w = rng.choice(nbrs) - 1
             if perturbation == "neighbour":
                 path = _related_path(rng, s.register.path)
-                regs[w] = Register(path, rng.randint(-2, 2), _related_path(rng, path))
+                live[w].register = Register(path, rng.randint(-2, 2), _related_path(rng, path))
             else:
-                regs[w] = Register(random_path(rng, max_len=9), rng.randint(-99, 99), random_path(rng))
+                live[w].register = Register(
+                    random_path(rng, max_len=9), rng.randint(-99, 99), random_path(rng)
+                )
         for _ in range(1 + x % (prog.length + 3)):
-            event = advance(s, prog, read)
-            assert event == reference.advance(ref, prog, read), (gi, v)
+            event = advance(s, prog, neighbours)
+            assert event == reference.advance(ref, prog, neighbours), (gi, v)
             assert s == ref, (gi, v)

@@ -601,20 +601,16 @@ def test_memo_stays_sound_across_an_in_place_fault(shuffled, kind):
         spec = _fault_on(kind, (v, *nbrs), seed=v)
         mine = stabilized_configuration(g, gt).states
         twin = stabilized_configuration(g, gt).states
-
-        def read_mine(j):
-            return mine[nbrs[j - 1] - 1].register
-
-        def read_twin(j):
-            return twin[nbrs[j - 1] - 1].register
-
+        # the fault writes into these very states, so the tuples stay live
+        mine_nbrs = tuple(mine[w - 1] for w in nbrs)
+        twin_nbrs = tuple(twin[w - 1] for w in nbrs)
         for k in range(3 * prog.length):
             if k == prog.length:
                 simulator._apply_fault_targets(mine, programs, g, spec)
                 simulator._apply_fault_targets(twin, programs, g, spec)
                 assert mine[v - 1]._prog is prog  # the memo survived the fault
-            event = advance(mine[v - 1], prog, read_mine)
-            assert event == reference.advance(twin[v - 1], prog, read_twin), (v, k)
+            event = advance(mine[v - 1], prog, mine_nbrs)
+            assert event == reference.advance(twin[v - 1], prog, twin_nbrs), (v, k)
             assert mine == twin, (v, k)
 
 
