@@ -5,26 +5,29 @@ Run from the repository root:
     python3 bench/run_bench.py --base OTHER_CHECKOUT --label slots
 
 ``--base`` is the root of another checkout (for example the parent commit,
-made with ``git archive``).  Both ``src/stabconn`` trees are loaded into this
-one process as two packages, so the sides share the host's state from moment
-to moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
+made with ``git archive``).  Its ``src/stabconn`` tree is loaded into this
+one process twice, as the base and as a null side, and this checkout's
+once, as the change, so the sides share the host's state from moment to
+moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
 each of ``PAIRS`` pairs times, on each side, one ``ground_truth(g)``, one
 ``init_arbitrary(g, INIT_SEED)``, one full ``simulator.run`` from it under
 the seeded uniform-random scheduler until stabilization, and one
 ``analysis.certify`` of the legitimate detection sets (extracted from the
-ground-truth registers) against the brute-force oracles.  The side that goes
-first alternates from pair to pair.  The run uses a ground truth computed
-outside its timed region, times are process CPU seconds, and the garbage
-collector is off while a call is timed, so neither side pays for collecting
-the other's objects.
+ground-truth registers) against the brute-force oracles.  The order of the
+three sides cycles through all six orders from pair to pair.  The run uses
+a ground truth computed outside its timed region, times are process CPU
+seconds, and the garbage collector is off while a call is timed, so no
+side pays for collecting another's objects.
 
-Per case and layer the result holds each side's median time, the median of
-the per-pair ratios base / change (above 1: the change is faster), the share
-of pairs the change won, and whether both sides agree: on the initial
-states, and on steps, rounds, stabilization, final registers and the
-certification report.  It is written to ``BENCH_<label>.json`` at the
-repository root, or to ``--out``.  The exit status is 1 when the sides
-disagree on any case.
+Per case and layer the result holds the base's and the change's median
+time, the median of the per-pair ratios base / change (above 1: the change
+is faster), the share of pairs the change won, and the same ratio and share
+for the null side, whose code is the base's: the null band, within which a
+ratio of that layer and case is noise.  It also says whether all sides
+agree: on the initial states, and on steps, rounds, stabilization, final
+registers and the certification report.  It is written to
+``BENCH_<label>.json`` at the repository root, or to ``--out``.  The exit
+status is 1 when the sides disagree on any case.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import itertools
 import json
 import platform
 import statistics
@@ -102,13 +106,22 @@ def one_side(pkg, g, gt):
     return times, outcome
 
 
-def summarize(base: list[float], change: list[float]) -> dict:
-    ratios = [b / c for b, c in zip(base, change)]
+def _ratios(base: list[float], other: list[float]) -> tuple[float, float]:
+    """Median of the per-pair ratios base / other, and the share above 1."""
+    ratios = [b / o for b, o in zip(base, other)]
+    return round(statistics.median(ratios), 3), round(sum(r > 1 for r in ratios) / len(ratios), 3)
+
+
+def summarize(base: list[float], null: list[float], change: list[float]) -> dict:
+    median_ratio, won_share = _ratios(base, change)
+    null_median_ratio, null_won_share = _ratios(base, null)
     return {
         "base_median_s": round(statistics.median(base), 6),
         "change_median_s": round(statistics.median(change), 6),
-        "median_ratio": round(statistics.median(ratios), 3),
-        "won_share": round(sum(r > 1 for r in ratios) / len(ratios), 3),
+        "median_ratio": median_ratio,
+        "won_share": won_share,
+        "null_median_ratio": null_median_ratio,
+        "null_won_share": null_won_share,
     }
 
 
@@ -117,13 +130,14 @@ def measure(sides: dict, make_graph) -> dict:
     truths = {name: pkg.ground_truth(graphs[name]) for name, pkg in sides.items()}
     times = {name: {layer: [] for layer in LAYERS} for name in sides}
     outcomes = {}
-    order = list(sides)
+    orders = list(itertools.permutations(sides))
     for k in range(PAIRS):
-        for name in order if k % 2 == 0 else order[::-1]:
+        for name in orders[k % len(orders)]:
             t, outcomes[name] = one_side(sides[name], graphs[name], truths[name])
             for layer, seconds in t.items():
                 times[name][layer].append(seconds)
     steps, rounds, stabilized = outcomes["change"]["run"][:3]
+    base, null, change = (outcomes[name] for name in ("base", "null", "change"))
     row = {
         "n": graphs["change"].n,
         "m": graphs["change"].edge_count,
@@ -132,13 +146,13 @@ def measure(sides: dict, make_graph) -> dict:
         "stabilized": stabilized,
         "pairs": PAIRS,
         "agree": {
-            "graph": graphs["base"].ports == graphs["change"].ports,
-            "init": outcomes["base"]["init"] == outcomes["change"]["init"],
-            "run": outcomes["base"]["run"] == outcomes["change"]["run"],
+            "graph": graphs["base"].ports == graphs["null"].ports == graphs["change"].ports,
+            "init": base["init"] == null["init"] == change["init"],
+            "run": base["run"] == null["run"] == change["run"],
         },
     }
     for layer in LAYERS:
-        row[layer] = summarize(times["base"][layer], times["change"][layer])
+        row[layer] = summarize(*(times[name][layer] for name in ("base", "null", "change")))
     row["run"]["change_steps_per_s"] = round(steps / row["run"]["change_median_s"])
     return row
 
@@ -149,7 +163,12 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="ab", help="writes BENCH_<label>.json")
     parser.add_argument("--out", type=Path, help="write here instead of BENCH_<label>.json")
     args = parser.parse_args(argv)
-    sides = {"base": load(args.base.resolve(), "stabconn_base"), "change": load(ROOT, "stabconn_change")}
+    base = args.base.resolve()
+    sides = {
+        "base": load(base, "stabconn_base"),
+        "null": load(base, "stabconn_null"),
+        "change": load(ROOT, "stabconn_change"),
+    }
 
     rows = {}
     for name, make_graph in cases():

@@ -16,9 +16,12 @@ detection sets read off them; certifying those sets is left to the caller.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import accumulate, chain, cycle, repeat
+from math import floor
+from typing import Iterable, Iterator, Sequence
 
 from . import analysis
 from .graph import Graph, NodeId, shuffle_ports
@@ -63,12 +66,17 @@ class RoundRobin:
     name = "round-robin"
 
     def activations(self, n: int) -> Iterator[NodeId]:
-        while True:
-            yield from range(1, n + 1)
+        return cycle(range(1, n + 1))
 
 
 class UniformRandom:
-    """Each step activates a uniformly random processor; fair with probability 1."""
+    """Each step activates a uniformly random processor; fair with probability 1.
+
+    The stream is ``random.Random(seed).choices(range(1, n + 1), k=512)``
+    repeated, drawn by that method's own rule: one ``random()`` per
+    activation, which picks ``floor(random() * n) + 1``.  Batches skip its
+    per-item population lookup; the values and the generator state match.
+    """
 
     name = "random"
 
@@ -76,14 +84,22 @@ class UniformRandom:
         self.seed = seed
 
     def activations(self, n: int) -> Iterator[NodeId]:
-        rng = random.Random(self.seed)
-        population = range(1, n + 1)
-        while True:
-            yield from rng.choices(population, k=512)
+        draw = random.Random(self.seed).random
+        nf = float(n)
+        return chain.from_iterable(
+            [floor(draw() * nf) + 1 for _ in repeat(None, 512)] for _ in repeat(None)
+        )
 
 
 class WeightedRandom:
-    """Random activations with per-node weights (all positive, hence fair)."""
+    """Random activations with per-node weights (all positive, hence fair).
+
+    The weights are n ``uniform(1.0, 10.0)`` draws; the stream is then
+    ``choices(range(1, n + 1), weights, k=512)`` repeated on the same
+    generator, drawn by that method's own rule: one ``random()`` per
+    activation, placed by ``bisect_right`` among the cumulative weights
+    (summed once here, not once per batch).
+    """
 
     name = "weighted"
 
@@ -92,10 +108,13 @@ class WeightedRandom:
 
     def activations(self, n: int) -> Iterator[NodeId]:
         rng = random.Random(self.seed)
-        weights = tuple(rng.uniform(1.0, 10.0) for _ in range(n))
-        population = range(1, n + 1)
-        while True:
-            yield from rng.choices(population, weights=weights, k=512)
+        cum = list(accumulate(rng.uniform(1.0, 10.0) for _ in range(n)))
+        total = cum[-1] + 0.0
+        draw, hi = rng.random, n - 1
+        return chain.from_iterable(
+            [bisect_right(cum, draw() * total, 0, hi) + 1 for _ in repeat(None, 512)]
+            for _ in repeat(None)
+        )
 
 
 SCHEDULER_NAMES = ("round-robin", "random", "weighted")
@@ -348,6 +367,42 @@ _RECORDING = -1
 _REPLAYING = -2
 
 
+def _unroll(record: list, start: int) -> tuple:
+    """A recorded cycle as its entries in activation order from pc ``start``."""
+    loop = []
+    pc = start
+    while True:
+        entry = record[pc]
+        loop.append(entry)
+        pc = entry[0]
+        if pc == start:
+            return tuple(loop)
+
+
+def _catch_up(
+    states: list[ProcessorState],
+    loops: list[tuple],
+    owed: list[int],
+    left: list[int],
+    span: list[int],
+    nodes: Iterable[NodeId],
+) -> None:
+    """Restart the countdown of each of ``nodes``.  A replaying one first
+    gets the pc, ``count``, ``n_in`` and ``n_out`` of its last replayed
+    activation, the four fields replay leaves unwritten."""
+    for v in nodes:
+        if left[v] == _REPLAYING and owed[v]:
+            loop = loops[v]
+            st = states[v - 1]
+            st.pc, _, st.count, st.n_in, st.n_out = loop[(owed[v] - 1) % len(loop)]
+        left[v] = span[v]
+
+
+def _wrong(states: list[ProcessorState], gt_regs: tuple[Register, ...]) -> set[NodeId]:
+    """The nodes whose register differs from the ground truth."""
+    return {v for v, st in enumerate(states, start=1) if st.register != gt_regs[v - 1]}
+
+
 def run(
     g: Graph,
     scheduler,
@@ -377,15 +432,18 @@ def run(
     names a missing node or field, or more random fields than exist, raises
     ``FaultTargetError``.
 
+    The round-end test needs no scan: the run keeps the set of nodes whose
+    register differs from the ground truth, updates the writer's entry at
+    each changed write (no other step changes a register) and rebuilds the
+    set after each fault.  A round ends legitimate when the set is empty.
+
     Quiet nodes replay their cycle instead of calling ``advance``.  Each
     node counts down L of its activations, L its schedule length; every
     changed write restarts the count of the writer and its neighbours, and
     every fault that of all nodes.  At 0 the node records, per start pc, the
     next pc, the event and the new ``count``, ``n_in`` and ``n_out``; once
     an activation ends on a start pc already recorded, so is every pc that
-    one leads to, and the node's activations apply the record.  Its other
-    fields are then only rewritten with the values they hold, so nothing is
-    restored when replay stops.  This is exact because
+    one leads to, and the node replays the record.  This is exact because
       * ``advance`` is a deterministic function of the node's state and its
         neighbours' registers;
       * a cycle from slot 0 reads only values it wrote itself: phase-A
@@ -393,6 +451,14 @@ def run(
         register, and the parent's bcc just before writing it;
       * L activations take at least L slots, so a node that records has run
         slot 0 since the last change.
+    Replay is lazy.  When a node starts replaying, its record is laid out
+    once as a loop in activation order, and each replayed activation only
+    counts itself.  Its other fields would only be rewritten with the
+    values they hold, and nothing reads the four replayed ones while it
+    replays: neighbours read only its register, and so do the round-end
+    test and the space meter.  They are written from the loop, once, when
+    a changed write ends its replay, before any fault fires (so the fault
+    meets caught-up states) and before the run returns.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
@@ -406,13 +472,14 @@ def run(
         gt = ground_truth(g)
     gt_regs = gt.registers
     n = g.n
+    nodes = range(1, n + 1)
 
     # the run owns these copies: it steps them, replays into them and fires
     # faults into them, all in place, so each node's neighbour tuple, in port
     # order, stays valid for the whole run
     states = [st.clone() for st in init.states]
-    programs = [node_program(g, v) for v in range(1, n + 1)]
-    nbr_states = [tuple(states[w - 1] for w in g.neighbors(v)) for v in range(1, n + 1)]
+    programs = [node_program(g, v) for v in nodes]
+    nbr_states = [tuple(states[w - 1] for w in g.neighbors(v)) for v in nodes]
     step_faults = deque(
         sorted(
             (f for f in faults if isinstance(f.trigger, int)), key=lambda f: f.trigger
@@ -435,6 +502,7 @@ def run(
     stamp = [-1] * (n + 1)
     unseen = n  # processors not yet stepped in the current round
     changed = False  # a register changed or a fault fired in the current round
+    wrong = _wrong(states, gt_regs)
     stabilization_round: int | None = None
     closure_left: int | None = None  # rounds left once the closure window opens
     closure_changes = 0
@@ -442,58 +510,72 @@ def run(
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
     # replay (see above), per node: L; activations left before it records,
-    # or _RECORDING or _REPLAYING; its recorded cycle; and the nodes whose
+    # or _RECORDING or _REPLAYING; its record by start pc; the loop it
+    # replays and the activations replayed from it; and the nodes whose
     # count a changed write of it restarts
     span = [0] + [prog.length for prog in programs]
     left = span.copy()
-    cycles: list[list | None] = [None] * (n + 1)
-    around = [()] + [(v, *g.neighbors(v)) for v in range(1, n + 1)]
+    records: list[list | None] = [None] * (n + 1)
+    loops: list[tuple] = [()] * (n + 1)
+    owed = [0] * (n + 1)
+    around = [()] + [(v, *g.neighbors(v)) for v in nodes]
 
     for pid in scheduler.activations(n):
         if steps >= limit:
             if steps >= step_cap:
                 break  # inside a round, which stays unfinished
-            while step_faults and step_faults[0].trigger <= steps:
-                fault_events += _fire(step_faults.popleft(), g, states, programs, steps, rounds)
-                max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
+            if step_faults and step_faults[0].trigger <= steps:
+                _catch_up(states, loops, owed, left, span, nodes)
+                while step_faults and step_faults[0].trigger <= steps:
+                    fault_events += _fire(step_faults.popleft(), g, states, programs, steps, rounds)
+                    max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
-                left = span.copy()
+                wrong = _wrong(states, gt_regs)
             limit = min(step_faults[0].trigger, step_cap) if step_faults else step_cap
-        st = states[pid - 1]
-        wait = left[pid]
-        if wait > 0:
-            left[pid] = wait - 1
-            event = advance(st, programs[pid - 1], nbr_states[pid - 1])
-        elif wait == _REPLAYING:
-            st.pc, event, st.count, st.n_in, st.n_out = cycles[pid][st.pc]
-        else:  # record the cycle by start pc; replay it once a start pc recurs
-            if not wait:
-                cycles[pid] = [None] * span[pid]
-                left[pid] = _RECORDING
-            cycle = cycles[pid]
-            pc = st.pc
-            event = advance(st, programs[pid - 1], nbr_states[pid - 1])
-            cycle[pc] = (st.pc, event, st.count, st.n_in, st.n_out)
-            if cycle[st.pc] is not None:
-                left[pid] = _REPLAYING
         steps += 1
-        if record_steps:
-            trace.steps.append((steps, pid, event))
-        # only a changed write can grow the register; reads never change it
-        if event.changed:
-            changed = True
-            for v in around[pid]:
-                left[v] = span[v]
-            if closure_left is not None:
-                closure_changes += 1
-            lp = len(st.register.path)
-            lb = len(st.register.bcc)
-            if lp + lb > max_symbols:
-                max_symbols = lp + lb
-            if lp > max_path_len:
-                max_path_len = lp
-            if lb > max_path_len:
-                max_path_len = lb
+        wait = left[pid]
+        if wait == _REPLAYING:
+            owed[pid] += 1
+            if record_steps:
+                loop = loops[pid]
+                trace.steps.append((steps, pid, loop[(owed[pid] - 1) % len(loop)][1]))
+        else:
+            st = states[pid - 1]
+            if wait > 0:
+                left[pid] = wait - 1
+                event = advance(st, programs[pid - 1], nbr_states[pid - 1])
+            else:  # record the cycle by start pc; replay it once a start pc recurs
+                if not wait:
+                    records[pid] = [None] * span[pid]
+                    left[pid] = _RECORDING
+                record = records[pid]
+                pc = st.pc
+                event = advance(st, programs[pid - 1], nbr_states[pid - 1])
+                record[pc] = (st.pc, event, st.count, st.n_in, st.n_out)
+                if record[st.pc] is not None:
+                    left[pid] = _REPLAYING
+                    loops[pid] = _unroll(record, st.pc)
+                    owed[pid] = 0
+            if record_steps:
+                trace.steps.append((steps, pid, event))
+            # only a changed write can grow the register; reads never change it
+            if event.changed:
+                changed = True
+                _catch_up(states, loops, owed, left, span, around[pid])
+                if st.register == gt_regs[pid - 1]:
+                    wrong.discard(pid)
+                else:
+                    wrong.add(pid)
+                if closure_left is not None:
+                    closure_changes += 1
+                lp = len(st.register.path)
+                lb = len(st.register.bcc)
+                if lp + lb > max_symbols:
+                    max_symbols = lp + lb
+                if lp > max_path_len:
+                    max_path_len = lp
+                if lb > max_path_len:
+                    max_path_len = lb
         if stamp[pid] == rounds:
             continue
         stamp[pid] = rounds
@@ -504,9 +586,9 @@ def run(
         # round end: every round-level decision of the run is made here
         rounds += 1
         unseen = n
-        registers = tuple(st.register for st in states)
-        legitimate = registers == gt_regs
+        legitimate = not wrong
         if record_rounds:
+            registers = tuple(st.register for st in states)
             trace.rounds.append(RoundRecord(rounds, steps, legitimate, changed, registers))
         # a round with no changed write and no fault ends in the registers
         # the previous round ended in, so that round was legitimate too
@@ -520,10 +602,11 @@ def run(
             if post_faults:
                 # a new attempt: the fault counts as a change of the next
                 # round, so that round cannot confirm a declaration
+                _catch_up(states, loops, owed, left, span, nodes)
                 fault_events += _fire(post_faults.popleft(), g, states, programs, steps, rounds)
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
-                left = span.copy()
+                wrong = _wrong(states, gt_regs)
                 attempt_start = rounds
             else:
                 stabilization_round = rounds - 1
@@ -535,9 +618,10 @@ def run(
     else:
         raise ValueError(f"scheduler {scheduler!r} stopped activating processors")
 
+    _catch_up(states, loops, owed, left, span, nodes)
     final_registers = tuple(st.register for st in states)
     # a closure window can end outside the legitimate configuration
-    stabilized = stabilization_round is not None and final_registers == gt_regs
+    stabilized = stabilization_round is not None and not wrong
     report = RunReport(
         stabilized=stabilized,
         stabilization_round=stabilization_round if stabilized else None,

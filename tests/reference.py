@@ -9,10 +9,11 @@ is no reference but a probe: it shows the full processor states that
 
 from __future__ import annotations
 
+import random
 from contextlib import contextmanager
 from functools import cmp_to_key
 from types import SimpleNamespace
-from typing import Sequence
+from typing import Iterator, Sequence
 from unittest.mock import patch
 
 from stabconn import simulator
@@ -73,6 +74,21 @@ def round_boundaries(schedule: Sequence[NodeId], n: int) -> list[int]:
             boundaries.append(i)
             seen = set()
     return boundaries
+
+
+def activations(name: str, n: int, seed: int) -> Iterator[NodeId]:
+    """A scheduler's activation stream, drawn by ``random.choices``: 1..n in
+    turn for round-robin; otherwise batches of 512 choices from
+    ``random.Random(seed)``, weighted by n ``uniform(1, 10)`` draws taken
+    first from the same generator for the weighted scheduler."""
+    population = range(1, n + 1)
+    if name == "round-robin":
+        while True:
+            yield from population
+    rng = random.Random(seed)
+    weights = tuple(rng.uniform(1.0, 10.0) for _ in population) if name == "weighted" else None
+    while True:
+        yield from rng.choices(population, weights, k=512)
 
 
 def classify_counts(g: Graph, gt: GroundTruth, v: NodeId) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Smoke test of ``bench/run_bench.py``: this tree on both sides, n = 16."""
+"""Smoke test of ``bench/run_bench.py``: this tree on all three sides, n = 16."""
 
 import importlib.util
 import json
@@ -18,13 +18,14 @@ def test_run_bench_compares_a_tree_with_itself(tmp_path):
     try:
         assert bench.main(["--base", str(ROOT), "--out", str(out)]) == 0
     finally:
-        for name in [m for m in sys.modules if m.split(".")[0] in ("stabconn_base", "stabconn_change")]:
+        sides = ("stabconn_base", "stabconn_null", "stabconn_change")
+        for name in [m for m in sys.modules if m.split(".")[0] in sides]:
             del sys.modules[name]
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert set(doc["cases"]) == {"random:16,31", "clustered:4x4"}
     for row in doc["cases"].values():
         assert row["n"] == 16 and row["stabilized"] and row["pairs"] == 2
         assert row["agree"] == {"graph": True, "init": True, "run": True}
-        for layer in ("init_arbitrary", "run"):
-            assert row[layer]["median_ratio"] > 0
-            assert 0 <= row[layer]["won_share"] <= 1
+        for layer in ("ground_truth", "init_arbitrary", "run", "certify"):
+            assert row[layer]["median_ratio"] > 0 and row[layer]["null_median_ratio"] > 0
+            assert 0 <= row[layer]["won_share"] <= 1 and 0 <= row[layer]["null_won_share"] <= 1

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from itertools import islice
 from unittest.mock import patch
 
 import pytest
@@ -181,6 +182,17 @@ def test_schedulers_are_fair_and_deterministic():
         assert first == again
         assert set(first) == set(range(1, n + 1))
         assert len(round_boundaries(first, n)) > 10
+
+
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+def test_scheduler_streams_are_random_choices_batches(name):
+    # three batches and a few more: the batch seams are where a drawing
+    # rule that differs from random.choices would show
+    k = 3 * 512 + 7
+    for n in range(1, 65):
+        for seed in range(8):
+            mine = list(islice(make_scheduler(name, seed).activations(n), k))
+            assert mine == list(islice(reference.activations(name, n, seed), k)), (n, seed)
 
 
 def test_make_scheduler_rejects_unknown_name():
@@ -448,6 +460,7 @@ def _assert_runs_like_loop(g, scheduler, init, faults, closure_rounds):
             faults=faults,
             max_rounds=200,
             closure_rounds=closure_rounds,
+            record_rounds=True,
             record_steps=True,
         )
     firings = [(steps, spec) for steps, spec, _, _ in log.firings]
@@ -455,6 +468,9 @@ def _assert_runs_like_loop(g, scheduler, init, faults, closure_rounds):
     stream, states = reference.run_loop(g, scheduler, init.states, firings, report.total_steps)
     assert trace.steps == stream
     assert reference.full_state(log.states) == reference.full_state(states)
+    # the round-end flag comes from a set of wrong nodes, kept at each write
+    gt_regs = ground_truth(g).registers
+    assert all(r.legitimate == (r.registers == gt_regs) for r in trace.rounds)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -534,6 +550,48 @@ def test_quiet_nodes_replay_their_cycle(fig1):
         )
     bound = sum(2 * node_program(fig1, v).length for v in range(1, fig1.n + 1))
     assert len(calls) <= bound < report.total_steps // 3
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+@pytest.mark.parametrize("graph", ["figure1", "random:12,18"])
+def test_recording_steps_changes_no_run(graph, scheduler):
+    # record_steps makes replayed activations look their events up; the
+    # run, its fault firings and its final states must not notice
+    g = figure1() if graph == "figure1" else generate_random_connected(12, 7, seed=6)
+    faults = [
+        FaultSpec(trigger=40, random_fields=4, seed=5),
+        FaultSpec(trigger=POST_STABILIZATION, targets=((3, "locals"), (5, "pc")), seed=6),
+    ]
+    outcomes = []
+    for record_steps in (False, True):
+        with reference.watch_runs() as log:
+            _, report = run(
+                g,
+                make_scheduler(scheduler, seed=4),
+                init_arbitrary(g, 9),
+                faults=faults,
+                closure_rounds=40,
+                record_steps=record_steps,
+            )
+        outcomes.append((report, log.firings, reference.full_state(log.states)))
+    assert outcomes[0][0].stabilized and len(outcomes[0][1]) == 2
+    assert outcomes[0] == outcomes[1]
+
+
+def test_a_step_fault_meets_caught_up_states():
+    # from the legitimate configuration every node replays by round 2L
+    # (L <= 30 here), so at step 60 n the fault meets states that replay
+    # has left unwritten, unless the run writes them first
+    g = generate_random_connected(40, 40, seed=0)
+    assert max(node_program(g, v).length for v in range(1, g.n + 1)) <= 30
+    init = stabilized_configuration(g, ground_truth(g))
+    fault = FaultSpec(trigger=60 * g.n, targets=((7, "pc"), (12, "locals")), seed=8)
+    with reference.watch_runs() as log:
+        run(g, make_scheduler("round-robin"), init, faults=[fault], closure_rounds=100)
+    [(steps, _, before, _)] = log.firings
+    assert steps == fault.trigger
+    _, states = reference.run_loop(g, make_scheduler("round-robin"), init.states, [], steps)
+    assert before == reference.full_state(states)
 
 
 def test_default_max_rounds(fig1):
