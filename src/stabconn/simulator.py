@@ -367,21 +367,9 @@ _RECORDING = -1
 _REPLAYING = -2
 
 
-def _unroll(record: list, start: int) -> tuple:
-    """A recorded cycle as its entries in activation order from pc ``start``."""
-    loop = []
-    pc = start
-    while True:
-        entry = record[pc]
-        loop.append(entry)
-        pc = entry[0]
-        if pc == start:
-            return tuple(loop)
-
-
 def _catch_up(
     states: list[ProcessorState],
-    loops: list[tuple],
+    loops: list[Sequence],
     owed: list[int],
     left: list[int],
     span: list[int],
@@ -440,20 +428,25 @@ def run(
     Quiet nodes replay their cycle instead of calling ``advance``.  Each
     node counts down L of its activations, L its schedule length; every
     changed write restarts the count of the writer and its neighbours, and
-    every fault that of all nodes.  At 0 the node records, per start pc, the
-    next pc, the event and the new ``count``, ``n_in`` and ``n_out``; once
-    an activation ends on a start pc already recorded, so is every pc that
-    one leads to, and the node replays the record.  This is exact because
+    every fault that of all nodes.  At 0 the node notes its pc as its first
+    and records, in activation order, each activation's next pc, its event
+    and the new ``count``, ``n_in`` and ``n_out``.  Once an activation ends
+    on the first pc, the record is one whole cycle, the loop the node
+    replays from then on.  This is exact because
       * ``advance`` is a deterministic function of the node's state and its
         neighbours' registers;
-      * a cycle from slot 0 reads only values it wrote itself: phase-A
-        reads feed A_WRITE and phase B, and phase C reads the node's own
-        register, and the parent's bcc just before writing it;
       * L activations take at least L slots, so a node that records has run
-        slot 0 since the last change.
-    Replay is lazy.  When a node starts replaying, its record is laid out
-    once as a loop in activation order, and each replayed activation only
-    counts itself.  Its other fields would only be rewritten with the
+        every slot position since the last change in its closed
+        neighbourhood: slot 0, and the last B_READ_SELF and C_READ_COUNT
+        before its first pc, too;
+      * a cycle reads only frozen registers and values it wrote itself
+        earlier in the same cycle: phase-A reads feed A_WRITE and phase B,
+        and phase C reads the node's own register, and the parent's bcc
+        just before writing it.
+    So the run of pcs from the first is periodic, and the first pc is the
+    first to recur, after exactly one cycle.
+    Replay is lazy: each replayed activation only counts itself.  A
+    replaying node's other fields would only be rewritten with the
     values they hold, and nothing reads the four replayed ones while it
     replays: neighbours read only its register, and so do the round-end
     test and the space meter.  They are written from the loop, once, when
@@ -510,13 +503,13 @@ def run(
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
     # replay (see above), per node: L; activations left before it records,
-    # or _RECORDING or _REPLAYING; its record by start pc; the loop it
-    # replays and the activations replayed from it; and the nodes whose
-    # count a changed write of it restarts
+    # or _RECORDING or _REPLAYING; the pc its record starts from; the loop
+    # it records, then replays, and the activations replayed from it; and
+    # the nodes whose count a changed write of it restarts
     span = [0] + [prog.length for prog in programs]
     left = span.copy()
-    records: list[list | None] = [None] * (n + 1)
-    loops: list[tuple] = [()] * (n + 1)
+    first = [0] * (n + 1)
+    loops: list[Sequence] = [()] * (n + 1)
     owed = [0] * (n + 1)
     around = [()] + [(v, *g.neighbors(v)) for v in nodes]
 
@@ -544,17 +537,16 @@ def run(
             if wait > 0:
                 left[pid] = wait - 1
                 event = advance(st, programs[pid - 1], nbr_states[pid - 1])
-            else:  # record the cycle by start pc; replay it once a start pc recurs
+            else:  # record the cycle; replay it once its first pc recurs
                 if not wait:
-                    records[pid] = [None] * span[pid]
                     left[pid] = _RECORDING
-                record = records[pid]
-                pc = st.pc
+                    first[pid] = st.pc
+                    loops[pid] = []
                 event = advance(st, programs[pid - 1], nbr_states[pid - 1])
-                record[pc] = (st.pc, event, st.count, st.n_in, st.n_out)
-                if record[st.pc] is not None:
+                loops[pid].append((st.pc, event, st.count, st.n_in, st.n_out))
+                if st.pc == first[pid]:
                     left[pid] = _REPLAYING
-                    loops[pid] = _unroll(record, st.pc)
+                    loops[pid] = tuple(loops[pid])
                     owed[pid] = 0
             if record_steps:
                 trace.steps.append((steps, pid, event))
@@ -638,19 +630,14 @@ def run(
     return trace, report
 
 
-def alpha_independence(
-    g: Graph,
-    shuffles: int,
-    seed: int,
-    scheduler_name: str = "round-robin",
-    max_rounds: int | None = None,
-) -> bool:
+def alpha_independence(g: Graph, shuffles: int, seed: int) -> bool:
     """Detection must not depend on the arbitrary port orderings.
 
-    Runs the full pipeline under ``shuffles`` random port re-orderings of the
-    same topology; true iff every run stabilizes and yields the same bridge
-    set, articulation set, and component partition.  Labels are paths and may
-    legitimately differ between orderings; the partition may not.
+    Runs the full pipeline, round-robin within ``default_max_rounds``, under
+    ``shuffles`` random port re-orderings of the same topology; true iff
+    every run stabilizes and yields the same bridge set, articulation set,
+    and component partition.  Labels are paths and may legitimately differ
+    between orderings; the partition may not.
     """
     if shuffles < 2:
         raise ValueError("need at least 2 port orderings to compare")
@@ -658,9 +645,8 @@ def alpha_independence(
     reference: tuple | None = None
     for i in range(shuffles):
         shuffled = shuffle_ports(g, seed + i) if i else g
-        sched = make_scheduler(scheduler_name, seed=seed + 100 + i)
         init = init_arbitrary(shuffled, seed + 200 + i)
-        _, report = run(shuffled, sched, init, max_rounds=max_rounds)
+        _, report = run(shuffled, RoundRobin(), init)
         if not report.stabilized or report.detection is None:
             return False
         d: analysis.DetectionResult = report.detection

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies
 
@@ -116,6 +117,19 @@ def test_brute_partition(triangle, path3, fig1):
     assert brute_bcc_partition(triangle) == {frozenset({1, 2, 3})}
     assert brute_bcc_partition(path3) == {frozenset({1}), frozenset({2}), frozenset({3})}
     assert brute_bcc_partition(fig1) == FIG1_PARTS
+
+
+def test_brute_force_agrees_with_networkx():
+    # a third, independent oracle; connected graphs only, since on a
+    # disconnected graph the brute-force oracles deliberately call every
+    # edge and node a cut
+    for g in sample_graphs(300, seed=7):
+        h = nx.Graph(g.edges)
+        bridges = {canonical_edge(u, v) for u, v in nx.bridges(h)}
+        assert brute_bridges(g) == bridges, g
+        assert brute_articulation_points(g) == set(nx.articulation_points(h)), g
+        h.remove_edges_from(bridges)
+        assert brute_bcc_partition(g) == {frozenset(c) for c in nx.connected_components(h)}, g
 
 
 # ---------------------------------------------------------------------------

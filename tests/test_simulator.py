@@ -263,6 +263,25 @@ def test_run_closure_no_changes(fig1):
         assert report.post_stabilization_changes == 0
 
 
+# Premature verdicts: one legitimate quiet round is declared although stale
+# locals still force changed writes later.  At present the first reports
+# round 149 while its registers change until round 165, the second round 317
+# against 338, each with 2 changes in its closure window.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize(
+    "n, m, seed, closure",
+    [(16, 25, 144, 30), (21, 35, 61, 40)],
+    ids=["random:16,25,144", "random:21,35,61"],
+)
+def test_run_declares_no_round_before_the_last_change(n, m, seed, closure):
+    g = generate_random_connected(n, m - (n - 1), seed)
+    sched = make_scheduler("round-robin")
+    trace, report = run(g, sched, init_arbitrary(g, seed), closure_rounds=closure, record_rounds=True)
+    last_change = max(r.index for r in trace.rounds if r.changed)
+    assert report.post_stabilization_changes == 0
+    assert report.stabilization_round >= last_change
+
+
 def test_run_reports_non_convergence(fig1):
     _, report = run(fig1, make_scheduler("round-robin"), init_arbitrary(fig1, 1), max_rounds=2)
     assert not report.stabilized
