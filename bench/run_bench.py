@@ -11,10 +11,12 @@ once, as the change, so the sides share the host's state from moment to
 moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
 each of ``PAIRS`` pairs times, on each side, one ``ground_truth(g)``, one
 ``init_arbitrary(g, INIT_SEED)``, one full ``simulator.run`` from it under
-the seeded uniform-random scheduler until stabilization, and one
+the seeded uniform-random scheduler until stabilization, one
 ``analysis.certify`` of the legitimate detection sets (extracted from the
-ground-truth registers) against the brute-force oracles.  The order of the
-three sides cycles through all six orders from pair to pair.  The run uses
+ground-truth registers) against the brute-force oracles, and one
+``cli.build_report`` of the run's report (which certifies its detection
+sets again) with the ``json.dumps`` that ``stabconn run`` prints.  The
+order of the three sides cycles through all six orders from pair to pair.  The run uses
 a ground truth computed outside its timed region, times are process CPU
 seconds, and the garbage collector is off while a call is timed, so no
 side pays for collecting another's objects.
@@ -24,10 +26,10 @@ time, the median of the per-pair ratios base / change (above 1: the change
 is faster), the share of pairs the change won, and the same ratio and share
 for the null side, whose code is the base's: the null band, within which a
 ratio of that layer and case is noise.  It also says whether all sides
-agree: on the initial states, and on steps, rounds, stabilization, final
-registers and the certification report.  It is written to
-``BENCH_<label>.json`` at the repository root, or to ``--out``.  The exit
-status is 1 when the sides disagree on any case.
+agree: on the initial states, on steps, rounds, stabilization, final
+registers and the certification report, and on the JSON report.  It is
+written to ``BENCH_<label>.json`` at the repository root, or to ``--out``.
+The exit status is 1 when the sides disagree on any case.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ SIZES = (16, 40, 80, 160, 320, 640)
 #: clustered graph (clusters, cluster size) per n: K x 5 with K = n / 5, and 4 x 4 for n = 16
 CLUSTERS = {16: (4, 4), 40: (8, 5), 80: (16, 5), 160: (32, 5), 320: (64, 5), 640: (128, 5)}
 PAIRS = 7
-LAYERS = ("ground_truth", "init_arbitrary", "run", "certify")
+LAYERS = ("ground_truth", "init_arbitrary", "run", "certify", "build_report")
 GRAPH_SEED = 0
 INIT_SEED = 7
 SCHEDULER_SEED = 0
@@ -63,6 +65,7 @@ def load(checkout: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
+    package.cli = importlib.import_module(f"{name}.cli")
     return package
 
 
@@ -97,12 +100,17 @@ def one_side(pkg, g, gt):
     t_run, (_, report) = _time(lambda: pkg.run(g, scheduler, init, gt=gt))
     detection = pkg.extract(g, gt.registers, gt=gt)
     t_certify, cert = _time(lambda: pkg.certify(detection, g))
+    t_report, doc = _time(
+        lambda: json.dumps(pkg.cli.build_report(g, report, SCHEDULER_SEED, INIT_SEED), indent=2)
+    )
     outcome = {
         "init": [_state_key(st) for st in init.states],
         "run": (report.total_steps, report.rounds, report.stabilized, report.final_registers,
                 cert.match, cert.mismatches),
+        "report": doc,
     }
-    times = {"ground_truth": t_truth, "init_arbitrary": t_init, "run": t_run, "certify": t_certify}
+    times = {"ground_truth": t_truth, "init_arbitrary": t_init, "run": t_run,
+             "certify": t_certify, "build_report": t_report}
     return times, outcome
 
 
@@ -149,6 +157,7 @@ def measure(sides: dict, make_graph) -> dict:
             "graph": graphs["base"].ports == graphs["null"].ports == graphs["change"].ports,
             "init": base["init"] == null["init"] == change["init"],
             "run": base["run"] == null["run"] == change["run"],
+            "report": base["report"] == null["report"] == change["report"],
         },
     }
     for layer in LAYERS:

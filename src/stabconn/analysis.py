@@ -21,7 +21,7 @@ from .oracle import (
     ground_truth,
     label_partition,
 )
-from .protocol import LinkClass, Path, Register, classify_link, is_prefix
+from .protocol import _CHILD, _INCOMING, _PARENT, Path, Register, classify_link, is_prefix
 
 
 class NotStabilizedError(Exception):
@@ -63,14 +63,16 @@ def extract(
     parent: dict[NodeId, NodeId] = {}
     children: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, g.n + 1)}
     incoming_nbrs: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, g.n + 1)}
-    for v in range(1, g.n + 1):
-        for j, w in enumerate(g.neighbors(v), start=1):
-            cls = classify_link(paths[v], paths[w], j, g.port_to(w, v))
-            if cls is LinkClass.PARENT:
+    index = g._port_index  # index[w - 1][v] is w's port for v
+    for v, nbrs in enumerate(g.ports, start=1):
+        mine = paths[v]
+        for j, w in enumerate(nbrs, start=1):
+            cls = classify_link(mine, paths[w], j, index[w - 1][v])
+            if cls is _PARENT:
                 parent[v] = w
-            elif cls is LinkClass.CHILD:
+            elif cls is _CHILD:
                 children[v].append(w)
-            elif cls is LinkClass.INCOMING_NONTREE:
+            elif cls is _INCOMING:
                 incoming_nbrs[v].append(w)
 
     bridges = frozenset(

@@ -240,20 +240,19 @@ def first_dfs(g: Graph) -> tuple[dict[NodeId, Path], dict[NodeId, NodeId]]:
     """
     paths: dict[NodeId, Path] = {ROOT: ROOT_PATH}
     parent: dict[NodeId, NodeId] = {}
-    # stack entries: (node, next port index to try)
-    stack: list[list[int]] = [[ROOT, 1]]
+    ports = g.ports
+    # stack entries: (node, its (port, neighbour) pairs not yet tried)
+    stack = [(ROOT, enumerate(ports[ROOT - 1], start=1))]
     while stack:
-        entry = stack[-1]
-        v, port = entry
-        if port > g.degree(v):
+        v, untried = stack[-1]
+        for port, w in untried:
+            if w not in paths:
+                paths[w] = paths[v] + (port,)
+                parent[w] = v
+                stack.append((w, enumerate(ports[w - 1], start=1)))
+                break
+        else:
             stack.pop()
-            continue
-        entry[1] += 1
-        w = g.neighbors(v)[port - 1]
-        if w not in paths:
-            paths[w] = paths[v] + (port,)
-            parent[w] = v
-            stack.append([w, 1])
     return paths, parent
 
 

@@ -243,10 +243,11 @@ class NodeProgram:
 def node_program(g: Graph, v: NodeId) -> NodeProgram:
     """Build the program of node v for graph g (path bound n, count bound n^2)."""
     nbrs = g.neighbors(v)
+    index = g._port_index  # port_to without a call per neighbour
     return NodeProgram(
         degree=len(nbrs),
         schedule=root_program() if v == ROOT else nonroot_program(len(nbrs)),
-        reverse_ports=tuple(g.port_to(w, v) for w in nbrs),
+        reverse_ports=tuple([index[w - 1][v] for w in nbrs]),
         path_bound=g.n,
         count_bound=g.n * g.n,
     )
@@ -328,7 +329,9 @@ _OWN_COUNT_READ = StepEvent("read", "count", None)
 
 
 @cache  # at most three entries per port number, so it stays small
-def _remote_read(field: str, port: int) -> StepEvent:
+def remote_read(field: str, port: int) -> StepEvent:
+    """The event of a read of ``field`` on ``port``: one shared object per
+    pair, the very one the kernel returns, so it can be keyed by identity."""
     return StepEvent("read", field, port)
 
 
@@ -349,11 +352,11 @@ _OWN_EVENTS = {
 
 def _slot_events(kind: int, port: int, degree: int):
     if kind == A_READ:
-        return _remote_read("path", port)
+        return remote_read("path", port)
     if kind == B_PORT:
-        return _remote_read("count", port)
+        return remote_read("count", port)
     if kind == C_READ_PARENT_BCC:
-        return tuple(_remote_read("bcc", j) for j in range(1, degree + 1))
+        return tuple(remote_read("bcc", j) for j in range(1, degree + 1))
     return _OWN_EVENTS[kind]  # an unknown kind raises here, not in the kernel
 
 
@@ -518,6 +521,26 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
         s.register = Register(reg.path, reg.count, ROOT_PATH)
         return event[reg.bcc != ROOT_PATH]
     raise AssertionError("schedule contains no unconditional register access")
+
+
+def may_read(s: ProcessorState, i: int, field: str) -> bool:
+    """False only when ``advance``'s memo rules out that ``s`` reads
+    ``field`` from the neighbour on port i + 1 while its own path and its
+    read path of that port stay the objects they are.
+
+    A path is read on every port; a count only on a CHILD port and a bcc
+    only on a PARENT port (the lowest one, so this may say True where the
+    read goes elsewhere).  A memo entry that is missing, or keyed by other
+    objects than ``s.path`` and ``s.read_path[i]``, leaves the read open.
+    The memo is the one filled under ``s``'s own program.
+    """
+    links = s._links
+    if field == "path" or links is None:
+        return True
+    mine, theirs, cls = links[i]
+    if mine is not s.path or theirs is not s.read_path[i]:
+        return True
+    return cls is (_CHILD if field == "count" else _PARENT)
 
 
 def execute_step(

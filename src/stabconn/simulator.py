@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, repeat
 from math import floor
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis
@@ -35,8 +36,10 @@ from .protocol import (
     advance,
     execute_step,
     initial_state,
+    may_read,
     node_program,
     payload_bits,
+    remote_read,
 )
 
 POST_STABILIZATION = "post-stabilization"
@@ -372,18 +375,44 @@ def _catch_up(
     loops: list[Sequence],
     owed: list[int],
     left: list[int],
-    span: list[int],
     nodes: Iterable[NodeId],
 ) -> None:
-    """Restart the countdown of each of ``nodes``.  A replaying one first
-    gets the pc, ``count``, ``n_in`` and ``n_out`` of its last replayed
-    activation, the four fields replay leaves unwritten."""
+    """Give each replaying one of ``nodes`` the pc, ``count``, ``n_in`` and
+    ``n_out`` of its last replayed activation, the four fields replay leaves
+    unwritten.  It goes on replaying."""
     for v in nodes:
         if left[v] == _REPLAYING and owed[v]:
             loop = loops[v]
             st = states[v - 1]
             st.pc, _, st.count, st.n_in, st.n_out = loop[(owed[v] - 1) % len(loop)]
-        left[v] = span[v]
+
+
+def _restart(
+    fired: list[FaultEvent],
+    states: list[ProcessorState],
+    left: list[int],
+    span: list[int],
+    reads: list[int],
+    readers: list[tuple[tuple[NodeId, int], ...]],
+    read_bit: dict[str, list[int]],
+) -> None:
+    """Restart the countdown of each node a fault hit and, by ``run``'s rule
+    for a changed write, of the readers of each register field it hit.
+    Every replaying node has been caught up before the fault, so none is
+    caught up here, where it would write over what the fault drew."""
+    for ev in fired:
+        left[ev.node] = span[ev.node]
+        for fld in ev.fields:
+            if fld not in read_bit:
+                continue
+            bits = read_bit[fld]
+            for w, i in readers[ev.node]:
+                if left[w] == _REPLAYING:
+                    if not reads[w] & bits[i]:
+                        continue
+                elif not may_read(states[w - 1], i, fld):
+                    continue
+                left[w] = span[w]
 
 
 def _wrong(states: list[ProcessorState], gt_regs: tuple[Register, ...]) -> set[NodeId]:
@@ -426,32 +455,49 @@ def run(
     set after each fault.  A round ends legitimate when the set is empty.
 
     Quiet nodes replay their cycle instead of calling ``advance``.  Each
-    node counts down L of its activations, L its schedule length; every
-    changed write restarts the count of the writer and its neighbours, and
-    every fault that of all nodes.  At 0 the node notes its pc as its first
-    and records, in activation order, each activation's next pc, its event
-    and the new ``count``, ``n_in`` and ``n_out``.  Once an activation ends
-    on the first pc, the record is one whole cycle, the loop the node
-    replays from then on.  This is exact because
-      * ``advance`` is a deterministic function of the node's state and its
-        neighbours' registers;
-      * L activations take at least L slots, so a node that records has run
-        every slot position since the last change in its closed
-        neighbourhood: slot 0, and the last B_READ_SELF and C_READ_COUNT
-        before its first pc, too;
-      * a cycle reads only frozen registers and values it wrote itself
-        earlier in the same cycle: phase-A reads feed A_WRITE and phase B,
-        and phase C reads the node's own register, and the parent's bcc
-        just before writing it.
+    node counts down L of its activations from its last restart, L its
+    schedule length.  At 0 it notes its pc as its first and records, in
+    activation order, each activation's next pc, its event and the new
+    ``count``, ``n_in`` and ``n_out``.  Once an activation ends on the first
+    pc, the record is one whole cycle, the loop the node replays from then
+    on, and the loop's remote reads are kept as a mask.  A changed write of
+    field f by node v restarts only the nodes that can read it:
+      * v itself;
+      * a replaying neighbour w whose loop reads f on w's port to v;
+      * a neighbour w that does not replay, on every path write; on a count
+        or bcc write unless ``protocol.may_read`` rules the read out from
+        the kernel's memo (the port is no CHILD, or no PARENT, there).
+    A fault first writes the lazy fields (below) of every replaying node,
+    which goes on replaying; then it restarts each node it hit and, by the
+    same rule, the readers of each register field it hit.  This is exact:
+      * ``advance`` is a deterministic function of the node's state and of
+        the neighbour register fields it reads.  So a replaying node's
+        future depends only on the fields its loop reads (its own register
+        among them, which the loop leaves unchanged), and the loop repeats
+        while none of them changes.
+      * For a node that does not replay, the countdown only decides when
+        recording starts.  L activations take at least L slots, so a node
+        that records from first pc p has run slots 0..p-1 of that cycle
+        since its last restart.  A cycle from slot 0 reads only registers
+        and values it wrote itself earlier in the same cycle: phase-A reads
+        feed A_WRITE and phase B, and phase C reads the node's own
+        register, and the parent's bcc just before writing it.
+      * Since that restart the node's own register and its neighbours'
+        paths are fixed (a change of either restarts it), so its own path
+        and a read path, once read in the cycle, stay the same objects.  A
+        count or bcc read in the cycle was classified under exactly those
+        objects, and the memo keeps that class, so a write that
+        ``may_read`` spares was not read before it.  A field the node has
+        not read since its last restart cannot reach its recorded loop.
     So the run of pcs from the first is periodic, and the first pc is the
     first to recur, after exactly one cycle.
     Replay is lazy: each replayed activation only counts itself.  A
     replaying node's other fields would only be rewritten with the
     values they hold, and nothing reads the four replayed ones while it
     replays: neighbours read only its register, and so do the round-end
-    test and the space meter.  They are written from the loop, once, when
-    a changed write ends its replay, before any fault fires (so the fault
-    meets caught-up states) and before the run returns.
+    test and the space meter.  They are written from the loop when a
+    restart ends its replay, before any fault fires (so the fault meets
+    caught-up states) and before the run returns.
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
@@ -504,23 +550,38 @@ def run(
     max_path_len, max_symbols = _widest(states, 0, 0)
     # replay (see above), per node: L; activations left before it records,
     # or _RECORDING or _REPLAYING; the pc its record starts from; the loop
-    # it records, then replays, and the activations replayed from it; and
-    # the nodes whose count a changed write of it restarts
+    # it records, then replays, the reads in that loop as a mask, and the
+    # activations replayed from it; and its neighbours w, each with i, w's
+    # port for it less one
     span = [0] + [prog.length for prog in programs]
     left = span.copy()
     first = [0] * (n + 1)
     loops: list[Sequence] = [()] * (n + 1)
+    reads = [0] * (n + 1)
     owed = [0] * (n + 1)
-    around = [()] + [(v, *g.neighbors(v)) for v in nodes]
+    readers = [()] + [
+        tuple(zip(nbrs, [j - 1 for j in prog.reverse_ports]))
+        for nbrs, prog in zip(g.ports, programs)
+    ]
+    # per register field, the mask bit of its read on port i + 1; and the
+    # bit of each such read event, by the event's id
+    read_bit = {
+        f: [1 << (3 * i + k) for i in range(g.max_degree)] for k, f in enumerate(REGISTER_FIELDS)
+    }
+    bit_of = {
+        id(remote_read(f, i + 1)): b for f, bits in read_bit.items() for i, b in enumerate(bits)
+    }
 
     for pid in scheduler.activations(n):
         if steps >= limit:
             if steps >= step_cap:
                 break  # inside a round, which stays unfinished
             if step_faults and step_faults[0].trigger <= steps:
-                _catch_up(states, loops, owed, left, span, nodes)
+                _catch_up(states, loops, owed, left, nodes)
                 while step_faults and step_faults[0].trigger <= steps:
-                    fault_events += _fire(step_faults.popleft(), g, states, programs, steps, rounds)
+                    fired = _fire(step_faults.popleft(), g, states, programs, steps, rounds)
+                    _restart(fired, states, left, span, reads, readers, read_bit)
+                    fault_events += fired
                     max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
                 wrong = _wrong(states, gt_regs)
@@ -546,14 +607,29 @@ def run(
                 loops[pid].append((st.pc, event, st.count, st.n_in, st.n_out))
                 if st.pc == first[pid]:
                     left[pid] = _REPLAYING
-                    loops[pid] = tuple(loops[pid])
+                    loops[pid] = loop = tuple(loops[pid])
+                    # a cycle reads each (field, port) at most once
+                    reads[pid] = sum(map(bit_of.get, map(id, map(itemgetter(1), loop)), repeat(0)))
                     owed[pid] = 0
             if record_steps:
                 trace.steps.append((steps, pid, event))
             # only a changed write can grow the register; reads never change it
             if event.changed:
                 changed = True
-                _catch_up(states, loops, owed, left, span, around[pid])
+                # the restart rule of _restart, inline, and a neighbour
+                # whose countdown is full already is left as it is
+                left[pid] = span[pid]
+                fld = event.field
+                bits = read_bit[fld]
+                for w, i in readers[pid]:
+                    lw = left[w]
+                    if lw == _REPLAYING:
+                        if not reads[w] & bits[i]:
+                            continue
+                        _catch_up(states, loops, owed, left, (w,))
+                    elif lw == span[w] or fld != "path" and not may_read(states[w - 1], i, fld):
+                        continue
+                    left[w] = span[w]
                 if st.register == gt_regs[pid - 1]:
                     wrong.discard(pid)
                 else:
@@ -594,8 +670,10 @@ def run(
             if post_faults:
                 # a new attempt: the fault counts as a change of the next
                 # round, so that round cannot confirm a declaration
-                _catch_up(states, loops, owed, left, span, nodes)
-                fault_events += _fire(post_faults.popleft(), g, states, programs, steps, rounds)
+                _catch_up(states, loops, owed, left, nodes)
+                fired = _fire(post_faults.popleft(), g, states, programs, steps, rounds)
+                _restart(fired, states, left, span, reads, readers, read_bit)
+                fault_events += fired
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
                 wrong = _wrong(states, gt_regs)
@@ -610,7 +688,7 @@ def run(
     else:
         raise ValueError(f"scheduler {scheduler!r} stopped activating processors")
 
-    _catch_up(states, loops, owed, left, span, nodes)
+    _catch_up(states, loops, owed, left, nodes)
     final_registers = tuple(st.register for st in states)
     # a closure window can end outside the legitimate configuration
     stabilized = stabilization_round is not None and not wrong

@@ -613,6 +613,80 @@ def test_a_step_fault_meets_caught_up_states():
     assert before == reference.full_state(states)
 
 
+@pytest.mark.parametrize("field, node", [("count", 4), ("bcc", 9)])
+def test_a_write_restarts_only_the_neighbours_that_read_it(field, node):
+    # from the legitimate configuration every node replays by round 2L; a
+    # fault on one register field of node, and node's changed writes of that
+    # field, must then leave replaying each neighbour that does not read
+    # it: a count is read only by the parent, a bcc only by the children
+    g = generate_random_connected(10, 5, seed=0)
+    gt = ground_truth(g)
+    init = stabilized_configuration(g, gt)
+    span = max(node_program(g, v).length for v in range(1, g.n + 1))
+    fault = FaultSpec(trigger=2 * span * g.n + 1, targets=((node, field),), seed=0)
+    closure = 2 * span + 150
+    calls = []  # (faults fired so far, the state stepped) per kernel call
+    with reference.watch_runs() as log, patch.object(
+        simulator, "advance", lambda s, *a: calls.append((len(log.firings), s)) or advance(s, *a)
+    ):
+        trace, report = run(
+            g, make_scheduler("round-robin"), init, faults=[fault],
+            closure_rounds=closure, record_steps=True,
+        )
+    assert report.stabilized
+    write = ("write", field, True)
+    assert any(
+        k > fault.trigger and pid == node and (ev.kind, ev.field, ev.changed) == write
+        for k, pid, ev in trace.steps
+    )
+    after = {id(s) for fired, s in calls if fired}
+    stepped = {v for v, st in enumerate(log.states, start=1) if id(st) in after}
+    if field == "count":
+        spared = {w for w in g.neighbors(node) if gt.parent.get(node) != w}
+    else:
+        spared = {w for w in g.neighbors(node) if gt.parent.get(w) != node}
+    assert spared and not spared & stepped
+    _assert_runs_like_loop(g, make_scheduler("round-robin"), init, [fault], closure)
+
+
+def test_a_fault_keeps_what_it_wrote_into_a_replaying_reader():
+    # one fault hits the path of node 2 and the pc of its neighbour 3, both
+    # replaying: restarting 3 as a reader of 2's path must not write its
+    # loop's pc over the one the fault drew
+    g = generate_random_connected(10, 5, seed=0)
+    assert 3 in g.neighbors(2)
+    init = stabilized_configuration(g, ground_truth(g))
+    span = max(node_program(g, v).length for v in range(1, g.n + 1))
+    fault = FaultSpec(trigger=2 * span * g.n + 1, targets=((2, "path"), (3, "pc")), seed=1)
+    _assert_runs_like_loop(g, make_scheduler("round-robin"), init, [fault], 2 * span + 100)
+
+
+def _kernel_calls(g, scheduler, init, faults=(), closure_rounds=0):
+    calls = []
+    with patch.object(simulator, "advance", lambda *a: calls.append(1) or advance(*a)):
+        run(g, scheduler, init, faults=faults, closure_rounds=closure_rounds)
+    return len(calls)
+
+
+# Kernel calls of three fixed runs.  In parentheses: the calls when every
+# changed write restarts the writer's whole closed neighbourhood, and every
+# fault every node, so a fallback to that rule shows.
+def test_replay_restarts_only_readers_kernel_call_lock():
+    # the premature-verdict repro, from arbitrary states (2,529)
+    g = generate_random_connected(16, 10, seed=144)
+    init = init_arbitrary(g, 144)
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, closure_rounds=30) == 2142
+    # a post bcc fault on the legitimate configuration (3,815)
+    g = generate_random_connected(40, 40, seed=0)
+    init = stabilized_configuration(g, ground_truth(g))
+    fault = FaultSpec(trigger=POST_STABILIZATION, targets=((3, "bcc"),), seed=3)
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, [fault], 60) == 2270
+    # weighted activations from arbitrary states (5,583)
+    g = figure1()
+    init = init_arbitrary(g, 5)
+    assert _kernel_calls(g, make_scheduler("weighted", seed=3), init, closure_rounds=20) == 5231
+
+
 def test_default_max_rounds(fig1):
     assert default_max_rounds(fig1) == 10 * 7 * 16 * 4
     assert default_max_rounds(parse_graph("1 0\n")) == 10
