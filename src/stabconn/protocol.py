@@ -331,7 +331,7 @@ _OWN_COUNT_READ = StepEvent("read", "count", None)
 @cache  # at most three entries per port number, so it stays small
 def remote_read(field: str, port: int) -> StepEvent:
     """The event of a read of ``field`` on ``port``: one shared object per
-    pair, the very one the kernel returns, so it can be keyed by identity."""
+    pair, the very one the kernel returns."""
     return StepEvent("read", field, port)
 
 

@@ -21,7 +21,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, repeat
 from math import floor
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis
@@ -39,7 +38,6 @@ from .protocol import (
     may_read,
     node_program,
     payload_bits,
-    remote_read,
 )
 
 POST_STABILIZATION = "post-stabilization"
@@ -294,8 +292,9 @@ def step(c: Configuration, pid: NodeId) -> tuple[Configuration, StepEvent]:
     Returns the new configuration and the step's register access.
     """
     g = c.graph
-    if not 1 <= pid <= g.n:
-        raise ValueError(f"processor id {pid} outside 1..{g.n}")
+    # type(), not isinstance(): a bool is an int and would step node 1
+    if type(pid) is not int or not 1 <= pid <= g.n:
+        raise ValueError(f"processor id {pid!r} is not an int in 1..{g.n}")
     states = list(c.states)
     nbrs = tuple(states[w - 1] for w in g.neighbors(pid))
     states[pid - 1], event = execute_step(states[pid - 1], node_program(g, pid), nbrs)
@@ -368,51 +367,95 @@ def _widest(
 #: a node's count in ``run`` while it records its cycle, and while it replays it
 _RECORDING = -1
 _REPLAYING = -2
+#: per register field, the bit of its read on port 1 in a loop's read mask;
+#: the read on port p is that bit shifted left by 3 * (p - 1)
+_READ_BIT = {f: 1 << k for k, f in enumerate(REGISTER_FIELDS)}
 
 
-def _catch_up(
-    states: list[ProcessorState],
-    loops: list[Sequence],
-    owed: list[int],
-    left: list[int],
-    nodes: Iterable[NodeId],
-) -> None:
-    """Give each replaying one of ``nodes`` the pc, ``count``, ``n_in`` and
-    ``n_out`` of its last replayed activation, the four fields replay leaves
-    unwritten.  It goes on replaying."""
-    for v in nodes:
-        if left[v] == _REPLAYING and owed[v]:
-            loop = loops[v]
-            st = states[v - 1]
-            st.pc, _, st.count, st.n_in, st.n_out = loop[(owed[v] - 1) % len(loop)]
+class _Replay:
+    """The replay bookkeeping of one ``run``, which steps ``states`` and
+    binds these lists (changed only in place) for its per-activation path.
 
+    Per node v, ``span[v]`` is L, its schedule length.  ``left[v]`` counts
+    down L of its activations from its last restart; at 0 it becomes
+    _RECORDING, and v notes its pc in ``first[v]`` and records into
+    ``loops[v]``, in activation order, each activation's next pc, its event
+    and the new ``count``, ``n_in`` and ``n_out``.  Once an activation ends
+    on the first pc, the record is one whole cycle: ``close`` makes it the
+    loop v replays (``left[v]`` is then _REPLAYING) and keeps its remote
+    reads as the mask ``reads[v]``.  ``owed[v]`` counts the activations
+    replayed since.  ``readers[v]`` holds v's neighbours w, each with i,
+    w's port for v less one.
+    """
 
-def _restart(
-    fired: list[FaultEvent],
-    states: list[ProcessorState],
-    left: list[int],
-    span: list[int],
-    reads: list[int],
-    readers: list[tuple[tuple[NodeId, int], ...]],
-    read_bit: dict[str, list[int]],
-) -> None:
-    """Restart the countdown of each node a fault hit and, by ``run``'s rule
-    for a changed write, of the readers of each register field it hit.
-    Every replaying node has been caught up before the fault, so none is
-    caught up here, where it would write over what the fault drew."""
-    for ev in fired:
-        left[ev.node] = span[ev.node]
-        for fld in ev.fields:
-            if fld not in read_bit:
-                continue
-            bits = read_bit[fld]
-            for w, i in readers[ev.node]:
-                if left[w] == _REPLAYING:
-                    if not reads[w] & bits[i]:
-                        continue
-                elif not may_read(states[w - 1], i, fld):
+    def __init__(self, g: Graph, states: list[ProcessorState], programs: list[NodeProgram]):
+        n = g.n
+        self.g, self.states, self.programs = g, states, programs
+        self.span = [0] + [prog.length for prog in programs]
+        self.left = self.span.copy()
+        self.first = [0] * (n + 1)
+        self.loops: list[Sequence] = [()] * (n + 1)
+        self.reads = [0] * (n + 1)
+        self.owed = [0] * (n + 1)
+        self.readers = [()] + [
+            tuple(zip(nbrs, [j - 1 for j in prog.reverse_ports]))
+            for nbrs, prog in zip(g.ports, programs)
+        ]
+
+    def close(self, v: NodeId) -> None:
+        """Make v's recorded loop the loop it replays."""
+        self.left[v] = _REPLAYING
+        self.loops[v] = loop = tuple(self.loops[v])
+        # a cycle reads each (field, port) at most once, so the sum is an or
+        self.reads[v] = sum([
+            _READ_BIT[ev.field] << 3 * ev.port - 3 for _, ev, _, _, _ in loop if ev.port
+        ])
+        self.owed[v] = 0
+
+    def catch_up(self, nodes: Iterable[NodeId]) -> None:
+        """Give each replaying one of ``nodes`` the pc, ``count``, ``n_in``
+        and ``n_out`` of its last replayed activation, the four fields replay
+        leaves unwritten.  It goes on replaying.  A second call before the
+        next replayed activation writes the same values."""
+        left, owed, loops, states = self.left, self.owed, self.loops, self.states
+        for v in nodes:
+            if left[v] == _REPLAYING and owed[v]:
+                loop = loops[v]
+                st = states[v - 1]
+                st.pc, _, st.count, st.n_in, st.n_out = loop[(owed[v] - 1) % len(loop)]
+
+    def restart(self, v: NodeId, fld: str) -> None:
+        """The restart rule for a change of v's register field ``fld``:
+        restart v's countdown and that of each neighbour that can read the
+        change (see ``run``), catching up a replaying one first."""
+        left, span, reads, states = self.left, self.span, self.reads, self.states
+        left[v] = span[v]
+        bit = _READ_BIT[fld]
+        for w, i in self.readers[v]:
+            lw = left[w]
+            if lw == span[w]:
+                continue  # restarting it would change nothing
+            if lw == _REPLAYING:
+                if not reads[w] & bit << 3 * i:
                     continue
-                left[w] = span[w]
+                self.catch_up((w,))
+            elif fld != "path" and not may_read(states[w - 1], i, fld):
+                continue
+            left[w] = span[w]
+
+    def fire(self, spec: FaultSpec, steps: int, rounds: int) -> list[FaultEvent]:
+        """Fire one fault into the caught-up states; return its events.
+        Every node it hit restarts before any reader of a register field it
+        hit does, so no catch-up writes over what the fault drew."""
+        self.catch_up(range(1, self.g.n + 1))
+        fired = _fire(spec, self.g, self.states, self.programs, steps, rounds)
+        for ev in fired:
+            self.left[ev.node] = self.span[ev.node]
+        for ev in fired:
+            for fld in ev.fields:
+                if fld in _READ_BIT:
+                    self.restart(ev.node, fld)
+        return fired
 
 
 def _wrong(states: list[ProcessorState], gt_regs: tuple[Register, ...]) -> set[NodeId]:
@@ -454,22 +497,21 @@ def run(
     each changed write (no other step changes a register) and rebuilds the
     set after each fault.  A round ends legitimate when the set is empty.
 
-    Quiet nodes replay their cycle instead of calling ``advance``.  Each
-    node counts down L of its activations from its last restart, L its
-    schedule length.  At 0 it notes its pc as its first and records, in
-    activation order, each activation's next pc, its event and the new
-    ``count``, ``n_in`` and ``n_out``.  Once an activation ends on the first
-    pc, the record is one whole cycle, the loop the node replays from then
-    on, and the loop's remote reads are kept as a mask.  A changed write of
-    field f by node v restarts only the nodes that can read it:
+    Quiet nodes replay their cycle instead of calling ``advance``; the
+    bookkeeping is ``_Replay``'s.  A node that has made L activations since
+    its last restart, L its schedule length, records its cycle from the pc
+    it is at, its first, and replays the record once that pc recurs.  One
+    rule, ``_Replay.restart``, serves changed writes and faults: a changed
+    write of field f by node v restarts only the nodes that can read it:
       * v itself;
       * a replaying neighbour w whose loop reads f on w's port to v;
       * a neighbour w that does not replay, on every path write; on a count
         or bcc write unless ``protocol.may_read`` rules the read out from
         the kernel's memo (the port is no CHILD, or no PARENT, there).
     A fault first writes the lazy fields (below) of every replaying node,
-    which goes on replaying; then it restarts each node it hit and, by the
-    same rule, the readers of each register field it hit.  This is exact:
+    which goes on replaying; then it restarts every node it hit and only
+    then, by the same rule, the readers of each register field it hit, so
+    no reader's catch-up writes over a value the fault drew.  This is exact:
       * ``advance`` is a deterministic function of the node's state and of
         the neighbour register fields it reads.  So a replaying node's
         future depends only on the fields its loop reads (its own register
@@ -548,41 +590,17 @@ def run(
     # register bits grow with the symbols of both paths, so the meter keeps
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
-    # replay (see above), per node: L; activations left before it records,
-    # or _RECORDING or _REPLAYING; the pc its record starts from; the loop
-    # it records, then replays, the reads in that loop as a mask, and the
-    # activations replayed from it; and its neighbours w, each with i, w's
-    # port for it less one
-    span = [0] + [prog.length for prog in programs]
-    left = span.copy()
-    first = [0] * (n + 1)
-    loops: list[Sequence] = [()] * (n + 1)
-    reads = [0] * (n + 1)
-    owed = [0] * (n + 1)
-    readers = [()] + [
-        tuple(zip(nbrs, [j - 1 for j in prog.reverse_ports]))
-        for nbrs, prog in zip(g.ports, programs)
-    ]
-    # per register field, the mask bit of its read on port i + 1; and the
-    # bit of each such read event, by the event's id
-    read_bit = {
-        f: [1 << (3 * i + k) for i in range(g.max_degree)] for k, f in enumerate(REGISTER_FIELDS)
-    }
-    bit_of = {
-        id(remote_read(f, i + 1)): b for f, bits in read_bit.items() for i, b in enumerate(bits)
-    }
+    replay = _Replay(g, states, programs)
+    left, first, loops, owed = replay.left, replay.first, replay.loops, replay.owed
+    restart = replay.restart
 
     for pid in scheduler.activations(n):
         if steps >= limit:
             if steps >= step_cap:
                 break  # inside a round, which stays unfinished
-            if step_faults and step_faults[0].trigger <= steps:
-                _catch_up(states, loops, owed, left, nodes)
-                while step_faults and step_faults[0].trigger <= steps:
-                    fired = _fire(step_faults.popleft(), g, states, programs, steps, rounds)
-                    _restart(fired, states, left, span, reads, readers, read_bit)
-                    fault_events += fired
-                    max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
+            while step_faults and step_faults[0].trigger <= steps:
+                fault_events += replay.fire(step_faults.popleft(), steps, rounds)
+                max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
                 wrong = _wrong(states, gt_regs)
             limit = min(step_faults[0].trigger, step_cap) if step_faults else step_cap
@@ -606,30 +624,13 @@ def run(
                 event = advance(st, programs[pid - 1], nbr_states[pid - 1])
                 loops[pid].append((st.pc, event, st.count, st.n_in, st.n_out))
                 if st.pc == first[pid]:
-                    left[pid] = _REPLAYING
-                    loops[pid] = loop = tuple(loops[pid])
-                    # a cycle reads each (field, port) at most once
-                    reads[pid] = sum(map(bit_of.get, map(id, map(itemgetter(1), loop)), repeat(0)))
-                    owed[pid] = 0
+                    replay.close(pid)
             if record_steps:
                 trace.steps.append((steps, pid, event))
             # only a changed write can grow the register; reads never change it
             if event.changed:
                 changed = True
-                # the restart rule of _restart, inline, and a neighbour
-                # whose countdown is full already is left as it is
-                left[pid] = span[pid]
-                fld = event.field
-                bits = read_bit[fld]
-                for w, i in readers[pid]:
-                    lw = left[w]
-                    if lw == _REPLAYING:
-                        if not reads[w] & bits[i]:
-                            continue
-                        _catch_up(states, loops, owed, left, (w,))
-                    elif lw == span[w] or fld != "path" and not may_read(states[w - 1], i, fld):
-                        continue
-                    left[w] = span[w]
+                restart(pid, event.field)
                 if st.register == gt_regs[pid - 1]:
                     wrong.discard(pid)
                 else:
@@ -670,10 +671,7 @@ def run(
             if post_faults:
                 # a new attempt: the fault counts as a change of the next
                 # round, so that round cannot confirm a declaration
-                _catch_up(states, loops, owed, left, nodes)
-                fired = _fire(post_faults.popleft(), g, states, programs, steps, rounds)
-                _restart(fired, states, left, span, reads, readers, read_bit)
-                fault_events += fired
+                fault_events += replay.fire(post_faults.popleft(), steps, rounds)
                 max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
                 changed = True
                 wrong = _wrong(states, gt_regs)
@@ -688,7 +686,7 @@ def run(
     else:
         raise ValueError(f"scheduler {scheduler!r} stopped activating processors")
 
-    _catch_up(states, loops, owed, left, nodes)
+    replay.catch_up(nodes)
     final_registers = tuple(st.register for st in states)
     # a closure window can end outside the legitimate configuration
     stabilized = stabilization_round is not None and not wrong

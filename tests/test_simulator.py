@@ -141,9 +141,11 @@ def test_read_steps_change_no_register(fig1):
             regs = c.registers()
 
 
-def test_step_rejects_bad_pid(triangle):
+@pytest.mark.parametrize("pid", [0, 4, True, 2.0], ids=["0", "n+1", "True", "2.0"])
+def test_step_rejects_bad_pid(triangle, pid):
+    assert triangle.n == 3
     with pytest.raises(ValueError):
-        step(init_arbitrary(triangle, 0), 9)
+        step(init_arbitrary(triangle, 0), pid)
 
 
 def test_root_activation_writes_its_program_value(triangle):
@@ -649,15 +651,18 @@ def test_a_write_restarts_only_the_neighbours_that_read_it(field, node):
     _assert_runs_like_loop(g, make_scheduler("round-robin"), init, [fault], closure)
 
 
-def test_a_fault_keeps_what_it_wrote_into_a_replaying_reader():
-    # one fault hits the path of node 2 and the pc of its neighbour 3, both
-    # replaying: restarting 3 as a reader of 2's path must not write its
-    # loop's pc over the one the fault drew
+@pytest.mark.parametrize("node, fld", [(3, "pc"), (3, "locals")])
+def test_a_fault_keeps_what_it_wrote_into_a_replaying_reader(node, fld):
+    # one fault hits the path of node 2 and the pc or locals of its
+    # neighbour 3, both replaying: restarting 3 as a reader of 2's path must
+    # not write its loop's pc, count, n_in or n_out over what the fault drew.
+    # It fires while 3 is at a B_PORT slot, where count, n_in and n_out are
+    # live: they reach its next count write.
     g = generate_random_connected(10, 5, seed=0)
     assert 3 in g.neighbors(2)
     init = stabilized_configuration(g, ground_truth(g))
     span = max(node_program(g, v).length for v in range(1, g.n + 1))
-    fault = FaultSpec(trigger=2 * span * g.n + 1, targets=((2, "path"), (3, "pc")), seed=1)
+    fault = FaultSpec(trigger=2 * span * g.n + 26, targets=((2, "path"), (node, fld)), seed=1)
     _assert_runs_like_loop(g, make_scheduler("round-robin"), init, [fault], 2 * span + 100)
 
 
