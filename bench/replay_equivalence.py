@@ -38,7 +38,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import reference  # noqa: E402
-from test_simulator import stabilized_configuration  # noqa: E402
 from stabconn.graph import generate_clustered, generate_random_connected  # noqa: E402
 from stabconn.oracle import ground_truth  # noqa: E402
 from stabconn.simulator import (  # noqa: E402
@@ -102,7 +101,7 @@ def build(case: dict):
         for trigger, target, k, s in case["faults"]
     ]
     if case["init_seed"] is None:
-        init = stabilized_configuration(g, ground_truth(g))
+        init = reference.stabilized_configuration(g, ground_truth(g))
     else:
         init = init_arbitrary(g, case["init_seed"])
     return g, init, specs

@@ -364,9 +364,9 @@ def _widest(
     return max_path_len, max_symbols
 
 
-#: a node's count in ``run`` while it records its cycle, and while it replays it
-_RECORDING = -1
-_REPLAYING = -2
+#: a node's ``_Replay.left`` after a restart, and while it replays its cycle
+_WARM_UP = 2
+_REPLAYING = -1
 #: per register field, the bit of its read on port 1 in a loop's read mask;
 #: the read on port p is that bit shifted left by 3 * (p - 1)
 _READ_BIT = {f: 1 << k for k, f in enumerate(REGISTER_FIELDS)}
@@ -376,24 +376,21 @@ class _Replay:
     """The replay bookkeeping of one ``run``, which steps ``states`` and
     binds these lists (changed only in place) for its per-activation path.
 
-    Per node v, ``span[v]`` is L, its schedule length.  ``left[v]`` counts
-    down L of its activations from its last restart; at 0 it becomes
-    _RECORDING, and v notes its pc in ``first[v]`` and records into
-    ``loops[v]``, in activation order, each activation's next pc, its event
-    and the new ``count``, ``n_in`` and ``n_out``.  Once an activation ends
-    on the first pc, the record is one whole cycle: ``close`` makes it the
-    loop v replays (``left[v]`` is then _REPLAYING) and keeps its remote
-    reads as the mask ``reads[v]``.  ``owed[v]`` counts the activations
-    replayed since.  ``readers[v]`` holds v's neighbours w, each with i,
-    w's port for v less one.
+    Per node v, ``left[v]`` counts down from _WARM_UP the activations of v
+    since its last restart that end at pc 1, each of which finished slot 0.
+    At 0, v records into ``loops[v]``, in activation order, each
+    activation's next pc, its event and the new ``count``, ``n_in`` and
+    ``n_out``.  Once an activation ends at pc 1 again, the record is one
+    whole cycle: ``close`` makes it the loop v replays (``left[v]`` is then
+    _REPLAYING) and keeps its remote reads as the mask ``reads[v]``.
+    ``owed[v]`` counts the activations replayed since.  ``readers[v]`` holds
+    v's neighbours w, each with i, w's port for v less one.
     """
 
     def __init__(self, g: Graph, states: list[ProcessorState], programs: list[NodeProgram]):
         n = g.n
         self.g, self.states, self.programs = g, states, programs
-        self.span = [0] + [prog.length for prog in programs]
-        self.left = self.span.copy()
-        self.first = [0] * (n + 1)
+        self.left = [_WARM_UP] * (n + 1)
         self.loops: list[Sequence] = [()] * (n + 1)
         self.reads = [0] * (n + 1)
         self.owed = [0] * (n + 1)
@@ -426,14 +423,14 @@ class _Replay:
 
     def restart(self, v: NodeId, fld: str) -> None:
         """The restart rule for a change of v's register field ``fld``:
-        restart v's countdown and that of each neighbour that can read the
-        change (see ``run``), catching up a replaying one first."""
-        left, span, reads, states = self.left, self.span, self.reads, self.states
-        left[v] = span[v]
+        restart v and each neighbour that can read the change (see ``run``),
+        catching up a replaying one first."""
+        left, reads, states = self.left, self.reads, self.states
+        left[v] = _WARM_UP
         bit = _READ_BIT[fld]
         for w, i in self.readers[v]:
             lw = left[w]
-            if lw == span[w]:
+            if lw == _WARM_UP:
                 continue  # restarting it would change nothing
             if lw == _REPLAYING:
                 if not reads[w] & bit << 3 * i:
@@ -441,7 +438,7 @@ class _Replay:
                 self.catch_up((w,))
             elif fld != "path" and not may_read(states[w - 1], i, fld):
                 continue
-            left[w] = span[w]
+            left[w] = _WARM_UP
 
     def fire(self, spec: FaultSpec, steps: int, rounds: int) -> list[FaultEvent]:
         """Fire one fault into the caught-up states; return its events.
@@ -450,7 +447,7 @@ class _Replay:
         self.catch_up(range(1, self.g.n + 1))
         fired = _fire(spec, self.g, self.states, self.programs, steps, rounds)
         for ev in fired:
-            self.left[ev.node] = self.span[ev.node]
+            self.left[ev.node] = _WARM_UP
         for ev in fired:
             for fld in ev.fields:
                 if fld in _READ_BIT:
@@ -490,7 +487,8 @@ def run(
     final registers, uncertified.  ``trace`` is filled only on request.
     Every fault is checked against ``g`` before the first step; one that
     names a missing node or field, or more random fields than exist, raises
-    ``FaultTargetError``.
+    ``FaultTargetError``.  An ``init`` made for another graph, or for ``g``
+    under other port orders, raises ``ValueError``.
 
     The round-end test needs no scan: the run keeps the set of nodes whose
     register differs from the ground truth, updates the writer's entry at
@@ -498,11 +496,13 @@ def run(
     set after each fault.  A round ends legitimate when the set is empty.
 
     Quiet nodes replay their cycle instead of calling ``advance``; the
-    bookkeeping is ``_Replay``'s.  A node that has made L activations since
-    its last restart, L its schedule length, records its cycle from the pc
-    it is at, its first, and replays the record once that pc recurs.  One
-    rule, ``_Replay.restart``, serves changed writes and faults: a changed
-    write of field f by node v restarts only the nodes that can read it:
+    bookkeeping is ``_Replay``'s.  Slot 0 of every schedule is a register
+    access (the A_READ of port 1, or the root's path write), so exactly one
+    activation per cycle ends at pc 1.  After its last restart a node steps
+    with the kernel until it has finished slot 0 twice, then records one
+    cycle, from pc 1 to the next pc 1, and replays it.  One rule,
+    ``_Replay.restart``, serves changed writes and faults: a changed write
+    of field f by node v restarts only the nodes that can read it:
       * v itself;
       * a replaying neighbour w whose loop reads f on w's port to v;
       * a neighbour w that does not replay, on every path write; on a count
@@ -517,22 +517,17 @@ def run(
         future depends only on the fields its loop reads (its own register
         among them, which the loop leaves unchanged), and the loop repeats
         while none of them changes.
-      * For a node that does not replay, the countdown only decides when
-        recording starts.  L activations take at least L slots, so a node
-        that records from first pc p has run slots 0..p-1 of that cycle
-        since its last restart.  A cycle from slot 0 reads only registers
-        and values it wrote itself earlier in the same cycle: phase-A reads
-        feed A_WRITE and phase B, and phase C reads the node's own
-        register, and the parent's bcc just before writing it.
+      * The whole cycle before the loop ran after the restart, so every
+        value the loop reads or carries in (``n_in`` and ``n_out``
+        included) comes from frozen registers.
       * Since that restart the node's own register and its neighbours'
         paths are fixed (a change of either restarts it), so its own path
-        and a read path, once read in the cycle, stay the same objects.  A
-        count or bcc read in the cycle was classified under exactly those
-        objects, and the memo keeps that class, so a write that
-        ``may_read`` spares was not read before it.  A field the node has
-        not read since its last restart cannot reach its recorded loop.
-    So the run of pcs from the first is periodic, and the first pc is the
-    first to recur, after exactly one cycle.
+        and a read path, once read, stay the same objects.  A count or bcc
+        read since was classified under exactly those objects, and the memo
+        keeps that class, so a write that ``may_read`` spares was not read
+        before it.  A field the node has not read since its last restart
+        cannot reach its recorded loop.
+    So the recorded cycle is also each next one, until a restart.
     Replay is lazy: each replayed activation only counts itself.  A
     replaying node's other fields would only be rewritten with the
     values they hold, and nothing reads the four replayed ones while it
@@ -549,6 +544,8 @@ def run(
     # the run would reach its trigger
     for spec in faults:
         _check_fault_targets(g, spec)
+    if init.graph != g:
+        raise ValueError("init is a configuration of another graph or port order")
     if gt is None:
         gt = ground_truth(g)
     gt_regs = gt.registers
@@ -591,7 +588,7 @@ def run(
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
     replay = _Replay(g, states, programs)
-    left, first, loops, owed = replay.left, replay.first, replay.loops, replay.owed
+    left, loops, owed = replay.left, replay.loops, replay.owed
     restart = replay.restart
 
     for pid in scheduler.activations(n):
@@ -613,18 +610,14 @@ def run(
                 trace.steps.append((steps, pid, loop[(owed[pid] - 1) % len(loop)][1]))
         else:
             st = states[pid - 1]
-            if wait > 0:
-                left[pid] = wait - 1
-                event = advance(st, programs[pid - 1], nbr_states[pid - 1])
-            else:  # record the cycle; replay it once its first pc recurs
-                if not wait:
-                    left[pid] = _RECORDING
-                    first[pid] = st.pc
-                    loops[pid] = []
-                event = advance(st, programs[pid - 1], nbr_states[pid - 1])
+            event = advance(st, programs[pid - 1], nbr_states[pid - 1])
+            if not wait:  # record the cycle; replay it once pc 1 recurs
                 loops[pid].append((st.pc, event, st.count, st.n_in, st.n_out))
-                if st.pc == first[pid]:
+                if st.pc == 1:
                     replay.close(pid)
+            elif st.pc == 1:  # slot 0 finished
+                left[pid] = wait - 1
+                loops[pid] = []
             if record_steps:
                 trace.steps.append((steps, pid, event))
             # only a changed write can grow the register; reads never change it

@@ -3,8 +3,10 @@
 Each one restates a definition in the most direct way, with no attention to
 speed, so a test can check the package's faster or more indirect route
 against it.  None of them is part of the ``stabconn`` API.  ``watch_runs``
-is no reference but a probe: it shows the full processor states that
-``simulator.run`` keeps to itself.
+and ``checked_loops`` are no references but probes: the first shows the
+full processor states that ``simulator.run`` keeps to itself, the second
+checks each cycle it records before it replays it.
+``stabilized_configuration`` is a start that tests and benches share.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from types import SimpleNamespace
 from typing import Iterator, Sequence
 from unittest.mock import patch
 
-from stabconn import simulator
+from stabconn import protocol, simulator
 from stabconn.graph import ROOT, Graph, NodeId
 from stabconn.oracle import GroundTruth
 from stabconn.protocol import (
@@ -238,6 +240,31 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
     raise AssertionError("schedule contains no unconditional register access")
 
 
+def stabilized_configuration(g: Graph, gt: GroundTruth) -> simulator.Configuration:
+    """The ground truth's registers, with every pc at 0 and locals that
+    agree with them: each node's own path and count, and its neighbours'
+    register fields as its read lists.  ``n_in`` and ``n_out`` are 0, which
+    a converged phase B does not leave; the first phase B rewrites them,
+    and no write reads them."""
+    return simulator.Configuration(
+        g,
+        [
+            ProcessorState(
+                register=reg,
+                path=reg.path,
+                count=reg.count,
+                n_in=0,
+                n_out=0,
+                read_path=[gt.registers[w - 1].path for w in g.neighbors(v)],
+                read_count=[gt.registers[w - 1].count for w in g.neighbors(v)],
+                read_bcc=[gt.registers[w - 1].bcc for w in g.neighbors(v)],
+                pc=0,
+            )
+            for v, reg in enumerate(gt.registers, start=1)
+        ],
+    )
+
+
 def full_state(states: Sequence[ProcessorState]) -> tuple:
     """Every protocol field of every state, as plain tuples."""
     return tuple(
@@ -321,3 +348,29 @@ def watch_runs():
         simulator, "_widest", logged_widest
     ):
         yield log
+
+
+@contextmanager
+def checked_loops():
+    """Check every cycle the ``simulator.run`` calls in the block record.
+
+    This wraps ``simulator._Replay.close``: when a node's record closes, a
+    clone of its state steps one more cycle with ``protocol.advance``
+    against the live neighbour states, and each activation's (pc, event,
+    count, n_in, n_out) must equal the recorded entry, or an
+    ``AssertionError`` names the node and the entry.
+    """
+    close = simulator._Replay.close
+
+    def checked_close(replay, v):
+        close(replay, v)
+        st = replay.states[v - 1].clone()
+        prog = replay.programs[v - 1]
+        nbrs = tuple(replay.states[w - 1] for w in replay.g.neighbors(v))
+        for k, entry in enumerate(replay.loops[v]):
+            event = protocol.advance(st, prog, nbrs)
+            again = (st.pc, event, st.count, st.n_in, st.n_out)
+            assert again == entry, (v, k, again, entry)
+
+    with patch.object(simulator._Replay, "close", checked_close):
+        yield

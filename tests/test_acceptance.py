@@ -32,8 +32,7 @@ from stabconn.simulator import (
     run,
 )
 
-from reference import children, classify_counts
-from test_simulator import stabilized_configuration
+from reference import children, classify_counts, stabilized_configuration
 
 SCHEDULERS = ("round-robin", "random", "weighted")
 

@@ -165,6 +165,25 @@ def test_validate_rejects_bad_hand_built():
         build_graph(4, [(1, 2), (3, 4)])
 
 
+@pytest.mark.parametrize(
+    "graph, exc",
+    [
+        (Graph(n=0, edges=(), ports=()), GraphParseError),
+        (Graph(n=2, edges=((1, 2),), ports=((2,),)), PortAssignmentError),
+        (Graph(n=2, edges=((1, 3),), ports=((2,), (1,))), NodeRangeError),
+        (Graph(n=2, edges=((1, 1),), ports=((), ())), SelfLoopError),
+        (Graph(n=2, edges=((1, 2), (2, 1)), ports=((2,), (1,))), DuplicateEdgeError),
+    ],
+    ids=["node-count", "port-lists", "edge-range", "self-loop", "duplicate"],
+)
+def test_validate_checks_what_parse_graph_checks_first(graph, exc):
+    # parse_graph rejects these before it builds a Graph, so only a
+    # hand-built one reaches validate's own checks
+    with pytest.raises(GraphParseError) as err:
+        graph.validate()
+    assert type(err.value) is exc
+
+
 def test_shuffle_ports_keeps_topology():
     g = figure1()
     s = shuffle_ports(g, 71)

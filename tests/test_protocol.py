@@ -20,6 +20,7 @@ from stabconn.protocol import (
     B_WRITE,
     C_DECIDE,
     C_WRITE_PARENT_BCC,
+    R_WRITE_PATH,
     LinkClass,
     ProcessorState,
     Register,
@@ -38,8 +39,7 @@ from stabconn.protocol import (
 from stabconn.simulator import init_arbitrary
 
 import reference
-from reference import lex_compare
-from test_simulator import stabilized_configuration
+from reference import lex_compare, stabilized_configuration
 
 
 def random_path(rng, max_len=6, max_symbol=4, allow_empty=False):
@@ -250,6 +250,12 @@ def test_nonroot_program_shape():
     assert kinds.count(A_WRITE) == kinds.count(B_WRITE) == 1
     with pytest.raises(ValueError):
         nonroot_program(0)
+
+
+def test_slot_0_is_a_register_access():
+    # simulator.run's replay landmark: exactly one activation per cycle ends at pc 1
+    programs = [root_program(), *map(nonroot_program, range(1, 9))]
+    assert [p[0] for p in programs] == [(R_WRITE_PATH, 0)] + [(A_READ, 1)] * 8
 
 
 def test_every_activation_is_one_register_access(fig1):

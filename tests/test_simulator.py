@@ -16,7 +16,7 @@ from stabconn.graph import (
     shuffle_ports,
 )
 from stabconn.oracle import ground_truth
-from stabconn.protocol import BOTTOM, ProcessorState, Register, ROOT_PATH, advance, node_program
+from stabconn.protocol import BOTTOM, Register, ROOT_PATH, advance, node_program
 from stabconn.simulator import (
     FAULT_FIELDS,
     Configuration,
@@ -33,28 +33,7 @@ from stabconn.simulator import (
 )
 
 import reference
-from reference import round_boundaries
-
-
-def stabilized_configuration(g, gt):
-    """A fully consistent legitimate configuration (registers, locals, pcs)."""
-    return Configuration(
-        g,
-        [
-            ProcessorState(
-                register=reg,
-                path=reg.path,
-                count=reg.count,
-                n_in=0,
-                n_out=0,
-                read_path=[gt.registers[w - 1].path for w in g.neighbors(v)],
-                read_count=[gt.registers[w - 1].count for w in g.neighbors(v)],
-                read_bcc=[gt.registers[w - 1].bcc for w in g.neighbors(v)],
-                pc=0,
-            )
-            for v, reg in enumerate(gt.registers, start=1)
-        ],
-    )
+from reference import round_boundaries, stabilized_configuration
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +450,10 @@ def _replay_cases(draw):
 def _assert_runs_like_loop(g, scheduler, init, faults, closure_rounds):
     """A loop that calls the kernel on every activation must give the same
     steps and the same full states as ``run``, whose quiet nodes replay
-    recorded cycles.  max_rounds is above every attempt the callers' cases
-    need, and keeps a run that a faulty replay stops from converging short."""
-    with reference.watch_runs() as log:
+    recorded cycles, and each cycle must repeat when it is recorded.
+    max_rounds is above every attempt the callers' cases need, and keeps a
+    run that a faulty replay stops from converging short."""
+    with reference.watch_runs() as log, reference.checked_loops():
         trace, report = run(
             g,
             scheduler,
@@ -559,8 +539,9 @@ def test_quiet_nodes_record_only_after_slot_0(case):
 
 
 def test_quiet_nodes_replay_their_cycle(fig1):
-    # each node steps with the kernel for L activations, then records its
-    # cycle, at most L activations, and replays that cycle from then on
+    # from pc 0 each node finishes slot 0 at once, steps one more cycle
+    # with the kernel, records the next one and replays it from then on:
+    # about two cycles of kernel calls per node
     calls = []
     with patch.object(simulator, "advance", lambda *a: calls.append(1) or advance(*a)):
         _, report = run(
@@ -680,16 +661,16 @@ def test_replay_restarts_only_readers_kernel_call_lock():
     # the premature-verdict repro, from arbitrary states (2,529)
     g = generate_random_connected(16, 10, seed=144)
     init = init_arbitrary(g, 144)
-    assert _kernel_calls(g, make_scheduler("round-robin"), init, closure_rounds=30) == 2142
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, closure_rounds=30) == 2145
     # a post bcc fault on the legitimate configuration (3,815)
     g = generate_random_connected(40, 40, seed=0)
     init = stabilized_configuration(g, ground_truth(g))
     fault = FaultSpec(trigger=POST_STABILIZATION, targets=((3, "bcc"),), seed=3)
-    assert _kernel_calls(g, make_scheduler("round-robin"), init, [fault], 60) == 2270
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, [fault], 60) == 2144
     # weighted activations from arbitrary states (5,583)
     g = figure1()
     init = init_arbitrary(g, 5)
-    assert _kernel_calls(g, make_scheduler("weighted", seed=3), init, closure_rounds=20) == 5231
+    assert _kernel_calls(g, make_scheduler("weighted", seed=3), init, closure_rounds=20) == 5103
 
 
 def test_default_max_rounds(fig1):
@@ -831,6 +812,33 @@ def test_run_rejects_negative_closure_rounds(fig1):
 def test_run_rejects_a_scheduler_that_stops(fig1):
     with pytest.raises(ValueError, match="stopped activating"):
         run(fig1, _RecordingScheduler(limit=20), init_arbitrary(fig1, 1))
+
+
+def test_run_stops_at_the_step_cap(triangle):
+    # node 3 is never activated, so no round ends; the run stops after
+    # 1000 * n * (max_rounds + closure_rounds + 10) steps
+    _, report = run(triangle, _RecordingScheduler(), init_arbitrary(triangle, 1), max_rounds=1)
+    assert not report.stabilized and report.stabilization_round is None
+    assert (report.rounds, report.total_steps) == (0, 1000 * 3 * 11)
+
+
+@pytest.mark.parametrize(
+    "case", ["fig1-on-triangle", "triangle-on-fig1", "fig1-on-random16", "shuffled"]
+)
+def test_run_rejects_an_init_of_another_graph(case, fig1, triangle):
+    # unchecked, the first three raised IndexError inside the loop, and an
+    # init with other port orders ran silently
+    g, other = {
+        "fig1-on-triangle": (triangle, fig1),
+        "triangle-on-fig1": (fig1, triangle),
+        "fig1-on-random16": (generate_random_connected(16, 10, seed=144), fig1),
+        "shuffled": (fig1, shuffle_ports(fig1, 1)),
+    }[case]
+    assert other.n != g.n or other.ports != g.ports
+    scheduler = _RecordingScheduler()
+    with pytest.raises(ValueError, match="another graph"):
+        run(g, scheduler, init_arbitrary(other, 1), max_rounds=2)
+    assert scheduler.drawn == 0
 
 
 @pytest.mark.parametrize("trigger", ["post", True, -1, 2.0, None])
