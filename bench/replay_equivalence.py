@@ -19,7 +19,10 @@ Case k is drawn from ``random.Random(f"{seed}:{k}")``:
 Each case runs with ``max_rounds=400`` and then through ``reference.run_loop``
 (``tests/reference.py``) with the same faults at the steps ``run`` fired
 them.  The two must give the same step stream, event by event, and the
-same full processor states at the end.  A mismatch prints the case's
+same full processor states at the end.  Each run is also watched by
+``reference.checked_loops``, so every loop it records must repeat one
+more cycle against the frozen neighbours; one that does not is a
+mismatch too.  A mismatch prints the case's
 repro (this script with ``--seed`` and ``--first``, and the ``stabconn
 run`` command where the case is one the CLI can express).  The summary is
 written as JSON to ``--out`` if given; the exit status is 1 on a mismatch.
@@ -124,19 +127,23 @@ def cli_repro(case: dict) -> str | None:
     return " ".join(parts)
 
 
-def check(case: dict) -> tuple[str | None, int, int]:
-    """What differs between run and the replay-free loop (None if nothing),
-    the steps compared and the faults fired."""
+def check(case: dict) -> tuple[str | None, int, int, int]:
+    """What differs between run and the replay-free loop, or the loop of
+    run's that does not repeat (None if nothing), the steps compared, the
+    faults fired and the loops checked."""
     g, init, specs = build(case)
 
     def scheduler():
         return make_scheduler(case["scheduler"], case["scheduler_seed"])
 
-    with reference.watch_runs() as log:
-        trace, report = run(
-            g, scheduler(), init, faults=specs, max_rounds=MAX_ROUNDS,
-            closure_rounds=case["closure_rounds"], record_steps=True,
-        )
+    with reference.watch_runs() as log, reference.checked_loops() as checked:
+        try:
+            trace, report = run(
+                g, scheduler(), init, faults=specs, max_rounds=MAX_ROUNDS,
+                closure_rounds=case["closure_rounds"], record_steps=True,
+            )
+        except AssertionError as exc:
+            return f"a recorded loop does not repeat: {exc}", 0, len(log.firings), checked.closes
     firings = [(steps, spec) for steps, spec, _, _ in log.firings]
     stream, states = reference.run_loop(g, scheduler(), init.states, firings, report.total_steps)
     why = None
@@ -145,7 +152,7 @@ def check(case: dict) -> tuple[str | None, int, int]:
         why = f"step streams part at step {k + 1}: run {trace.steps[k]}, loop {stream[k]}"
     elif reference.full_state(log.states) != reference.full_state(states):
         why = "final full states differ"
-    return why, report.total_steps, len(firings)
+    return why, report.total_steps, len(firings), checked.closes
 
 
 def main(argv=None) -> int:
@@ -158,12 +165,13 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     mismatches = []
-    steps = fired = 0
+    steps = fired = loops = 0
     for k in range(args.first, args.first + args.cases):
         case = draw_case(args.seed, k)
-        why, case_steps, case_fired = check(case)
+        why, case_steps, case_fired, case_loops = check(case)
         steps += case_steps
         fired += case_fired
+        loops += case_loops
         if why is not None:
             script = f"python3 bench/replay_equivalence.py --seed {args.seed} --first {k} --cases 1"
             repro = {"script": script, "cli": cli_repro(case)}
@@ -176,6 +184,7 @@ def main(argv=None) -> int:
         "cases": args.cases,
         "steps": steps,
         "faults_fired": fired,
+        "loops_checked": loops,
         "mismatches": len(mismatches),
         "seconds": round(time.perf_counter() - start, 1),
         "found": mismatches,

@@ -75,6 +75,10 @@ def parse_generate_spec(spec: str, seed: int) -> Graph:
                 n, m, seed = parts
             else:
                 raise ValueError
+            if m < n - 1:
+                raise UsageError(
+                    f"bad --generate spec {spec!r}: m={m} must be at least n-1={n - 1}"
+                )
             return generate_random_connected(n, m - (n - 1), seed)
         if kind == "clustered":
             k_str, _, size_str = rest.partition("x")

@@ -523,26 +523,6 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
     raise AssertionError("schedule contains no unconditional register access")
 
 
-def may_read(s: ProcessorState, i: int, field: str) -> bool:
-    """False only when ``advance``'s memo rules out that ``s`` reads
-    ``field`` from the neighbour on port i + 1 while its own path and its
-    read path of that port stay the objects they are.
-
-    A path is read on every port; a count only on a CHILD port and a bcc
-    only on a PARENT port (the lowest one, so this may say True where the
-    read goes elsewhere).  A memo entry that is missing, or keyed by other
-    objects than ``s.path`` and ``s.read_path[i]``, leaves the read open.
-    The memo is the one filled under ``s``'s own program.
-    """
-    links = s._links
-    if field == "path" or links is None:
-        return True
-    mine, theirs, cls = links[i]
-    if mine is not s.path or theirs is not s.read_path[i]:
-        return True
-    return cls is (_CHILD if field == "count" else _PARENT)
-
-
 def execute_step(
     state: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
 ) -> tuple[ProcessorState, StepEvent]:

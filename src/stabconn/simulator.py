@@ -35,7 +35,6 @@ from .protocol import (
     advance,
     execute_step,
     initial_state,
-    may_read,
     node_program,
     payload_bits,
 )
@@ -423,21 +422,18 @@ class _Replay:
 
     def restart(self, v: NodeId, fld: str) -> None:
         """The restart rule for a change of v's register field ``fld``:
-        restart v and each neighbour that can read the change (see ``run``),
-        catching up a replaying one first."""
-        left, reads, states = self.left, self.reads, self.states
+        restart v, every neighbour that does not replay, and each replaying
+        neighbour whose loop's read mask covers ``fld`` on its port to v,
+        caught up first (see ``run``).  It decides from the replay's own
+        records alone."""
+        left, reads = self.left, self.reads
         left[v] = _WARM_UP
         bit = _READ_BIT[fld]
         for w, i in self.readers[v]:
-            lw = left[w]
-            if lw == _WARM_UP:
-                continue  # restarting it would change nothing
-            if lw == _REPLAYING:
+            if left[w] == _REPLAYING:
                 if not reads[w] & bit << 3 * i:
                     continue
                 self.catch_up((w,))
-            elif fld != "path" and not may_read(states[w - 1], i, fld):
-                continue
             left[w] = _WARM_UP
 
     def fire(self, spec: FaultSpec, steps: int, rounds: int) -> list[FaultEvent]:
@@ -502,16 +498,14 @@ def run(
     with the kernel until it has finished slot 0 twice, then records one
     cycle, from pc 1 to the next pc 1, and replays it.  One rule,
     ``_Replay.restart``, serves changed writes and faults: a changed write
-    of field f by node v restarts only the nodes that can read it:
+    of field f by node v restarts:
       * v itself;
-      * a replaying neighbour w whose loop reads f on w's port to v;
-      * a neighbour w that does not replay, on every path write; on a count
-        or bcc write unless ``protocol.may_read`` rules the read out from
-        the kernel's memo (the port is no CHILD, or no PARENT, there).
+      * every neighbour that does not replay;
+      * a replaying neighbour w whose loop reads f on w's port to v.
     A fault first writes the lazy fields (below) of every replaying node,
     which goes on replaying; then it restarts every node it hit and only
-    then, by the same rule, the readers of each register field it hit, so
-    no reader's catch-up writes over a value the fault drew.  This is exact:
+    then applies the same rule to each register field it hit, so no
+    reader's catch-up writes over a value the fault drew.  This is exact:
       * ``advance`` is a deterministic function of the node's state and of
         the neighbour register fields it reads.  So a replaying node's
         future depends only on the fields its loop reads (its own register
@@ -520,13 +514,9 @@ def run(
       * The whole cycle before the loop ran after the restart, so every
         value the loop reads or carries in (``n_in`` and ``n_out``
         included) comes from frozen registers.
-      * Since that restart the node's own register and its neighbours'
-        paths are fixed (a change of either restarts it), so its own path
-        and a read path, once read, stay the same objects.  A count or bcc
-        read since was classified under exactly those objects, and the memo
-        keeps that class, so a write that ``may_read`` spares was not read
-        before it.  A field the node has not read since its last restart
-        cannot reach its recorded loop.
+      * While a node does not replay, every changed write of its own
+        register or a neighbour's restarts it.  So every register it can
+        read is frozen from its last restart until its record closes.
     So the recorded cycle is also each next one, until a restart.
     Replay is lazy: each replayed activation only counts itself.  A
     replaying node's other fields would only be rewritten with the

@@ -358,9 +358,11 @@ def checked_loops():
     clone of its state steps one more cycle with ``protocol.advance``
     against the live neighbour states, and each activation's (pc, event,
     count, n_in, n_out) must equal the recorded entry, or an
-    ``AssertionError`` names the node and the entry.
+    ``AssertionError`` names the node and the entry.  The yielded counter's
+    ``closes`` is the number of closes checked so far.
     """
     close = simulator._Replay.close
+    checked = SimpleNamespace(closes=0)
 
     def checked_close(replay, v):
         close(replay, v)
@@ -371,6 +373,7 @@ def checked_loops():
             event = protocol.advance(st, prog, nbrs)
             again = (st.pc, event, st.count, st.n_in, st.n_out)
             assert again == entry, (v, k, again, entry)
+        checked.closes += 1
 
     with patch.object(simulator._Replay, "close", checked_close):
-        yield
+        yield checked

@@ -73,10 +73,27 @@ def test_certify_reports_planted_mismatches(triangle):
     )
     report = certify(bogus, triangle)
     assert not report.match
-    text = "\n".join(report.mismatches)
-    assert "(1, 2)" in text
-    assert "3" in text
-    assert len(report.mismatches) >= 3
+    assert report.mismatches == (
+        "edge (1, 2) reported as bridge but is not",
+        "node 3 reported as articulation point but is not",
+        "component [1, 2] does not match any brute-force component",
+        "component [3] does not match any brute-force component",
+        "brute-force component [1, 2, 3] missed",
+    )
+
+
+def test_certify_reports_what_an_empty_result_misses(path3):
+    empty = DetectionResult(bridges=frozenset(), articulation_points=frozenset(), component_of={})
+    report = certify(empty, path3)
+    assert not report.match
+    assert report.mismatches == (
+        "bridge (1, 2) missed",
+        "bridge (2, 3) missed",
+        "articulation point 2 missed",
+        "brute-force component [1] missed",
+        "brute-force component [2] missed",
+        "brute-force component [3] missed",
+    )
 
 
 def test_certified_random_sample():

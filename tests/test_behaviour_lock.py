@@ -36,8 +36,7 @@ from stabconn.simulator import (
     run,
 )
 
-from reference import full_state, watch_runs
-from test_simulator import stabilized_configuration
+from reference import full_state, stabilized_configuration, watch_runs
 
 GRAPHS = {
     "figure1": figure1,

@@ -192,7 +192,18 @@ def test_usage_errors(capsys):
     assert main(["run", "--generate", "figure1", "--closure-rounds", "-3"]) == EXIT_USAGE
     assert main(["sweep", "--graphs", "clustered:2x3", "--seeds", "2", "--max-rounds", "-2"]) == EXIT_USAGE
     assert main(["dot", "--generate", "figure1", "--max-rounds", "0"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "post:random=1:salt=3"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "step=x:random=1"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "post:node=x,field=path"]) == EXIT_USAGE
+    assert main(["run", "--generate", "figure1", "--faults", "post:node=3,colour=red"]) == EXIT_USAGE
+    assert main(["sweep", "--graphs", ";", "--seeds", "2"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_random_spec_with_too_few_edges_names_m(capsys):
+    assert main(["run", "--generate", "random:5,3"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: bad --generate spec 'random:5,3': m=3 must be at least n-1=4\n"
 
 
 def test_closure_ending_outside_legitimacy_is_not_stabilized(capsys):

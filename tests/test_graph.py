@@ -83,6 +83,34 @@ def test_parse_errors_are_distinct(text, exc, line):
         assert getattr(err.value, "line", None) == line
 
 
+@pytest.mark.parametrize(
+    "text, exc, line",
+    [
+        ("3 x\n", GraphParseError, 1),
+        ("0 0\n", GraphParseError, 1),
+        ("2 -1\n", GraphParseError, 1),
+        ("2 1\n1 2\nports 1 2\n", GraphParseError, 3),
+        ("2 1\n1 2\nports 1: x\n", GraphParseError, 3),
+        ("2 1\n1 2\nports x: 2\n", GraphParseError, 3),
+        ("2 1\n1 2\nports 3: 1\n", NodeRangeError, 3),
+        ("2 1\n1 2\nports 1: 2\nports 1: 2\n", GraphParseError, 4),
+        ("2 1\n1 2 3\n", GraphParseError, 2),
+        ("2 1\n1\n", GraphParseError, 2),
+        ("# comment\n2 1\n\n1 x\n", GraphParseError, 4),
+    ],
+    ids=[
+        "header-integers", "header-n", "header-m", "ports-colon", "ports-list-integers",
+        "ports-node-integer", "ports-node-range", "ports-duplicate", "edge-three-tokens",
+        "edge-one-token", "edge-integers",
+    ],
+)
+def test_parse_graph_names_the_line_of_each_error(text, exc, line):
+    with pytest.raises(GraphParseError) as err:
+        parse_graph(text)
+    assert type(err.value) is exc
+    assert err.value.line == line
+
+
 def test_figure1_shape():
     g = figure1()
     assert g.n == 16
@@ -136,7 +164,11 @@ def test_generate_infeasible():
     with pytest.raises(GenerationError):
         generate_random_connected(0, 0, 0)
     with pytest.raises(GenerationError):
+        generate_random_connected(3, -1, 0)
+    with pytest.raises(GenerationError):
         generate_clustered(2, 2, 0)
+    with pytest.raises(GenerationError):
+        generate_clustered(0, 3, 0)
 
 
 def test_clustered_bridge_counts():

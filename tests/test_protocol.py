@@ -29,7 +29,6 @@ from stabconn.protocol import (
     classify_link,
     execute_step,
     format_path,
-    may_read,
     node_program,
     nonroot_program,
     register_bit_budget,
@@ -594,28 +593,6 @@ def test_unchanged_writes_keep_the_register_object():
             assert s.register == gt.registers[v - 1]
             covered.add(kind)
     assert covered == set(write_fields)
-
-
-def test_may_read_follows_the_link_memo():
-    """After one legitimate cycle, a count may be read only on a CHILD port
-    and a bcc only on a PARENT port; a path on every port, and anything on
-    a port whose memo is missing or keyed by other objects."""
-    g, gt = _FIG1, _FIG1_GT
-    for v in range(1, g.n + 1):
-        prog = node_program(g, v)
-        s = stabilized_configuration(g, gt).states[v - 1]
-        assert all(may_read(s, i, f) for i in range(prog.degree) for f in ("count", "bcc"))
-        neighbours = _nbrs(g, v, gt.registers)
-        for _ in range(prog.length):
-            advance(s, prog, neighbours)
-        for i, w in enumerate(g.neighbors(v)):
-            assert may_read(s, i, "path")
-            if v == 1:  # the root reads nothing and fills no memo entry
-                continue
-            assert may_read(s, i, "count") == (gt.parent.get(w) == v), (v, w)
-            assert may_read(s, i, "bcc") == (gt.parent.get(v) == w), (v, w)
-            s.read_path[i] = tuple(list(s.read_path[i]))  # an equal path, another object
-            assert may_read(s, i, "count") and may_read(s, i, "bcc")
 
 
 # ---------------------------------------------------------------------------

@@ -19,3 +19,4 @@ def test_replay_equivalence_finds_no_mismatch(tmp_path):
     assert doc["cases"] == 20
     assert doc["mismatches"] == 0 and doc["found"] == []
     assert doc["faults_fired"] > 0
+    assert doc["loops_checked"] > 0

@@ -661,16 +661,16 @@ def test_replay_restarts_only_readers_kernel_call_lock():
     # the premature-verdict repro, from arbitrary states (2,529)
     g = generate_random_connected(16, 10, seed=144)
     init = init_arbitrary(g, 144)
-    assert _kernel_calls(g, make_scheduler("round-robin"), init, closure_rounds=30) == 2145
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, closure_rounds=30) == 2386
     # a post bcc fault on the legitimate configuration (3,815)
     g = generate_random_connected(40, 40, seed=0)
     init = stabilized_configuration(g, ground_truth(g))
     fault = FaultSpec(trigger=POST_STABILIZATION, targets=((3, "bcc"),), seed=3)
-    assert _kernel_calls(g, make_scheduler("round-robin"), init, [fault], 60) == 2144
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, [fault], 60) == 2964
     # weighted activations from arbitrary states (5,583)
     g = figure1()
     init = init_arbitrary(g, 5)
-    assert _kernel_calls(g, make_scheduler("weighted", seed=3), init, closure_rounds=20) == 5103
+    assert _kernel_calls(g, make_scheduler("weighted", seed=3), init, closure_rounds=20) == 5424
 
 
 def test_default_max_rounds(fig1):
