@@ -24,8 +24,10 @@ same full processor states at the end.  Each run is also watched by
 more cycle against the frozen neighbours; one that does not is a
 mismatch too.  A mismatch prints the case's
 repro (this script with ``--seed`` and ``--first``, and the ``stabconn
-run`` command where the case is one the CLI can express).  The summary is
-written as JSON to ``--out`` if given; the exit status is 1 on a mismatch.
+run`` command where the case is one the CLI can express).  The summary
+counts the steps compared, the faults fired, the loops checked and the
+kernel calls (``advance`` calls) the replaying runs made; it is written as
+JSON to ``--out`` if given.  The exit status is 1 on a mismatch.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ import random
 import sys
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import reference  # noqa: E402
+from stabconn import simulator  # noqa: E402
 from stabconn.graph import generate_clustered, generate_random_connected  # noqa: E402
 from stabconn.oracle import ground_truth  # noqa: E402
 from stabconn.simulator import (  # noqa: E402
@@ -127,23 +131,28 @@ def cli_repro(case: dict) -> str | None:
     return " ".join(parts)
 
 
-def check(case: dict) -> tuple[str | None, int, int, int]:
+def check(case: dict) -> tuple[str | None, int, int, int, int]:
     """What differs between run and the replay-free loop, or the loop of
     run's that does not repeat (None if nothing), the steps compared, the
-    faults fired and the loops checked."""
+    faults fired, the loops checked and run's kernel calls."""
     g, init, specs = build(case)
 
     def scheduler():
         return make_scheduler(case["scheduler"], case["scheduler_seed"])
 
-    with reference.watch_runs() as log, reference.checked_loops() as checked:
+    calls = []
+    advance = simulator.advance
+    with reference.watch_runs() as log, reference.checked_loops() as checked, patch.object(
+        simulator, "advance", lambda *a: calls.append(1) or advance(*a)
+    ):
         try:
             trace, report = run(
                 g, scheduler(), init, faults=specs, max_rounds=MAX_ROUNDS,
                 closure_rounds=case["closure_rounds"], record_steps=True,
             )
         except AssertionError as exc:
-            return f"a recorded loop does not repeat: {exc}", 0, len(log.firings), checked.closes
+            why = f"a recorded loop does not repeat: {exc}"
+            return why, 0, len(log.firings), checked.closes, len(calls)
     firings = [(steps, spec) for steps, spec, _, _ in log.firings]
     stream, states = reference.run_loop(g, scheduler(), init.states, firings, report.total_steps)
     why = None
@@ -152,7 +161,7 @@ def check(case: dict) -> tuple[str | None, int, int, int]:
         why = f"step streams part at step {k + 1}: run {trace.steps[k]}, loop {stream[k]}"
     elif reference.full_state(log.states) != reference.full_state(states):
         why = "final full states differ"
-    return why, report.total_steps, len(firings), checked.closes
+    return why, report.total_steps, len(firings), checked.closes, len(calls)
 
 
 def main(argv=None) -> int:
@@ -165,13 +174,14 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     mismatches = []
-    steps = fired = loops = 0
+    steps = fired = loops = kernel_calls = 0
     for k in range(args.first, args.first + args.cases):
         case = draw_case(args.seed, k)
-        why, case_steps, case_fired, case_loops = check(case)
+        why, case_steps, case_fired, case_loops, case_calls = check(case)
         steps += case_steps
         fired += case_fired
         loops += case_loops
+        kernel_calls += case_calls
         if why is not None:
             script = f"python3 bench/replay_equivalence.py --seed {args.seed} --first {k} --cases 1"
             repro = {"script": script, "cli": cli_repro(case)}
@@ -185,6 +195,7 @@ def main(argv=None) -> int:
         "steps": steps,
         "faults_fired": fired,
         "loops_checked": loops,
+        "kernel_calls": kernel_calls,
         "mismatches": len(mismatches),
         "seconds": round(time.perf_counter() - start, 1),
         "found": mismatches,

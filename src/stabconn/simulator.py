@@ -27,6 +27,7 @@ from . import analysis
 from .graph import Graph, NodeId, shuffle_ports
 from .oracle import GroundTruth, ground_truth
 from .protocol import (
+    B_READ_SELF,
     NodeProgram,
     Path,
     ProcessorState,
@@ -168,9 +169,11 @@ class FaultSpec:
     POST_STABILIZATION (fires when stabilization is declared, one such fault
     per declaration, in the order given); anything else is rejected.
     ``targets`` lists (node, field) pairs with field one of path / count /
-    bcc / pc / locals; ``random_fields`` (an int >= 0) additionally corrupts
-    that many random register-or-pc slots.  Every corrupted value is drawn
-    randomly within type bounds from ``seed``.
+    bcc / pc / locals; a target that is no pair is rejected here, its node
+    and field once ``run`` or ``inject_fault`` gets the graph.
+    ``random_fields`` (an int >= 0) additionally corrupts that many random
+    register-or-pc slots.  Every corrupted value is drawn randomly within
+    type bounds from ``seed``.
     """
 
     trigger: int | str = 0
@@ -191,6 +194,10 @@ class FaultSpec:
             raise FaultTargetError(
                 f"fault random_fields {self.random_fields!r} is not an int >= 0"
             )
+        pairs = (tuple, list)
+        for target in self.targets if isinstance(self.targets, pairs) else (self.targets,):
+            if not isinstance(target, pairs) or len(target) != 2:
+                raise FaultTargetError(f"fault target {target!r} is not a (node, field) pair")
 
 
 @dataclass(frozen=True)
@@ -363,78 +370,96 @@ def _widest(
     return max_path_len, max_symbols
 
 
-#: a node's ``_Replay.left`` after a restart, and while it replays its cycle
-_WARM_UP = 2
-_REPLAYING = -1
-#: per register field, the bit of its read on port 1 in a loop's read mask;
-#: the read on port p is that bit shifted left by 3 * (p - 1)
+#: a node's ``_Replay.left`` from a restart until it finishes slot 0, and
+#: while it records its cycle; a replaying node holds -1 - owed
+_WAITING = 1
+_RECORDING = 0
+#: per register field, the bit of its read on port 1 in a read mask; the
+#: read on port p is that bit shifted left by 3 * (p - 1)
 _READ_BIT = {f: 1 << k for k, f in enumerate(REGISTER_FIELDS)}
+
+
+def _read_bit(event: StepEvent) -> int:
+    """The read-mask bit of a remote read; 0 for an own-register access."""
+    return _READ_BIT[event.field] << 3 * event.port - 3 if event.port else 0
 
 
 class _Replay:
     """The replay bookkeeping of one ``run``, which steps ``states`` and
     binds these lists (changed only in place) for its per-activation path.
 
-    Per node v, ``left[v]`` counts down from _WARM_UP the activations of v
-    since its last restart that end at pc 1, each of which finished slot 0.
-    At 0, v records into ``loops[v]``, in activation order, each
-    activation's next pc, its event and the new ``count``, ``n_in`` and
-    ``n_out``.  Once an activation ends at pc 1 again, the record is one
-    whole cycle: ``close`` makes it the loop v replays (``left[v]`` is then
-    _REPLAYING) and keeps its remote reads as the mask ``reads[v]``.
-    ``owed[v]`` counts the activations replayed since.  ``readers[v]`` holds
-    v's neighbours w, each with i, w's port for v less one.
+    Each node v is in one of three states, kept in ``left[v]``:
+      * waiting (_WAITING), from a restart until an activation of v ends at
+        pc 1, which finished slot 0;
+      * recording (_RECORDING), from there to the next pc 1: each
+        activation appends its next pc, its event and the new ``count``,
+        ``n_in`` and ``n_out`` to ``loops[v]``;
+      * replaying, once the record is one whole cycle: ``close`` makes it
+        the loop v replays, and ``left[v]`` is then -1 - owed, where owed
+        counts the activations replayed since.
+    ``reads[v]`` is the mask of v's remote reads since it finished slot 0,
+    that slot's read included: the record's so far, then the loop's.
+    ``carried[v]`` is the number of slots strictly between slot 0 and
+    B_READ_SELF in v's schedule (0 for the root, which has none).  Each is
+    unconditional, so one activation, and together they give the first
+    entries of every record: phase A's, which carry the counters in (see
+    ``run``).  ``readers[v]`` holds v's neighbours w, each with i, w's
+    port for v less one.
     """
 
     def __init__(self, g: Graph, states: list[ProcessorState], programs: list[NodeProgram]):
         n = g.n
         self.g, self.states, self.programs = g, states, programs
-        self.left = [_WARM_UP] * (n + 1)
+        self.left = [_WAITING] * (n + 1)
         self.loops: list[Sequence] = [()] * (n + 1)
         self.reads = [0] * (n + 1)
-        self.owed = [0] * (n + 1)
+        self.carried = [0] + [
+            next((pc - 1 for pc, (kind, _) in enumerate(prog.schedule) if kind == B_READ_SELF), 0)
+            for prog in programs
+        ]
         self.readers = [()] + [
             tuple(zip(nbrs, [j - 1 for j in prog.reverse_ports]))
             for nbrs, prog in zip(g.ports, programs)
         ]
 
     def close(self, v: NodeId) -> None:
-        """Make v's recorded loop the loop it replays."""
-        self.left[v] = _REPLAYING
-        self.loops[v] = loop = tuple(self.loops[v])
-        # a cycle reads each (field, port) at most once, so the sum is an or
-        self.reads[v] = sum([
-            _READ_BIT[ev.field] << 3 * ev.port - 3 for _, ev, _, _, _ in loop if ev.port
-        ])
-        self.owed[v] = 0
+        """Make v's record, one cycle from pc 1 to pc 1, the loop it
+        replays.  Its first ``carried[v]`` entries hold the counters
+        carried in from before the cycle; they take the closing ones,
+        which the next cycle carries (see ``run``)."""
+        loop = self.loops[v]
+        _, _, count, n_in, n_out = loop[-1]
+        k = self.carried[v]
+        loop[:k] = [(pc, ev, count, n_in, n_out) for pc, ev, _, _, _ in loop[:k]]
+        self.loops[v] = tuple(loop)
+        self.left[v] = -1  # nothing owed yet
 
     def catch_up(self, nodes: Iterable[NodeId]) -> None:
         """Give each replaying one of ``nodes`` the pc, ``count``, ``n_in``
         and ``n_out`` of its last replayed activation, the four fields replay
         leaves unwritten.  It goes on replaying.  A second call before the
         next replayed activation writes the same values."""
-        left, owed, loops, states = self.left, self.owed, self.loops, self.states
+        left, loops, states = self.left, self.loops, self.states
         for v in nodes:
-            if left[v] == _REPLAYING and owed[v]:
+            owed = -1 - left[v]
+            if owed > 0:
                 loop = loops[v]
                 st = states[v - 1]
-                st.pc, _, st.count, st.n_in, st.n_out = loop[(owed[v] - 1) % len(loop)]
+                st.pc, _, st.count, st.n_in, st.n_out = loop[(owed - 1) % len(loop)]
 
     def restart(self, v: NodeId, fld: str) -> None:
         """The restart rule for a change of v's register field ``fld``:
-        restart v, every neighbour that does not replay, and each replaying
-        neighbour whose loop's read mask covers ``fld`` on its port to v,
-        caught up first (see ``run``).  It decides from the replay's own
+        restart v, and each recording or replaying neighbour whose read
+        mask covers ``fld`` on its port to v, caught up first; never a
+        waiting one (see ``run``).  It decides from the replay's own
         records alone."""
         left, reads = self.left, self.reads
-        left[v] = _WARM_UP
+        left[v] = _WAITING
         bit = _READ_BIT[fld]
         for w, i in self.readers[v]:
-            if left[w] == _REPLAYING:
-                if not reads[w] & bit << 3 * i:
-                    continue
+            if left[w] <= _RECORDING and reads[w] & bit << 3 * i:
                 self.catch_up((w,))
-            left[w] = _WARM_UP
+                left[w] = _WAITING
 
     def fire(self, spec: FaultSpec, steps: int, rounds: int) -> list[FaultEvent]:
         """Fire one fault into the caught-up states; return its events.
@@ -443,7 +468,7 @@ class _Replay:
         self.catch_up(range(1, self.g.n + 1))
         fired = _fire(spec, self.g, self.states, self.programs, steps, rounds)
         for ev in fired:
-            self.left[ev.node] = _WARM_UP
+            self.left[ev.node] = _WAITING
         for ev in fired:
             for fld in ev.fields:
                 if fld in _READ_BIT:
@@ -494,30 +519,36 @@ def run(
     Quiet nodes replay their cycle instead of calling ``advance``; the
     bookkeeping is ``_Replay``'s.  Slot 0 of every schedule is a register
     access (the A_READ of port 1, or the root's path write), so exactly one
-    activation per cycle ends at pc 1.  After its last restart a node steps
-    with the kernel until it has finished slot 0 twice, then records one
-    cycle, from pc 1 to the next pc 1, and replays it.  One rule,
-    ``_Replay.restart``, serves changed writes and faults: a changed write
-    of field f by node v restarts:
+    activation per cycle ends at pc 1.  From its last restart a node waits,
+    stepping with the kernel, until an activation ends at pc 1; it then
+    records the cycle from there to the next pc 1, and replays it from
+    then on.  One rule, ``_Replay.restart``, serves changed writes and
+    faults: a changed write of field f by node v restarts:
       * v itself;
-      * every neighbour that does not replay;
-      * a replaying neighbour w whose loop reads f on w's port to v.
+      * a recording or replaying neighbour w that has read f on w's port
+        to v since it finished slot 0, that slot's read included;
+      * never a waiting neighbour.
     A fault first writes the lazy fields (below) of every replaying node,
     which goes on replaying; then it restarts every node it hit and only
     then applies the same rule to each register field it hit, so no
     reader's catch-up writes over a value the fault drew.  This is exact:
       * ``advance`` is a deterministic function of the node's state and of
-        the neighbour register fields it reads.  So a replaying node's
-        future depends only on the fields its loop reads (its own register
-        among them, which the loop leaves unchanged), and the loop repeats
-        while none of them changes.
-      * The whole cycle before the loop ran after the restart, so every
-        value the loop reads or carries in (``n_in`` and ``n_out``
-        included) comes from frozen registers.
-      * While a node does not replay, every changed write of its own
-        register or a neighbour's restarts it.  So every register it can
-        read is frozen from its last restart until its record closes.
-    So the recorded cycle is also each next one, until a restart.
+        the register fields it reads.
+      * A cycle from slot 0 writes each local before it reads it (the
+        root's reads none), except that phase A, from the A_READ of port 2
+        to A_WRITE, carries ``count``, ``n_in`` and ``n_out`` in unread,
+        until B_READ_SELF resets them.  So the state a cycle starts from
+        shows only in its phase-A entries, which record those counters.
+        At close they take the closing counters, which are exactly what
+        the next cycle carries: the carry patch.
+      * A waiting node's state is the kernel's own, and everything its
+        record will hold is read from slot 0 on, so after any change it
+        was spared.  A recording or replaying node restarts on each change
+        of a neighbour field it has read since slot 0, and on each change
+        of its own register (only its own changed writes and faults make
+        one).  So every field its cycle reads keeps, from the read until
+        the node restarts, the value read.
+    So the patched record is also each next cycle, until a restart.
     Replay is lazy: each replayed activation only counts itself.  A
     replaying node's other fields would only be rewritten with the
     values they hold, and nothing reads the four replayed ones while it
@@ -578,7 +609,7 @@ def run(
     # the largest symbol count and converts it to bits once, at the end
     max_path_len, max_symbols = _widest(states, 0, 0)
     replay = _Replay(g, states, programs)
-    left, loops, owed = replay.left, replay.loops, replay.owed
+    left, loops, reads = replay.left, replay.loops, replay.reads
     restart = replay.restart
 
     for pid in scheduler.activations(n):
@@ -593,21 +624,25 @@ def run(
             limit = min(step_faults[0].trigger, step_cap) if step_faults else step_cap
         steps += 1
         wait = left[pid]
-        if wait == _REPLAYING:
-            owed[pid] += 1
+        if wait < 0:  # replaying: count the activation, one more owed
+            left[pid] = wait - 1
             if record_steps:
                 loop = loops[pid]
-                trace.steps.append((steps, pid, loop[(owed[pid] - 1) % len(loop)][1]))
+                trace.steps.append((steps, pid, loop[(-1 - wait) % len(loop)][1]))
         else:
             st = states[pid - 1]
             event = advance(st, programs[pid - 1], nbr_states[pid - 1])
             if not wait:  # record the cycle; replay it once pc 1 recurs
                 loops[pid].append((st.pc, event, st.count, st.n_in, st.n_out))
+                port = event.port
+                if port:  # _read_bit(event), inlined on this per-step path
+                    reads[pid] |= _READ_BIT[event.field] << 3 * port - 3
                 if st.pc == 1:
                     replay.close(pid)
-            elif st.pc == 1:  # slot 0 finished
-                left[pid] = wait - 1
+            elif st.pc == 1:  # slot 0 finished: record from here
+                left[pid] = _RECORDING
                 loops[pid] = []
+                reads[pid] = _read_bit(event)
             if record_steps:
                 trace.steps.append((steps, pid, event))
             # only a changed write can grow the register; reads never change it

@@ -20,3 +20,5 @@ def test_replay_equivalence_finds_no_mismatch(tmp_path):
     assert doc["mismatches"] == 0 and doc["found"] == []
     assert doc["faults_fired"] > 0
     assert doc["loops_checked"] > 0
+    # the replaying runs call the kernel, but skip most of their steps
+    assert 0 < doc["kernel_calls"] < doc["steps"]
