@@ -67,7 +67,6 @@ from .simulator import (
     Trace,
     UniformRandom,
     WeightedRandom,
-    alpha_independence,
     default_max_rounds,
     init_arbitrary,
     inject_fault,

@@ -341,7 +341,7 @@ def cmd_sweep(args) -> int:
             _, report = simulator.run(g, scheduler, init, max_rounds=args.max_rounds)
             doc = build_report(g, report, seed + 1, seed + 2)
             graph, round_ = doc["graph"], doc["run"]["stabilization_round"]
-            denom = max(1, graph["d"]) * graph["n"] * max(1, graph["delta"])
+            ratio = None if round_ is None else round(round_ / simulator.round_bound(g), 4)
             runs.append(
                 {
                     "graph": spec,
@@ -352,7 +352,7 @@ def cmd_sweep(args) -> int:
                     "stabilized": doc["run"]["stabilized"],
                     "certified": _certified(doc),
                     "stabilization_round": round_,
-                    "round_ratio": None if round_ is None else round(round_ / denom, 4),
+                    "round_ratio": ratio,
                 }
             )
     # a run is certified only if it stabilized

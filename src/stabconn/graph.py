@@ -146,20 +146,32 @@ class Graph:
                 raise PortAssignmentError(
                     f"ports of node {v} are not a bijection onto its neighbors"
                 )
-        if self.n > 1:
-            reached = {ROOT}
-            frontier = [ROOT]
-            while frontier:
-                v = frontier.pop()
-                for w in adjacency[v]:
-                    if w not in reached:
-                        reached.add(w)
-                        frontier.append(w)
-            if len(reached) != self.n:
-                missing = sorted(set(range(1, self.n + 1)) - reached)
-                raise DisconnectedGraphError(
-                    f"graph is disconnected; unreachable nodes: {missing}"
-                )
+        parent = search_tree(self)
+        missing = [v for v in range(2, self.n + 1) if not parent[v]]
+        if missing:
+            raise DisconnectedGraphError(f"graph is disconnected; unreachable nodes: {missing}")
+
+
+def search_tree(g: Graph) -> list[NodeId]:
+    """Parent list (n + 1 entries) of a spanning tree from a stack search at
+    node 1: ``parent[v]`` is the node that reached v, for v in 2..n, or 0 if
+    the search missed v, which only a disconnected graph allows."""
+    n = g.n
+    parent = [0] * (n + 1)
+    if n < 1:
+        return parent
+    ports = g.ports
+    seen = bytearray(n + 1)
+    seen[ROOT] = 1
+    frontier = [ROOT]
+    while frontier:
+        v = frontier.pop()
+        for w in ports[v - 1]:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = v
+                frontier.append(w)
+    return parent
 
 
 def build_graph(

@@ -7,23 +7,25 @@ tree: per-node root paths, bypass counts for each parent link, and component
 labels.  The two routes are deliberately independent so each can certify the
 other.
 
-The brute-force route first finds a spanning tree of its own, by a plain
-stack search from node 1, and tests only the removals that can disconnect.
-Removing an edge outside that tree, or a node of tree degree at most 1,
-leaves the rest of the tree connected, so only the n - 1 tree edges and the
-nodes of tree degree 2 or more are tested.  Each test removes the element
-and searches, but stops as soon as the answer is known.  In a connected
-graph every part left by removing a node x holds a neighbour of x, and every
-part left by removing an edge holds one of its endpoints.  So G - x is
-connected iff the neighbours of x (the endpoints of an edge x) stay joined in
-G - x.  One search starts at each of these terminals, the searches take turns
-expanding one node each and merge where they meet; the test ends when all
-have merged, or as soon as a merged search runs out of nodes to expand,
-which means it has reached the whole of one part.  So a cut costs about the
-number of terminals times the smaller side, and a non-cut ends at the last
-meeting.  The worst case is still O(m) per test and O(n * m) in all.  When
-the stack search misses a node (an unvalidated, disconnected graph), every
-edge and every node is tested by one whole-graph ``is_connected`` call.
+The brute-force route first finds a spanning tree of its own with
+``graph.search_tree``, the stack search from node 1 that ``Graph.validate``
+also runs; it shares nothing with ``first_dfs``.  It then tests only the
+removals that can disconnect.  Removing an edge outside that tree, or a node
+of tree degree at most 1, leaves the rest of the tree connected, so only the
+n - 1 tree edges and the nodes of tree degree 2 or more are tested.  Each
+test removes the element and searches, but stops as soon as the answer is
+known.  In a connected graph every part left by removing a node x holds a
+neighbour of x, and every part left by removing an edge holds one of its
+endpoints.  So G - x is connected iff the neighbours of x (the endpoints of
+an edge x) stay joined in G - x.  One search starts at each of these
+terminals, the searches take turns expanding one node each and merge where
+they meet; the test ends when all have merged, or as soon as a merged search
+runs out of nodes to expand, which means it has reached the whole of one
+part.  So a cut costs about the number of terminals times the smaller side,
+and a non-cut ends at the last meeting.  The worst case is still O(m) per
+test and O(n * m) in all.  When the stack search misses a node (an
+unvalidated, disconnected graph), every edge and every node is tested by one
+whole-graph ``is_connected`` call each.
 
 One traversal yields the paths and the parent map.  Counts then come straight
 from their definition: every non-tree edge joins a node k to a proper
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Container, Iterable, Mapping
 
-from .graph import Edge, Graph, NodeId, ROOT, canonical_edge
+from .graph import Edge, Graph, NodeId, ROOT, canonical_edge, search_tree
 from .protocol import Path, Register, ROOT_PATH
 
 
@@ -85,33 +87,6 @@ def is_connected(
                 reached += 1
                 frontier.append(w)
     return reached == alive
-
-
-def _search_tree(g: Graph) -> list[NodeId] | None:
-    """Parent list of a spanning tree from a stack search at node 1.
-
-    ``parent[v]`` is the node that reached v, for v in 2..n.  None when the
-    search misses a node, which only an unvalidated, disconnected graph
-    allows.
-    """
-    n = g.n
-    if n < 1:
-        return None
-    ports = g.ports
-    parent = [0] * (n + 1)
-    seen = bytearray(n + 1)
-    seen[ROOT] = 1
-    reached = 1
-    frontier = [ROOT]
-    while frontier:
-        v = frontier.pop()
-        for w in ports[v - 1]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = v
-                reached += 1
-                frontier.append(w)
-    return parent if reached == n else None
 
 
 def _disconnects(g: Graph, node: NodeId = 0, edge: Edge = (0, 0)) -> bool:
@@ -176,8 +151,8 @@ def brute_bridges(g: Graph) -> set[Edge]:
     endpoints in g minus the edge and stops once the two searches meet or
     one of them runs out of nodes; see the module docstring.
     """
-    parent = _search_tree(g)
-    if parent is None:
+    parent = search_tree(g)
+    if 0 in parent[2:]:  # a node was missed: g is disconnected
         return {e for e in g.edges if not is_connected(g, removed_edges=[e])}
     tree_edges = [canonical_edge(parent[v], v) for v in range(2, g.n + 1)]
     return {e for e in tree_edges if _disconnects(g, edge=e)}
@@ -192,8 +167,8 @@ def brute_articulation_points(g: Graph) -> set[NodeId]:
     and stops once all searches have met or one runs out of nodes; see the
     module docstring.
     """
-    parent = _search_tree(g)
-    if parent is None:
+    parent = search_tree(g)
+    if 0 in parent[2:]:
         return {v for v in range(1, g.n + 1) if not is_connected(g, removed_nodes=[v])}
     tree_degree = [0] * (g.n + 1)
     for v in range(2, g.n + 1):

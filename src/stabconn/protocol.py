@@ -319,45 +319,22 @@ class StepEvent:
     changed: bool = False  # writes only: did the register value change
 
 
-# The kernel returns shared constants instead of allocating an event per
-# step.  A write's event is picked by indexing with its changed flag.
-_PATH_WRITE = (StepEvent("write", "path", None, False), StepEvent("write", "path", None, True))
-_COUNT_WRITE = (StepEvent("write", "count", None, False), StepEvent("write", "count", None, True))
-_BCC_WRITE = (StepEvent("write", "bcc", None, False), StepEvent("write", "bcc", None, True))
-_OWN_PATH_READ = StepEvent("read", "path", None)
-_OWN_COUNT_READ = StepEvent("read", "count", None)
-
-
-@cache  # at most three entries per port number, so it stays small
-def remote_read(field: str, port: int) -> StepEvent:
-    """The event of a read of ``field`` on ``port``: one shared object per
-    pair, the very one the kernel returns."""
-    return StepEvent("read", field, port)
-
-
-#: what the slots that touch only the node's own register return
-_OWN_EVENTS = {
-    B_READ_SELF: _OWN_PATH_READ,
-    C_READ_PATH: _OWN_PATH_READ,
-    C_READ_COUNT: _OWN_COUNT_READ,
-    A_WRITE: _PATH_WRITE,
-    R_WRITE_PATH: _PATH_WRITE,
-    B_WRITE: _COUNT_WRITE,
-    R_WRITE_COUNT: _COUNT_WRITE,
-    C_DECIDE: _BCC_WRITE,
-    C_WRITE_PARENT_BCC: _BCC_WRITE,
-    R_WRITE_BCC: _BCC_WRITE,
-}
+#: the register field each slot kind writes, or else reads (on its port, or its own)
+_WRITES = {A_WRITE: "path", R_WRITE_PATH: "path", B_WRITE: "count", R_WRITE_COUNT: "count",
+           C_DECIDE: "bcc", C_WRITE_PARENT_BCC: "bcc", R_WRITE_BCC: "bcc"}
+_READS = {A_READ: "path", B_READ_SELF: "path", C_READ_PATH: "path",
+          B_PORT: "count", C_READ_COUNT: "count", C_READ_PARENT_BCC: "bcc"}
 
 
 def _slot_events(kind: int, port: int, degree: int):
-    if kind == A_READ:
-        return remote_read("path", port)
-    if kind == B_PORT:
-        return remote_read("count", port)
+    """What the slot returns (see ``NodeProgram.table``), built once per table."""
+    if kind in _WRITES:
+        return (StepEvent("write", _WRITES[kind], None, False),
+                StepEvent("write", _WRITES[kind], None, True))
+    read = _READS[kind]  # an unknown kind raises here, not in the kernel
     if kind == C_READ_PARENT_BCC:
-        return tuple(remote_read("bcc", j) for j in range(1, degree + 1))
-    return _OWN_EVENTS[kind]  # an unknown kind raises here, not in the kernel
+        return tuple(StepEvent("read", read, j) for j in range(1, degree + 1))
+    return StepEvent("read", read, port or None)
 
 
 @cache  # one table per schedule and degree, shared by every program with them

@@ -10,7 +10,6 @@ round that changed no register; the processors themselves never detect
 termination.  Quiet nodes replay a recorded cycle instead of stepping (see
 ``run``).  A run returns the final registers and, once stabilized, the
 detection sets read off them; certifying those sets is left to the caller.
-``alpha_independence`` repeats whole runs under port re-orderings.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from math import floor
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis
-from .graph import Graph, NodeId, shuffle_ports
+from .graph import Graph, NodeId
 from .oracle import GroundTruth, ground_truth
 from .protocol import (
     B_READ_SELF,
@@ -42,9 +41,11 @@ from .protocol import (
 
 POST_STABILIZATION = "post-stabilization"
 
-REGISTER_FIELDS = ("path", "count", "bcc")
+REGISTER_FIELDS = Register._fields
 #: in the order init_arbitrary draws them
 FAULT_FIELDS = REGISTER_FIELDS + ("locals", "pc")
+#: what ``FaultSpec.random_fields`` picks from, per node
+_RANDOM_FIELDS = REGISTER_FIELDS + ("pc",)
 
 
 @dataclass(eq=True)
@@ -218,7 +219,7 @@ def _check_fault_targets(g: Graph, spec: FaultSpec) -> None:
             raise FaultTargetError(f"fault target node {v!r} outside 1..{g.n}")
         if fname not in FAULT_FIELDS:
             raise FaultTargetError(f"unknown fault field {fname!r}")
-    pool = g.n * (len(REGISTER_FIELDS) + 1)
+    pool = g.n * len(_RANDOM_FIELDS)
     if spec.random_fields > pool:
         raise FaultTargetError(f"cannot pick {spec.random_fields} distinct fields from {pool}")
 
@@ -234,7 +235,7 @@ def _apply_fault_targets(
     delta = g.max_degree
     targets = list(spec.targets)
     if spec.random_fields:
-        pool = [(v, f) for v in range(1, g.n + 1) for f in REGISTER_FIELDS + ("pc",)]
+        pool = [(v, f) for v in range(1, g.n + 1) for f in _RANDOM_FIELDS]
         targets.extend(rng.sample(pool, spec.random_fields))
 
     for v, fname in targets:
@@ -342,9 +343,14 @@ class RunReport:
     final_registers: tuple[Register, ...] = ()
 
 
+def round_bound(g: Graph) -> int:
+    """The asymptotic round bound d * n * delta, with d and delta at least 1."""
+    return max(1, g.diameter) * g.n * max(1, g.max_degree)
+
+
 def default_max_rounds(g: Graph) -> int:
     """Engineering margin over the asymptotic round bound: 10 * d * n * delta."""
-    return max(10, 10 * max(1, g.diameter) * g.n * max(1, g.max_degree))
+    return max(10, 10 * round_bound(g))
 
 
 def _fire(
@@ -559,8 +565,11 @@ def run(
     """
     if max_rounds is None:
         max_rounds = default_max_rounds(g)
-    if max_rounds < 1 or closure_rounds < 0:
-        raise ValueError("need max_rounds >= 1 and closure_rounds >= 0")
+    # type(), not isinstance(): a bool is an int; a fractional count runs on
+    # past its bound, and a fractional window never closes
+    ints = type(max_rounds) is int and type(closure_rounds) is int
+    if not ints or max_rounds < 1 or closure_rounds < 0:
+        raise ValueError("need int max_rounds >= 1 and int closure_rounds >= 0")
     # a fault that could never fire on g is an input error, whether or not
     # the run would reach its trigger
     for spec in faults:
@@ -722,31 +731,3 @@ def run(
         final_registers=final_registers,
     )
     return trace, report
-
-
-def alpha_independence(g: Graph, shuffles: int, seed: int) -> bool:
-    """Detection must not depend on the arbitrary port orderings.
-
-    Runs the full pipeline, round-robin within ``default_max_rounds``, under
-    ``shuffles`` random port re-orderings of the same topology; true iff
-    every run stabilizes and yields the same bridge set, articulation set,
-    and component partition.  Labels are paths and may legitimately differ
-    between orderings; the partition may not.
-    """
-    if shuffles < 2:
-        raise ValueError("need at least 2 port orderings to compare")
-
-    reference: tuple | None = None
-    for i in range(shuffles):
-        shuffled = shuffle_ports(g, seed + i) if i else g
-        init = init_arbitrary(shuffled, seed + 200 + i)
-        _, report = run(shuffled, RoundRobin(), init)
-        if not report.stabilized or report.detection is None:
-            return False
-        d: analysis.DetectionResult = report.detection
-        key = (d.bridges, d.articulation_points, frozenset(d.partition()))
-        if reference is None:
-            reference = key
-        elif key != reference:
-            return False
-    return True

@@ -6,7 +6,8 @@ against it.  None of them is part of the ``stabconn`` API.  ``watch_runs``
 and ``checked_loops`` are no references but probes: the first shows the
 full processor states that ``simulator.run`` keeps to itself, the second
 checks each cycle it records before it replays it.
-``stabilized_configuration`` is a start that tests and benches share.
+``stabilized_configuration`` is a start that tests and benches share, and
+``alpha_independence`` a check that repeats whole runs under port orders.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator, Sequence
 from unittest.mock import patch
 
 from stabconn import protocol, simulator
-from stabconn.graph import ROOT, Graph, NodeId
+from stabconn.graph import ROOT, Graph, NodeId, shuffle_ports
 from stabconn.oracle import GroundTruth
 from stabconn.protocol import (
     A_READ,
@@ -263,6 +264,34 @@ def stabilized_configuration(g: Graph, gt: GroundTruth) -> simulator.Configurati
             for v, reg in enumerate(gt.registers, start=1)
         ],
     )
+
+
+def alpha_independence(g: Graph, shuffles: int, seed: int) -> bool:
+    """Detection must not depend on the arbitrary port orderings.
+
+    Runs the full pipeline, round-robin within ``default_max_rounds``, under
+    ``shuffles`` random port re-orderings of the same topology; true iff
+    every run stabilizes and yields the same bridge set, articulation set,
+    and component partition.  Labels are paths and may legitimately differ
+    between orderings; the partition may not.
+    """
+    if shuffles < 2:
+        raise ValueError("need at least 2 port orderings to compare")
+
+    reference: tuple | None = None
+    for i in range(shuffles):
+        shuffled = shuffle_ports(g, seed + i) if i else g
+        init = simulator.init_arbitrary(shuffled, seed + 200 + i)
+        _, report = simulator.run(shuffled, simulator.RoundRobin(), init)
+        if not report.stabilized or report.detection is None:
+            return False
+        d = report.detection
+        key = (d.bridges, d.articulation_points, frozenset(d.partition()))
+        if reference is None:
+            reference = key
+        elif key != reference:
+            return False
+    return True
 
 
 def full_state(states: Sequence[ProcessorState]) -> tuple:

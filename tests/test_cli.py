@@ -218,6 +218,21 @@ def test_closure_ending_outside_legitimacy_is_not_stabilized(capsys):
     assert doc["detection"] is None and doc["certification"] is None
 
 
+def test_fault_in_a_closure_window_leaves_it_not_stabilized(capsys):
+    # the run declares at step 2288; a path fault at step 2300 is still
+    # being repaired when the 3-round window ends
+    argv = [
+        "run", "--generate", "figure1",
+        "--faults", "step=2300:node=3,field=path:seed=5", "--closure-rounds", "3",
+    ]
+    assert main(argv) == EXIT_NOT_STABILIZED
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["run"]["stabilized"] is False
+    assert doc["run"]["stabilization_round"] is None
+    assert doc["detection"] is None and doc["certification"] is None
+
+
 def test_run_certifies_once(monkeypatch, capsys):
     calls = []
     certify = analysis.certify

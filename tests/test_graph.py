@@ -17,6 +17,7 @@ from stabconn.graph import (
     generate_random_connected,
     parse_graph,
     render_graph,
+    search_tree,
     shuffle_ports,
 )
 from stabconn.oracle import brute_bridges
@@ -195,6 +196,14 @@ def test_validate_rejects_bad_hand_built():
         Graph(n=2, edges=((1, 2),), ports=((2,), ())).validate()
     with pytest.raises(DisconnectedGraphError):
         build_graph(4, [(1, 2), (3, 4)])
+
+
+def test_search_tree_leaves_0_for_a_missed_node_and_validate_names_it():
+    g = Graph(n=5, edges=((1, 2), (2, 3), (4, 5)), ports=((2,), (1, 3), (2,), (5,), (4,)))
+    assert search_tree(g) == [0, 0, 1, 2, 0, 0]
+    with pytest.raises(DisconnectedGraphError, match=r"unreachable nodes: \[4, 5\]$"):
+        g.validate()
+    assert search_tree(Graph(n=0, edges=())) == [0]
 
 
 @pytest.mark.parametrize(

@@ -257,6 +257,14 @@ def test_slot_0_is_a_register_access():
     assert [p[0] for p in programs] == [(R_WRITE_PATH, 0)] + [(A_READ, 1)] * 8
 
 
+def test_an_unknown_slot_kind_fails_when_the_table_is_built(fig1):
+    # the kernel trusts the table's kinds; one it has no event for raises
+    # here, before any step, not inside a run
+    prog = dataclasses.replace(node_program(fig1, 2), schedule=((A_READ, 1), (99, 0)))
+    with pytest.raises(KeyError):
+        prog.table
+
+
 def test_every_activation_is_one_register_access(fig1):
     rng = random.Random(13)
 

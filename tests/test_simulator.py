@@ -244,6 +244,21 @@ def test_run_closure_no_changes(fig1):
         assert report.post_stabilization_changes == 0
 
 
+def test_run_closure_counts_a_change(fig1):
+    # under round-robin a round is exactly n steps, so the fault-free run
+    # declares at step (stabilization_round + 1) * n; the fault lands 7
+    # rounds into the window wherever the declaration moves
+    init = init_arbitrary(fig1, 0)
+    _, quiet = run(fig1, make_scheduler("round-robin"), init)
+    trigger = (quiet.stabilization_round + 1 + 7) * fig1.n
+    fault = FaultSpec(trigger=trigger, targets=((3, "path"),), seed=5)
+    _, report = run(fig1, make_scheduler("round-robin"), init, faults=[fault], closure_rounds=50)
+    assert report.stabilization_round == quiet.stabilization_round
+    assert [e.step for e in report.fault_events] == [trigger]
+    assert report.stabilized
+    assert report.post_stabilization_changes == 1
+
+
 # Premature verdicts: one legitimate quiet round is declared although stale
 # locals still force changed writes later.  At present the first reports
 # round 149 while its registers change until round 165, the second round 317
@@ -898,6 +913,27 @@ def test_run_rejects_negative_closure_rounds(fig1):
     scheduler = _RecordingScheduler()
     with pytest.raises(ValueError, match="closure_rounds"):
         run(fig1, scheduler, init_arbitrary(fig1, 1), max_rounds=200, closure_rounds=-1)
+    assert scheduler.drawn == 0
+
+
+@pytest.mark.parametrize(
+    "rounds",
+    [
+        {"max_rounds": 2.5},
+        {"max_rounds": 400.0},
+        {"max_rounds": True},
+        {"max_rounds": 400, "closure_rounds": 1.5},
+        {"max_rounds": 400, "closure_rounds": False},
+    ],
+    ids=["max-2.5", "max-400.0", "max-True", "closure-1.5", "closure-False"],
+)
+def test_run_rejects_round_counts_that_are_no_int(fig1, rounds):
+    # unchecked, max_rounds=2.5 quietly ran 3 rounds, and closure_rounds=1.5
+    # never closed its window: the run went on to the step cap and reported
+    # stabilized with no change in the window
+    scheduler = _RecordingScheduler()
+    with pytest.raises(ValueError, match="int max_rounds"):
+        run(fig1, scheduler, init_arbitrary(fig1, 0), **rounds)
     assert scheduler.drawn == 0
 
 
