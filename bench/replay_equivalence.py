@@ -16,10 +16,12 @@ Case k is drawn from ``random.Random(f"{seed}:{k}")``:
     each on one (node, field) of every field kind, or on 1-3 random fields;
   * a scheduler of the three, and a closure window of 0-60 rounds.
 
-Each case runs with ``max_rounds=400`` and then through ``reference.run_loop``
-(``tests/reference.py``) with the same faults at the steps ``run`` fired
-them.  The two must give the same step stream, event by event, and the
-same full processor states at the end.  Each run is also watched by
+Each case goes through ``reference.compare_with_loop`` (``tests/reference.py``),
+the comparison the tier-1 tests make too: it runs with ``max_rounds=400``
+and then through ``reference.run_loop`` with the same faults at the steps
+``run`` fired them.  The two must give the same step stream, event by
+event, and the same full processor states at the end; every round's
+legitimate flag must match its registers.  Each run is also watched by
 ``reference.checked_loops``, so every loop it records must repeat one
 more cycle against the frozen neighbours; one that does not is a
 mismatch too.  A mismatch prints the case's
@@ -38,13 +40,11 @@ import random
 import sys
 import time
 from pathlib import Path
-from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import reference  # noqa: E402
-from stabconn import simulator  # noqa: E402
 from stabconn.graph import generate_clustered, generate_random_connected  # noqa: E402
 from stabconn.oracle import ground_truth  # noqa: E402
 from stabconn.simulator import (  # noqa: E402
@@ -54,7 +54,6 @@ from stabconn.simulator import (  # noqa: E402
     FaultSpec,
     init_arbitrary,
     make_scheduler,
-    run,
 )
 
 MAX_ROUNDS = 400
@@ -136,32 +135,10 @@ def check(case: dict) -> tuple[str | None, int, int, int, int]:
     run's that does not repeat (None if nothing), the steps compared, the
     faults fired, the loops checked and run's kernel calls."""
     g, init, specs = build(case)
-
-    def scheduler():
-        return make_scheduler(case["scheduler"], case["scheduler_seed"])
-
-    calls = []
-    advance = simulator.advance
-    with reference.watch_runs() as log, reference.checked_loops() as checked, patch.object(
-        simulator, "advance", lambda *a: calls.append(1) or advance(*a)
-    ):
-        try:
-            trace, report = run(
-                g, scheduler(), init, faults=specs, max_rounds=MAX_ROUNDS,
-                closure_rounds=case["closure_rounds"], record_steps=True,
-            )
-        except AssertionError as exc:
-            why = f"a recorded loop does not repeat: {exc}"
-            return why, 0, len(log.firings), checked.closes, len(calls)
-    firings = [(steps, spec) for steps, spec, _, _ in log.firings]
-    stream, states = reference.run_loop(g, scheduler(), init.states, firings, report.total_steps)
-    why = None
-    if trace.steps != stream:
-        k = next(i for i, (a, b) in enumerate(zip(trace.steps, stream)) if a != b)
-        why = f"step streams part at step {k + 1}: run {trace.steps[k]}, loop {stream[k]}"
-    elif reference.full_state(log.states) != reference.full_state(states):
-        why = "final full states differ"
-    return why, report.total_steps, len(firings), checked.closes, len(calls)
+    scheduler = make_scheduler(case["scheduler"], case["scheduler_seed"])
+    return reference.compare_with_loop(
+        g, scheduler, init, specs, MAX_ROUNDS, case["closure_rounds"]
+    )
 
 
 def main(argv=None) -> int:

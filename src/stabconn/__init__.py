@@ -42,7 +42,6 @@ from .oracle import (
 )
 from .protocol import (
     BOTTOM,
-    LinkClass,
     Path,
     ProcessorState,
     Register,

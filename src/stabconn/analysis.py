@@ -21,7 +21,7 @@ from .oracle import (
     ground_truth,
     label_partition,
 )
-from .protocol import _CHILD, _INCOMING, _PARENT, Path, Register, classify_link, is_prefix
+from .protocol import CHILD, INCOMING_NONTREE, PARENT, Path, Register, classify_link, is_prefix
 
 
 class NotStabilizedError(Exception):
@@ -63,16 +63,15 @@ def extract(
     parent: dict[NodeId, NodeId] = {}
     children: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, g.n + 1)}
     incoming_nbrs: dict[NodeId, list[NodeId]] = {v: [] for v in range(1, g.n + 1)}
-    index = g._port_index  # index[w - 1][v] is w's port for v
-    for v, nbrs in enumerate(g.ports, start=1):
+    for v, (nbrs, back) in enumerate(zip(g.ports, g.reverse_ports), start=1):
         mine = paths[v]
-        for j, w in enumerate(nbrs, start=1):
-            cls = classify_link(mine, paths[w], j, index[w - 1][v])
-            if cls is _PARENT:
+        for j, (w, r) in enumerate(zip(nbrs, back), start=1):
+            cls = classify_link(mine, paths[w], j, r)
+            if cls is PARENT:
                 parent[v] = w
-            elif cls is _CHILD:
+            elif cls is CHILD:
                 children[v].append(w)
-            elif cls is _INCOMING:
+            elif cls is INCOMING_NONTREE:
                 incoming_nbrs[v].append(w)
 
     bridges = frozenset(

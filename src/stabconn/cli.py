@@ -91,6 +91,14 @@ def parse_generate_spec(spec: str, seed: int) -> Graph:
     )
 
 
+def _fault_int(text: str, what: str, spec: str) -> int:
+    """``int(text)``, or a UsageError that names ``what`` in the --faults ``spec``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"bad --faults {what} in {spec!r}") from None
+
+
 def parse_fault_spec(spec: str) -> FaultSpec:
     """Fault grammar: TRIGGER:TARGETS[:seed=S].
 
@@ -106,26 +114,17 @@ def parse_fault_spec(spec: str) -> FaultSpec:
     if len(parts) == 3:
         if not parts[2].startswith("seed="):
             raise UsageError(f"bad --faults suffix {parts[2]!r}; expected seed=S")
-        try:
-            seed = int(parts[2][len("seed="):])
-        except ValueError:
-            raise UsageError(f"bad --faults seed in {spec!r}") from None
+        seed = _fault_int(parts[2][len("seed="):], "seed", spec)
 
     if trigger_str == "post":
         trigger: int | str = POST_STABILIZATION
     elif trigger_str.startswith("step="):
-        try:
-            trigger = int(trigger_str[len("step="):])
-        except ValueError:
-            raise UsageError(f"bad --faults trigger in {spec!r}") from None
+        trigger = _fault_int(trigger_str[len("step="):], "trigger", spec)
     else:
         raise UsageError(f"bad --faults trigger {trigger_str!r}; expected step=N or post")
 
     if target_str.startswith("random="):
-        try:
-            k = int(target_str[len("random="):])
-        except ValueError:
-            raise UsageError(f"bad --faults target in {spec!r}") from None
+        k = _fault_int(target_str[len("random="):], "target", spec)
         return FaultSpec(trigger=trigger, random_fields=k, seed=seed)
 
     node = None
@@ -135,10 +134,7 @@ def parse_fault_spec(spec: str) -> FaultSpec:
         if (key == "node" and node is not None) or (key == "field" and fname is not None):
             raise UsageError(f"repeated --faults target key {key!r} in {spec!r}")
         if key == "node":
-            try:
-                node = int(value)
-            except ValueError:
-                raise UsageError(f"bad --faults node in {spec!r}") from None
+            node = _fault_int(value, "node", spec)
         elif key == "field":
             fname = value
         else:

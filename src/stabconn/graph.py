@@ -91,6 +91,14 @@ class Graph:
         )
 
     @cached_property
+    def reverse_ports(self) -> tuple[tuple[int, ...], ...]:
+        """``reverse_ports[v-1][j-1]`` is the port the neighbour on v's port j uses for v."""
+        index = self._port_index
+        return tuple(
+            tuple([index[w - 1][v] for w in nbrs]) for v, nbrs in enumerate(self.ports, start=1)
+        )
+
+    @cached_property
     def max_degree(self) -> int:
         return max((len(nbrs) for nbrs in self.ports), default=0)
 

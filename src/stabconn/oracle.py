@@ -25,7 +25,8 @@ part.  So a cut costs about the number of terminals times the smaller side,
 and a non-cut ends at the last meeting.  The worst case is still O(m) per
 test and O(n * m) in all.  When the stack search misses a node (an
 unvalidated, disconnected graph), every edge and every node is tested by one
-whole-graph ``is_connected`` call each.
+whole-graph ``is_connected`` call each, which ``components_without``, the
+one component search, answers.
 
 One traversal yields the paths and the parent map.  Counts then come straight
 from their definition: every non-tree edge joins a node k to a proper
@@ -59,34 +60,8 @@ def is_connected(
     Ids outside 1..n in ``removed_nodes`` and pairs that are no edge in
     ``removed_edges`` remove nothing.
     """
-    n = g.n
-    ports = g.ports
-    # removed nodes start out seen, so the search never enters them
-    seen = bytearray(n + 1)
-    alive = n
-    for v in removed_nodes:
-        if 1 <= v <= n and not seen[v]:
-            seen[v] = 1
-            alive -= 1
-    if alive <= 1:
-        return True
-    cut: dict[NodeId, set[NodeId]] = {}
-    for u, w in removed_edges:
-        cut.setdefault(u, set()).add(w)
-        cut.setdefault(w, set()).add(u)
-    start = seen.index(0, 1)
-    seen[start] = 1
-    reached = 1
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        skip = cut.get(v)
-        for w in ports[v - 1]:
-            if not seen[w] and (skip is None or w not in skip):
-                seen[w] = 1
-                reached += 1
-                frontier.append(w)
-    return reached == alive
+    cut = {canonical_edge(u, w) for u, w in removed_edges}
+    return len(components_without(g, cut, removed_nodes)) <= 1
 
 
 def _disconnects(g: Graph, node: NodeId = 0, edge: Edge = (0, 0)) -> bool:
@@ -182,10 +157,17 @@ def brute_bcc_partition(g: Graph) -> set[frozenset[NodeId]]:
     return components_without(g, brute_bridges(g))
 
 
-def components_without(g: Graph, bridges: Container[Edge]) -> set[frozenset[NodeId]]:
-    """Connected components left after deleting the given edges."""
+def components_without(
+    g: Graph, removed_edges: Container[Edge], removed_nodes: Iterable[NodeId] = ()
+) -> set[frozenset[NodeId]]:
+    """Connected components left after deleting the given edges, each a
+    ``canonical_edge`` pair, and nodes.  Ids outside 1..n remove nothing."""
     ports = g.ports
+    # removed nodes start out seen, so no search starts at or enters them
     seen = bytearray(g.n + 1)
+    for v in removed_nodes:
+        if 1 <= v <= g.n:
+            seen[v] = 1
     parts: set[frozenset[NodeId]] = set()
     for start in range(1, g.n + 1):
         if seen[start]:
@@ -196,7 +178,7 @@ def components_without(g: Graph, bridges: Container[Edge]) -> set[frozenset[Node
         while frontier:
             v = frontier.pop()
             for w in ports[v - 1]:
-                if seen[w] or canonical_edge(v, w) in bridges:
+                if seen[w] or canonical_edge(v, w) in removed_edges:
                     continue
                 seen[w] = 1
                 comp.append(w)

@@ -34,9 +34,7 @@ kind, port - 1, the next pc (the wrap is precomputed), and the events it can
 return, so a step neither builds nor looks up an event.  The kernel loops
 with a fold budget of one schedule length instead of a ``range`` over it: a
 failed guard costs one decrement, and folding a whole schedule, which no
-activation of a valid schedule does, raises.  Link classes are compared
-with module-level aliases (``_CHILD`` and so on) because an ``Enum`` member
-lookup costs about ten times a global one, and a folded port makes several.
+activation of a valid schedule does, raises.
 
 ``advance`` also skips recomputation on unchanged inputs.  A legitimate path
 has DFS depth + 1 symbols, so classifying a link and building the A_WRITE
@@ -66,7 +64,6 @@ A_WRITE key is a private copy compared by value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cache, cached_property
 from math import ceil, log2
 from typing import NamedTuple, Sequence
@@ -90,24 +87,15 @@ def format_path(p: Path) -> str:
     return ".".join("⊥" if s == BOTTOM else str(s) for s in p)
 
 
-class LinkClass(Enum):
-    PARENT = "parent"
-    CHILD = "child"
-    OUTGOING_NONTREE = "outgoing"
-    INCOMING_NONTREE = "incoming"
-    UNCLASSIFIED = "unclassified"
+#: the link classes ``classify_link`` returns; compare them with ``is``
+PARENT = "parent"
+CHILD = "child"
+OUTGOING_NONTREE = "outgoing"
+INCOMING_NONTREE = "incoming"
+UNCLASSIFIED = "unclassified"
 
 
-# Module-level aliases: the kernel compares link classes several times per
-# folded port, and a global costs about a tenth of an ``Enum`` member lookup.
-_PARENT = LinkClass.PARENT
-_CHILD = LinkClass.CHILD
-_OUTGOING = LinkClass.OUTGOING_NONTREE
-_INCOMING = LinkClass.INCOMING_NONTREE
-_UNCLASSIFIED = LinkClass.UNCLASSIFIED
-
-
-def classify_link(my_path: Path, their_path: Path, my_port: int, their_port: int) -> LinkClass:
+def classify_link(my_path: Path, their_path: Path, my_port: int, their_port: int) -> str:
     """Classify one incident link from the two endpoint paths.
 
     The link is a parent link when my path extends theirs by exactly their
@@ -119,13 +107,13 @@ def classify_link(my_path: Path, their_path: Path, my_port: int, their_port: int
     mine, theirs = len(my_path), len(their_path)
     if theirs < mine and my_path[:theirs] == their_path:
         if mine == theirs + 1 and my_path[theirs] == their_port:
-            return _PARENT
-        return _OUTGOING
+            return PARENT
+        return OUTGOING_NONTREE
     if mine < theirs and their_path[:mine] == my_path:
         if theirs == mine + 1 and their_path[mine] == my_port:
-            return _CHILD
-        return _INCOMING
-    return _UNCLASSIFIED
+            return CHILD
+        return INCOMING_NONTREE
+    return UNCLASSIFIED
 
 
 class Register(NamedTuple):
@@ -220,7 +208,7 @@ class NodeProgram:
 
     degree: int
     schedule: tuple[MicroStep, ...]
-    #: reverse_ports[j-1] is the port number the neighbor on my port j uses for me
+    #: row v of ``Graph.reverse_ports``: [j-1] is the port the neighbour on my port j uses for me
     reverse_ports: tuple[int, ...]
     path_bound: int
     count_bound: int
@@ -242,12 +230,11 @@ class NodeProgram:
 
 def node_program(g: Graph, v: NodeId) -> NodeProgram:
     """Build the program of node v for graph g (path bound n, count bound n^2)."""
-    nbrs = g.neighbors(v)
-    index = g._port_index  # port_to without a call per neighbour
+    degree = g.degree(v)
     return NodeProgram(
-        degree=len(nbrs),
-        schedule=root_program() if v == ROOT else nonroot_program(len(nbrs)),
-        reverse_ports=tuple([index[w - 1][v] for w in nbrs]),
+        degree=degree,
+        schedule=root_program() if v == ROOT else nonroot_program(degree),
+        reverse_ports=g.reverse_ports[v - 1],
         path_bound=g.n,
         count_bound=g.n * g.n,
     )
@@ -257,9 +244,8 @@ def node_program(g: Graph, v: NodeId) -> NodeProgram:
 class ProcessorState:
     """Register plus local variables and program counter of one processor.
 
-    The underscored fields are ``advance``'s memo, a simulator cache and not
-    protocol state: equality and repr ignore them, the constructor does not
-    take them, and every new state, ``clone()`` included, starts without one.
+    The underscored fields are ``advance``'s memo (see the module
+    docstring), not protocol state: the constructor does not take them.
     """
 
     register: Register
@@ -363,13 +349,9 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
     precomputed event.  ``nbrs[j - 1]`` is the neighbour on port j; a remote
     read takes one field of its ``register`` and nothing else of it.
 
-    Two results are memoised on ``s`` (see the module docstring): each
-    port's link class, keyed by the identity of ``s.path`` and of the port's
-    read path, and the A_WRITE minimum, keyed by a copy of ``s.read_path``
-    compared by value.  Both are pure functions of their keys and of
-    ``prog``, and the memo is emptied when ``prog`` is not the program it was
-    filled under, so every step is the one an unmemoised kernel would take,
-    also after a fault has rewritten any field of ``s``.
+    Link classes and the A_WRITE minimum are memoised on ``s``; the module
+    docstring explains the memo and why every step is the one an unmemoised
+    kernel would take.
     """
     if s._prog is not prog:
         s._prog = prog
@@ -396,15 +378,15 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
             else:
                 cls = classify_link(mine, theirs, i + 1, prog.reverse_ports[i])
                 s._links[i] = (mine, theirs, cls)
-            if cls is _CHILD:
+            if cls is CHILD:
                 value = nbrs[i].register.count
                 s.read_count[i] = value
                 s.count += value
                 return event
-            if cls is _INCOMING:
+            if cls is INCOMING_NONTREE:
                 s.n_in += 1
                 s.count -= 1
-            elif cls is _OUTGOING:
+            elif cls is OUTGOING_NONTREE:
                 s.n_out += 1
                 s.count += 1
             budget -= 1
@@ -476,7 +458,7 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
                     else:
                         cls = classify_link(mine, theirs, j + 1, prog.reverse_ports[j])
                         links[j] = (mine, theirs, cls)
-                    if cls is _PARENT:
+                    if cls is PARENT:
                         if kind == C_READ_PARENT_BCC:
                             s.read_bcc[j] = nbrs[j].register.bcc
                             return event[j]

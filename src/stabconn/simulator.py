@@ -322,7 +322,7 @@ class RoundRecord:
 
 @dataclass
 class Trace:
-    """What a run records on request: one record per round, one entry per step."""
+    """What ``run(record=True)`` keeps: one record per round, one entry per step."""
 
     rounds: list[RoundRecord] = field(default_factory=list)
     steps: list[tuple[int, NodeId, StepEvent]] = field(default_factory=list)
@@ -494,8 +494,7 @@ def run(
     faults: Sequence[FaultSpec] = (),
     max_rounds: int | None = None,
     closure_rounds: int = 0,
-    record_rounds: bool = False,
-    record_steps: bool = False,
+    record: bool = False,
     gt: GroundTruth | None = None,
 ) -> tuple[Trace, RunReport]:
     """Execute until stabilization (plus optional closure window) or max_rounds.
@@ -511,7 +510,8 @@ def run(
     within ``max_rounds`` (per attempt), or a closure window that ends
     outside the legitimate configuration, is reported as not stabilized, not
     raised.  A stabilized report carries the detection sets read off the
-    final registers, uncertified.  ``trace`` is filled only on request.
+    final registers, uncertified.  ``trace`` is filled only when ``record``
+    is set: one ``RoundRecord`` per round and one entry per step.
     Every fault is checked against ``g`` before the first step; one that
     names a missing node or field, or more random fields than exist, raises
     ``FaultTargetError``.  An ``init`` made for another graph, or for ``g``
@@ -635,7 +635,7 @@ def run(
         wait = left[pid]
         if wait < 0:  # replaying: count the activation, one more owed
             left[pid] = wait - 1
-            if record_steps:
+            if record:
                 loop = loops[pid]
                 trace.steps.append((steps, pid, loop[(-1 - wait) % len(loop)][1]))
         else:
@@ -652,7 +652,7 @@ def run(
                 left[pid] = _RECORDING
                 loops[pid] = []
                 reads[pid] = _read_bit(event)
-            if record_steps:
+            if record:
                 trace.steps.append((steps, pid, event))
             # only a changed write can grow the register; reads never change it
             if event.changed:
@@ -683,7 +683,7 @@ def run(
         rounds += 1
         unseen = n
         legitimate = not wrong
-        if record_rounds:
+        if record:
             registers = tuple(st.register for st in states)
             trace.rounds.append(RoundRecord(rounds, steps, legitimate, changed, registers))
         # a round with no changed write and no fault ends in the registers

@@ -5,7 +5,8 @@ speed, so a test can check the package's faster or more indirect route
 against it.  None of them is part of the ``stabconn`` API.  ``watch_runs``
 and ``checked_loops`` are no references but probes: the first shows the
 full processor states that ``simulator.run`` keeps to itself, the second
-checks each cycle it records before it replays it.
+checks each cycle it records before it replays it; ``compare_with_loop``
+runs both on one case and compares ``run`` with ``run_loop``.
 ``stabilized_configuration`` is a start that tests and benches share, and
 ``alpha_independence`` a check that repeats whole runs under port orders.
 """
@@ -21,7 +22,7 @@ from unittest.mock import patch
 
 from stabconn import protocol, simulator
 from stabconn.graph import ROOT, Graph, NodeId, shuffle_ports
-from stabconn.oracle import GroundTruth
+from stabconn.oracle import GroundTruth, ground_truth
 from stabconn.protocol import (
     A_READ,
     A_WRITE,
@@ -37,7 +38,11 @@ from stabconn.protocol import (
     R_WRITE_COUNT,
     R_WRITE_PATH,
     ROOT_PATH,
-    LinkClass,
+    CHILD,
+    INCOMING_NONTREE,
+    OUTGOING_NONTREE,
+    PARENT,
+    UNCLASSIFIED,
     NodeProgram,
     Path,
     ProcessorState,
@@ -138,17 +143,17 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def link_class(my_path: Path, their_path: Path, my_port: int, their_port: int) -> LinkClass:
+def link_class(my_path: Path, their_path: Path, my_port: int, their_port: int) -> str:
     """The class of one link, from the prefix relation of the two paths."""
     if len(their_path) < len(my_path) and is_prefix(their_path, my_path):
         if my_path == their_path + (their_port,):
-            return LinkClass.PARENT
-        return LinkClass.OUTGOING_NONTREE
+            return PARENT
+        return OUTGOING_NONTREE
     if len(my_path) < len(their_path) and is_prefix(my_path, their_path):
         if their_path == my_path + (my_port,):
-            return LinkClass.CHILD
-        return LinkClass.INCOMING_NONTREE
-    return LinkClass.UNCLASSIFIED
+            return CHILD
+        return INCOMING_NONTREE
+    return UNCLASSIFIED
 
 
 def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]) -> StepEvent:
@@ -168,7 +173,7 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
     def parent_port() -> int:
         for j in range(1, prog.degree + 1):
             cls = link_class(s.path, s.read_path[j - 1], j, prog.reverse_ports[j - 1])
-            if cls is LinkClass.PARENT:
+            if cls is PARENT:
                 return j
         return 0
 
@@ -197,14 +202,14 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
             return StepEvent("read", "path", None)
         if kind == B_PORT:
             cls = link_class(s.path, s.read_path[port - 1], port, prog.reverse_ports[port - 1])
-            if cls is LinkClass.CHILD:
+            if cls is CHILD:
                 s.read_count[port - 1] = nbrs[port - 1].register.count
                 s.count += s.read_count[port - 1]
                 return StepEvent("read", "count", port)
-            if cls is LinkClass.INCOMING_NONTREE:
+            if cls is INCOMING_NONTREE:
                 s.n_in += 1
                 s.count -= 1
-            elif cls is LinkClass.OUTGOING_NONTREE:
+            elif cls is OUTGOING_NONTREE:
                 s.n_out += 1
                 s.count += 1
             continue
@@ -406,3 +411,50 @@ def checked_loops():
 
     with patch.object(simulator._Replay, "close", checked_close):
         yield checked
+
+
+def compare_with_loop(g, scheduler, init, faults, max_rounds, closure_rounds):
+    """Run ``simulator.run`` on one case under ``watch_runs`` and
+    ``checked_loops``, feed its fault firings through ``run_loop``, and
+    compare the two.
+
+    Returns (why, steps, faults fired, loops checked, kernel calls).  ``why``
+    names the first difference, or is None: a recorded loop that does not
+    repeat, fault firings at other steps than the report's fault events,
+    step streams that part, final full states that differ, or a round whose
+    legitimate flag disagrees with its registers (``run`` keeps that flag
+    from a set of wrong nodes, updated at each write).  Kernel calls are
+    ``run``'s ``simulator.advance`` calls.
+    """
+    calls = []
+    kernel = simulator.advance
+    with watch_runs() as log, checked_loops() as checked, patch.object(
+        simulator, "advance", lambda *a: calls.append(1) or kernel(*a)
+    ):
+        try:
+            trace, report = simulator.run(
+                g, scheduler, init, faults=faults, max_rounds=max_rounds,
+                closure_rounds=closure_rounds, record=True,
+            )
+        except AssertionError as exc:
+            why = f"a recorded loop does not repeat: {exc}"
+            return why, 0, len(log.firings), checked.closes, len(calls)
+    firings = [(steps, spec) for steps, spec, _, _ in log.firings]
+    stream, states = run_loop(g, scheduler, init.states, firings, report.total_steps)
+    fired = sorted({steps for steps, _ in firings})
+    reported = sorted({ev.step for ev in report.fault_events})
+    why = None
+    if fired != reported:
+        why = f"faults fired at steps {fired}, reported at {reported}"
+    elif trace.steps != stream:
+        k = next(i for i, (a, b) in enumerate(zip(trace.steps, stream)) if a != b)
+        why = f"step streams part at step {k + 1}: run {trace.steps[k]}, loop {stream[k]}"
+    elif full_state(log.states) != full_state(states):
+        why = "final full states differ"
+    else:
+        gt_regs = ground_truth(g).registers
+        for r in trace.rounds:
+            if r.legitimate != (r.registers == gt_regs):
+                why = f"round {r.index} ends with legitimate={r.legitimate} against its registers"
+                break
+    return why, report.total_steps, len(firings), checked.closes, len(calls)

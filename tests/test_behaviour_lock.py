@@ -82,7 +82,7 @@ def stream_digest(name: str, scheduler: str, seed: int) -> str:
         init_arbitrary(g, seed),
         faults=faults,
         max_rounds=6,
-        record_steps=True,
+        record=True,
     )
     return _digest(
         (
@@ -136,7 +136,7 @@ def run_digest(name: str, variant: str) -> str:
             g,
             make_scheduler(scheduler, seed=i + 1),
             init_arbitrary(g, RUN_INIT_SEEDS[name]),
-            record_rounds=True,
+            record=True,
             **RUN_VARIANTS[variant](g),
         )
         detection = report.detection

@@ -386,6 +386,21 @@ def test_fault_spec_grammar():
             parse_fault_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "spec, what",
+    [
+        ("post:random=1:seed=x", "seed"),
+        ("step=1.5:random=1", "trigger"),
+        ("post:random=", "target"),
+        ("post:node=x,field=path", "node"),
+    ],
+)
+def test_fault_spec_names_the_integer_it_cannot_read(spec, what):
+    with pytest.raises(UsageError) as exc:
+        parse_fault_spec(spec)
+    assert str(exc.value) == f"bad --faults {what} in {spec!r}"
+
+
 def test_seed_range_grammar():
     assert parse_seed_range("0-3") == [0, 1, 2, 3]
     assert parse_seed_range("4") == [0, 1, 2, 3]

@@ -235,6 +235,30 @@ def test_shuffle_ports_keeps_topology():
     assert any(s.neighbors(v) != g.neighbors(v) for v in range(1, 17))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        figure1(),
+        shuffle_ports(figure1(), 71),
+        generate_random_connected(12, 9, seed=4),
+        shuffle_ports(generate_random_connected(12, 9, seed=4), 2),
+        generate_clustered(3, 4, seed=5),
+        shuffle_ports(generate_clustered(3, 4, seed=5), 6),
+        generate_random_connected(1, 0, seed=0),
+    ],
+    ids=["figure1", "figure1-shuffled", "random", "random-shuffled",
+         "clustered", "clustered-shuffled", "single"],
+)
+def test_reverse_ports_is_port_to_from_the_other_side(g):
+    from stabconn.protocol import node_program
+
+    for v in range(1, g.n + 1):
+        row = g.reverse_ports[v - 1]
+        # row[j - 1] is the port the neighbour on v's port j uses for v
+        assert row == tuple(g.port_to(w, v) for w in g.ports[v - 1])
+        assert node_program(g, v).reverse_ports is row
+
+
 def test_diameter_matches_reference():
     def path(n):
         return build_graph(n, [(v, v + 1) for v in range(1, n)])

@@ -21,7 +21,11 @@ from stabconn.protocol import (
     C_DECIDE,
     C_WRITE_PARENT_BCC,
     R_WRITE_PATH,
-    LinkClass,
+    CHILD,
+    INCOMING_NONTREE,
+    OUTGOING_NONTREE,
+    PARENT,
+    UNCLASSIFIED,
     ProcessorState,
     Register,
     ROOT_PATH,
@@ -103,29 +107,29 @@ def test_format_path():
 # link classification
 
 def test_classify_examples():
-    assert classify_link((BOTTOM, 1), (BOTTOM,), 1, 1) is LinkClass.PARENT
+    assert classify_link((BOTTOM, 1), (BOTTOM,), 1, 1) is PARENT
     assert (
-        classify_link((BOTTOM, 2, 1), (BOTTOM,), 1, 3) is LinkClass.OUTGOING_NONTREE
+        classify_link((BOTTOM, 2, 1), (BOTTOM,), 1, 3) is OUTGOING_NONTREE
     )
-    assert classify_link((BOTTOM, 1), (BOTTOM, 2), 1, 1) is LinkClass.UNCLASSIFIED
+    assert classify_link((BOTTOM, 1), (BOTTOM, 2), 1, 1) is UNCLASSIFIED
 
 
 def test_classify_child_and_incoming():
     mine = (BOTTOM, 2)
-    assert classify_link(mine, (BOTTOM, 2, 3), 3, 9) is LinkClass.CHILD
-    assert classify_link(mine, (BOTTOM, 2, 4), 3, 9) is LinkClass.INCOMING_NONTREE
-    assert classify_link(mine, (BOTTOM, 2, 3, 1), 3, 9) is LinkClass.INCOMING_NONTREE
+    assert classify_link(mine, (BOTTOM, 2, 3), 3, 9) is CHILD
+    assert classify_link(mine, (BOTTOM, 2, 4), 3, 9) is INCOMING_NONTREE
+    assert classify_link(mine, (BOTTOM, 2, 3, 1), 3, 9) is INCOMING_NONTREE
 
 
 def test_classify_equal_paths_unclassified():
-    assert classify_link((BOTTOM, 1), (BOTTOM, 1), 1, 2) is LinkClass.UNCLASSIFIED
+    assert classify_link((BOTTOM, 1), (BOTTOM, 1), 1, 2) is UNCLASSIFIED
 
 
 _DUAL = {
-    LinkClass.PARENT: LinkClass.CHILD,
-    LinkClass.CHILD: LinkClass.PARENT,
-    LinkClass.OUTGOING_NONTREE: LinkClass.INCOMING_NONTREE,
-    LinkClass.INCOMING_NONTREE: LinkClass.OUTGOING_NONTREE,
+    PARENT: CHILD,
+    CHILD: PARENT,
+    OUTGOING_NONTREE: INCOMING_NONTREE,
+    INCOMING_NONTREE: OUTGOING_NONTREE,
 }
 
 
@@ -138,7 +142,7 @@ def test_classification_on_legitimate_paths_is_total_and_dual():
         for u, v in g.edges:
             cls_u = classify_link(paths[u], paths[v], g.port_to(u, v), g.port_to(v, u))
             cls_v = classify_link(paths[v], paths[u], g.port_to(v, u), g.port_to(u, v))
-            assert cls_u is not LinkClass.UNCLASSIFIED
+            assert cls_u is not UNCLASSIFIED
             assert cls_v is _DUAL[cls_u]
 
 

@@ -272,7 +272,7 @@ def test_run_closure_counts_a_change(fig1):
 def test_run_declares_no_round_before_the_last_change(n, m, seed, closure):
     g = generate_random_connected(n, m - (n - 1), seed)
     sched = make_scheduler("round-robin")
-    trace, report = run(g, sched, init_arbitrary(g, seed), closure_rounds=closure, record_rounds=True)
+    trace, report = run(g, sched, init_arbitrary(g, seed), closure_rounds=closure, record=True)
     last_change = max(r.index for r in trace.rounds if r.changed)
     assert report.post_stabilization_changes == 0
     assert report.stabilization_round >= last_change
@@ -290,7 +290,7 @@ def test_run_trace_rounds(fig1):
         fig1,
         make_scheduler("round-robin"),
         init_arbitrary(fig1, 8),
-        record_rounds=True,
+        record=True,
     )
     assert len(trace.rounds) == report.rounds
     assert trace.rounds[-1].legitimate
@@ -330,8 +330,7 @@ def test_round_trace_matches_reference_scans(graph, scheduler, faulted):
         faults=faults,
         max_rounds=300,  # these cases need at most 212 rounds per attempt
         closure_rounds=10 if faulted else 0,
-        record_rounds=True,
-        record_steps=True,
+        record=True,
     )
     assert report.stabilized
     pids = [pid for _, pid, _ in trace.steps]
@@ -344,7 +343,7 @@ def test_run_from_legitimate_configuration_needs_two_rounds(fig1):
     # round 1 is quiet too, but no round before it ended legitimate
     gt = ground_truth(fig1)
     trace, report = run(
-        fig1, make_scheduler("round-robin"), stabilized_configuration(fig1, gt), record_rounds=True
+        fig1, make_scheduler("round-robin"), stabilized_configuration(fig1, gt), record=True
     )
     assert [(r.legitimate, r.changed) for r in trace.rounds] == [(True, False)] * 2
     assert report.stabilized and report.stabilization_round == 1
@@ -356,10 +355,10 @@ def test_run_step_log_debug_flag(triangle):
         make_scheduler("round-robin"),
         init_arbitrary(triangle, 13),
         max_rounds=60,  # it needs 27
-        record_steps=True,
+        record=True,
     )
     assert len(trace.steps) == report.total_steps
-    assert trace.rounds == []
+    assert len(trace.rounds) == report.rounds
     steps, pids, events = zip(*trace.steps)
     assert list(steps) == list(range(1, report.total_steps + 1))
     assert set(pids) == {1, 2, 3}
@@ -421,7 +420,7 @@ def test_run_steps_match_replay_through_step(graph, scheduler):
         init,
         faults=[fault],
         max_rounds=250,  # these cases need at most 159 rounds
-        record_steps=True,
+        record=True,
     )
     assert report.stabilized and [ev.step for ev in report.fault_events] == [40] * len(report.fault_events)
     c = init
@@ -465,28 +464,12 @@ def _replay_cases(draw):
 def _assert_runs_like_loop(g, scheduler, init, faults, closure_rounds):
     """A loop that calls the kernel on every activation must give the same
     steps and the same full states as ``run``, whose quiet nodes replay
-    recorded cycles, and each cycle must repeat when it is recorded.
-    max_rounds is above every attempt the callers' cases need, and keeps a
-    run that a faulty replay stops from converging short."""
-    with reference.watch_runs() as log, reference.checked_loops():
-        trace, report = run(
-            g,
-            scheduler,
-            init,
-            faults=faults,
-            max_rounds=200,
-            closure_rounds=closure_rounds,
-            record_rounds=True,
-            record_steps=True,
-        )
-    firings = [(steps, spec) for steps, spec, _, _ in log.firings]
-    assert {steps for steps, _ in firings} == {ev.step for ev in report.fault_events}
-    stream, states = reference.run_loop(g, scheduler, init.states, firings, report.total_steps)
-    assert trace.steps == stream
-    assert reference.full_state(log.states) == reference.full_state(states)
-    # the round-end flag comes from a set of wrong nodes, kept at each write
-    gt_regs = ground_truth(g).registers
-    assert all(r.legitimate == (r.registers == gt_regs) for r in trace.rounds)
+    recorded cycles, and each cycle must repeat when it is recorded (see
+    ``reference.compare_with_loop``).  max_rounds is above every attempt the
+    callers' cases need, and keeps a run that a faulty replay stops from
+    converging short."""
+    why, *_ = reference.compare_with_loop(g, scheduler, init, faults, 200, closure_rounds)
+    assert why is None, why
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -663,7 +646,7 @@ def test_a_change_restarts_only_the_neighbours_that_read_it_since_slot_0(
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 @pytest.mark.parametrize("graph", ["figure1", "random:12,18"])
 def test_recording_steps_changes_no_run(graph, scheduler):
-    # record_steps makes replayed activations look their events up; the
+    # record makes replayed activations look their events up; the
     # run, its fault firings and its final states must not notice
     g = figure1() if graph == "figure1" else generate_random_connected(12, 7, seed=6)
     faults = [
@@ -671,7 +654,7 @@ def test_recording_steps_changes_no_run(graph, scheduler):
         FaultSpec(trigger=POST_STABILIZATION, targets=((3, "locals"), (5, "pc")), seed=6),
     ]
     outcomes = []
-    for record_steps in (False, True):
+    for record in (False, True):
         with reference.watch_runs() as log:
             _, report = run(
                 g,
@@ -679,7 +662,7 @@ def test_recording_steps_changes_no_run(graph, scheduler):
                 init_arbitrary(g, 9),
                 faults=faults,
                 closure_rounds=40,
-                record_steps=record_steps,
+                record=record,
             )
         outcomes.append((report, log.firings, reference.full_state(log.states)))
     assert outcomes[0][0].stabilized and len(outcomes[0][1]) == 2
@@ -720,7 +703,7 @@ def test_a_write_restarts_only_the_neighbours_that_read_it(field, node):
     ):
         trace, report = run(
             g, make_scheduler("round-robin"), init, faults=[fault],
-            closure_rounds=closure, record_steps=True,
+            closure_rounds=closure, record=True,
         )
     assert report.stabilized
     write = ("write", field, True)
@@ -1063,3 +1046,22 @@ def test_space_bound_tracking(fig1):
     assert report.max_register_bits <= register_bit_budget(
         fig1.n, fig1.max_degree, fig1.n * fig1.n
     )
+
+
+def test_space_meter_counts_a_written_bcc_longer_than_every_path(fig1):
+    # from the legitimate configuration (longest path 8 symbols), node 16
+    # decides with count 0 and a 16-symbol local path: its bcc write is the
+    # longest path the run ever holds, in a register of 8 + 16 symbols
+    from stabconn.protocol import C_DECIDE, payload_bits
+
+    gt = ground_truth(fig1)
+    init = stabilized_configuration(fig1, gt)
+    assert max(len(reg.path) for reg in gt.registers) == len(gt.paths[16]) == 8
+    st = init.states[15]
+    st.pc = node_program(fig1, 16).schedule.index((C_DECIDE, 0))
+    st.count = 0
+    st.path = (BOTTOM,) + (1,) * 15
+    _, report = run(fig1, make_scheduler("round-robin"), init)
+    assert report.stabilized
+    assert report.max_path_len == 16
+    assert report.max_register_bits == payload_bits(8 + 16, fig1.max_degree, fig1.n * fig1.n)
