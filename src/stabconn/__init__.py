@@ -51,8 +51,6 @@ from .protocol import (
     format_path,
     node_program,
     nonroot_program,
-    register_bit_budget,
-    register_bits,
     root_program,
 )
 from .simulator import (

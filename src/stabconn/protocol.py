@@ -36,29 +36,25 @@ with a fold budget of one schedule length instead of a ``range`` over it: a
 failed guard costs one decrement, and folding a whole schedule, which no
 activation of a valid schedule does, raises.
 
-``advance`` also skips recomputation on unchanged inputs.  A legitimate path
-has DFS depth + 1 symbols, so classifying a link and building the A_WRITE
-candidates cost O(depth) each, and a cycle classifies the same links up to
-three times (B_PORT and the two parent-port scans of phase C).
-  * Link classes are memoised per port, keyed by the identity of the node's
-    own ``path`` and of the port's ``read_path`` entry, and checked inline in
-    B_PORT and in the one parent-port scan that both phase-C bcc slots share.
-    The memo holds references to both immutable tuples, so neither id can be
-    reused by another object, and a key that matches by identity matches by
-    value.
-  * The A_WRITE minimum is kept with a copy of the ``read_path`` list it was
-    computed from and reused while the list compares equal to that copy.
-  * A non-root write that changes no field keeps the register object, so a
-    neighbour's A_READ stores the same tuple again and its memo hits.  (The
-    root writes only the constant ``ROOT_PATH`` object and 0.)
-Both results are pure functions of their keys and of the ``NodeProgram``
-(ports, reverse ports, bound), and the memo is emptied whenever a state is
-stepped under another program object, so every step equals the step of an
-unmemoised kernel.  The memo lives on ``ProcessorState`` as fields that
-equality and repr ignore, and ``clone()`` starts empty.  Faults cannot make
-it stale: a fault corrupts a state in place and keeps its memo, but an
-identity key matches only the very tuple it was computed from, and the
-A_WRITE key is a private copy compared by value.
+``advance`` also skips reclassifying links on unchanged inputs.  A
+legitimate path has DFS depth + 1 symbols, so classifying a link costs
+O(depth), and a cycle classifies the same links up to three times (B_PORT
+and the two parent-port scans of phase C).  Link classes are memoised per
+port, keyed by the identity of the node's own ``path`` and of the port's
+``read_path`` entry, and checked inline in B_PORT and in the one parent-port
+scan that both phase-C bcc slots share.  A non-root write that changes no
+field keeps the register object, so a neighbour's A_READ stores the same
+tuple again and its memo hits.  (The root writes only the constant
+``ROOT_PATH`` object and 0.)  The memo is sound: it holds references to
+both immutable tuples, so neither id can be reused by another object, and a
+key that matches by identity matches by value; a class is a pure function
+of the two paths and of the ``NodeProgram``'s ports, and the memo is emptied
+whenever a state is stepped under another program object.  So every step
+equals the step of an unmemoised kernel.  The memo lives on
+``ProcessorState`` as fields that equality and repr ignore, and ``clone()``
+starts empty.  Faults cannot make it stale: a fault corrupts a state in
+place and keeps its memo, but a key matches only the very tuples it was
+computed from.
 """
 
 from __future__ import annotations
@@ -137,16 +133,6 @@ def payload_bits(symbols: int, delta: int, count_bound: int) -> int:
     ``symbols``, so the largest register is the one with the most symbols.
     """
     return symbols * ceil(log2(delta + 2)) + ceil(log2(2 * count_bound + 1))
-
-
-def register_bits(reg: Register, delta: int, count_bound: int) -> int:
-    """Serialized register size in bits."""
-    return payload_bits(len(reg.path) + len(reg.bcc), delta, count_bound)
-
-
-def register_bit_budget(path_bound: int, delta: int, count_bound: int) -> int:
-    """Upper bound on register_bits when both paths respect the length bound."""
-    return payload_bits(2 * path_bound, delta, count_bound)
 
 
 # Micro-step kinds.  A schedule is a tuple of (kind, port) pairs; port is 0
@@ -244,8 +230,9 @@ def node_program(g: Graph, v: NodeId) -> NodeProgram:
 class ProcessorState:
     """Register plus local variables and program counter of one processor.
 
-    The underscored fields are ``advance``'s memo (see the module
-    docstring), not protocol state: the constructor does not take them.
+    The underscored fields are ``advance``'s link-class memo (see the
+    module docstring), not protocol state: the constructor does not take
+    them.
     """
 
     register: Register
@@ -261,9 +248,6 @@ class ProcessorState:
     _prog: NodeProgram | None = field(default=None, init=False, compare=False, repr=False)
     #: per port, (path, read path, class) of its last classification
     _links: list[tuple] | None = field(default=None, init=False, compare=False, repr=False)
-    #: the read paths of the last A_WRITE, and the minimum they gave
-    _min_key: list[Path] | None = field(default=None, init=False, compare=False, repr=False)
-    _min_path: Path | None = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "ProcessorState":
         return ProcessorState(
@@ -349,14 +333,13 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
     precomputed event.  ``nbrs[j - 1]`` is the neighbour on port j; a remote
     read takes one field of its ``register`` and nothing else of it.
 
-    Link classes and the A_WRITE minimum are memoised on ``s``; the module
+    Link classes are memoised on ``s``, keyed by identity; the module
     docstring explains the memo and why every step is the one an unmemoised
     kernel would take.
     """
     if s._prog is not prog:
         s._prog = prog
         s._links = [_NO_LINK] * prog.degree
-        s._min_key = None
     slots = prog.table
     budget = len(slots)
     pc = s.pc % budget
@@ -401,15 +384,14 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
             # never over-long, so the rule is invisible after convergence.
             # Python's tuple order is the paths' lexicographic order (BOTTOM
             # lowest, a proper prefix before its extensions), so min applies.
-            if s.read_path == s._min_key:
-                path = s._min_path
-            else:
-                bound = prog.path_bound
-                candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
-                eligible = [c for c in candidates if len(c) <= bound]
-                path = min(eligible) if eligible else min(c[:bound] for c in candidates)
-                s._min_key = s.read_path.copy()
-                s._min_path = path
+            # A candidate p + (r,) fits the bound exactly when p is shorter
+            # than it, so the filter runs before the concatenation; in the
+            # fallback every p has at least ``bound`` symbols, so truncating
+            # p + (r,) to ``bound`` would drop the port anyway.
+            bound = prog.path_bound
+            eligible = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)
+                        if len(p) < bound]
+            path = min(eligible) if eligible else min(p[:bound] for p in s.read_path)
             changed = path != reg.path
             if changed:
                 s.register = Register(path, reg.count, reg.bcc)

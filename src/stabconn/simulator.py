@@ -353,16 +353,6 @@ def default_max_rounds(g: Graph) -> int:
     return max(10, 10 * round_bound(g))
 
 
-def _fire(
-    spec: FaultSpec, g: Graph, states: list[ProcessorState], programs: list[NodeProgram],
-    steps: int, rounds: int,
-) -> list[FaultEvent]:
-    """Apply one fault to the run's ``states``; return one event per node it hit."""
-    touched = _apply_fault_targets(states, programs, g, spec)
-    nodes = sorted({v for v, _ in touched})
-    return [FaultEvent(steps, rounds, v, tuple(f for w, f in touched if w == v)) for v in nodes]
-
-
 def _widest(
     states: list[ProcessorState], max_path_len: int, max_symbols: int
 ) -> tuple[int, int]:
@@ -468,11 +458,14 @@ class _Replay:
                 left[w] = _WAITING
 
     def fire(self, spec: FaultSpec, steps: int, rounds: int) -> list[FaultEvent]:
-        """Fire one fault into the caught-up states; return its events.
-        Every node it hit restarts before any reader of a register field it
-        hit does, so no catch-up writes over what the fault drew."""
+        """Fire one fault into the caught-up states; return one event per
+        node it hit.  Every node it hit restarts before any reader of a
+        register field it hit does, so no catch-up writes over what the
+        fault drew."""
         self.catch_up(range(1, self.g.n + 1))
-        fired = _fire(spec, self.g, self.states, self.programs, steps, rounds)
+        touched = _apply_fault_targets(self.states, self.programs, self.g, spec)
+        nodes = sorted({v for v, _ in touched})
+        fired = [FaultEvent(steps, rounds, v, tuple(f for w, f in touched if w == v)) for v in nodes]
         for ev in fired:
             self.left[ev.node] = _WAITING
         for ev in fired:

@@ -358,28 +358,31 @@ def run_loop(
 def watch_runs():
     """Log the full processor states of the ``simulator.run`` calls in the block.
 
-    ``run`` keeps its states to itself, so this wraps two private helpers it
-    calls: ``_widest``, which every run calls first with its live states
-    list, and ``_fire``, which applies one fault to that list.  The log's
-    ``states`` is the live list of the latest run; ``firings`` gets one
-    (steps, spec, states before, states after) per fault fired, the states
-    as ``full_state`` tuples.
+    ``run`` keeps its states to itself, so this wraps two methods of its
+    private ``_Replay``: ``__init__``, which every run calls with its live
+    states list, and ``fire``, which fires one fault into that list.  The
+    log's ``states`` is the live list of the latest run; ``firings`` gets
+    one (steps, spec, states before, states after) per fault fired, the
+    states as ``full_state`` tuples.  "Before" is taken once every node is
+    caught up, which ``fire`` does first anyway; a second catch-up writes
+    the same values.
     """
     log = SimpleNamespace(states=None, firings=[])
-    fire, widest = simulator._fire, simulator._widest
+    init, fire = simulator._Replay.__init__, simulator._Replay.fire
 
-    def logged_fire(spec, g, states, programs, steps, rounds):
-        before = full_state(states)
-        events = fire(spec, g, states, programs, steps, rounds)
-        log.firings.append((steps, spec, before, full_state(states)))
+    def logged_init(replay, g, states, programs):
+        log.states = states
+        init(replay, g, states, programs)
+
+    def logged_fire(replay, spec, steps, rounds):
+        replay.catch_up(range(1, replay.g.n + 1))
+        before = full_state(replay.states)
+        events = fire(replay, spec, steps, rounds)
+        log.firings.append((steps, spec, before, full_state(replay.states)))
         return events
 
-    def logged_widest(states, *meter):
-        log.states = states
-        return widest(states, *meter)
-
-    with patch.object(simulator, "_fire", logged_fire), patch.object(
-        simulator, "_widest", logged_widest
+    with patch.object(simulator._Replay, "__init__", logged_init), patch.object(
+        simulator._Replay, "fire", logged_fire
     ):
         yield log
 

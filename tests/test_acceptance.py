@@ -23,7 +23,7 @@ from stabconn.oracle import (
     brute_bridges,
     ground_truth,
 )
-from stabconn.protocol import register_bit_budget
+from stabconn.protocol import payload_bits
 from stabconn.simulator import (
     FaultSpec,
     RunReport,
@@ -155,7 +155,7 @@ def test_acceptance_5_round_bound(sweep):
 def test_acceptance_6_register_space(sweep):
     for r in sweep:
         g = r.graph
-        budget = register_bit_budget(g.n, g.max_degree, g.n * g.n)
+        budget = payload_bits(2 * g.n, g.max_degree, g.n * g.n)
         assert r.report.max_path_len <= g.n
         assert r.report.max_register_bits <= budget
     _pass(6, "every register stayed within the serialized bit budget; paths within n symbols")

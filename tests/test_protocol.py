@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import example, given, settings, strategies
 
 from stabconn.graph import (
     build_graph,
@@ -35,8 +35,7 @@ from stabconn.protocol import (
     format_path,
     node_program,
     nonroot_program,
-    register_bit_budget,
-    register_bits,
+    payload_bits,
     root_program,
 )
 from stabconn.simulator import init_arbitrary
@@ -478,11 +477,11 @@ def test_path_writes_respect_length_bound(fig1):
 
 
 def test_register_bits_budget():
-    budget = register_bit_budget(16, 4, 256)
+    budget = payload_bits(2 * 16, 4, 256)
     reg = Register((BOTTOM,) + (4,) * 15, -256, (BOTTOM,) + (4,) * 15)
-    assert register_bits(reg, 4, 256) <= budget
+    assert payload_bits(len(reg.path) + len(reg.bcc), 4, 256) <= budget
     small = Register((BOTTOM,), 0, (BOTTOM,))
-    assert register_bits(small, 4, 256) < budget
+    assert payload_bits(len(small.path) + len(small.bcc), 4, 256) < budget
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +617,7 @@ _REFERENCE_GRAPHS = (
     generate_clustered(3, 4, 2),
 )
 _REFERENCE_TRUTHS = tuple(ground_truth(g) for g in _REFERENCE_GRAPHS)
-_PERTURBATIONS = ("none", "pc", "path", "count", "neighbour", "neighbour-garbage")
+_PERTURBATIONS = ("none", "pc", "path", "count", "neighbour", "neighbour-garbage", "neighbour-long")
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -632,12 +631,18 @@ _PERTURBATIONS = ("none", "pc", "path", "count", "neighbour", "neighbour-garbage
         max_size=12,
     ),
 )
+# from a legitimate start, node 4 of figure 1 (three ports) meets over-long
+# paths on every port: its A_WRITE takes the truncation fallback
+@example(0, 3, True, 0, [("neighbour-long", 2)])
 def test_kernel_steps_like_the_plain_reference(gi, seed, legitimate, pc, perturbations):
     """``advance`` and ``reference.advance`` step two equal states side by
     side; after every step the events and the full states must be equal.
     The states start as garbage or legitimate, with any pc, and between
     steps both get the same corruption: pc, own path or count, or a
-    neighbour's register."""
+    neighbour's register.  "neighbour-long" gives every read path and every
+    neighbour's register path its own path of at least n symbols, so an
+    A_WRITE of a node with two or more ports takes the truncation fallback
+    with one candidate per port."""
     g, gt = _REFERENCE_GRAPHS[gi], _REFERENCE_TRUTHS[gi]
     v = 1 + seed % g.n
     prog = node_program(g, v)
@@ -660,6 +665,15 @@ def test_kernel_steps_like_the_plain_reference(gi, seed, legitimate, pc, perturb
             s.path = ref.path = _related_path(rng, s.register.path)
         elif perturbation == "count":
             s.count = ref.count = rng.choice([0, 0, rng.randint(-9, 9)])
+        elif perturbation == "neighbour-long":
+            # distinct second symbols keep the paths distinct when cut to n
+            marks = rng.sample(range(1, 10), len(nbrs)) if len(nbrs) >= 2 else []
+            for j, (w, mark) in enumerate(zip(nbrs, marks)):
+                long = (BOTTOM, mark) + tuple(
+                    rng.randint(1, 4) for _ in range(g.n - 2 + rng.randint(0, 2))
+                )
+                s.read_path[j] = ref.read_path[j] = long
+                live[w - 1].register = live[w - 1].register._replace(path=long)
         elif perturbation.startswith("neighbour") and nbrs:
             w = rng.choice(nbrs) - 1
             if perturbation == "neighbour":

@@ -1039,12 +1039,12 @@ def test_planted_adversarial_pair_recovers(k4_adversarial):
 
 
 def test_space_bound_tracking(fig1):
-    from stabconn.protocol import register_bit_budget
+    from stabconn.protocol import payload_bits
 
     _, report = run(fig1, make_scheduler("random", seed=1), init_arbitrary(fig1, 12))
     assert report.max_path_len <= fig1.n
-    assert report.max_register_bits <= register_bit_budget(
-        fig1.n, fig1.max_degree, fig1.n * fig1.n
+    assert report.max_register_bits <= payload_bits(
+        2 * fig1.n, fig1.max_degree, fig1.n * fig1.n
     )
 
 
