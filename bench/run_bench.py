@@ -29,7 +29,8 @@ is faster), the share of pairs the change won, and the same ratio and share
 for the null side, whose code is the base's: the null band, within which a
 ratio of that layer and case is noise.  It also says whether all sides
 agree: on the initial states, on steps, rounds, stabilization, final
-registers and the certification report, and on the JSON report.  It is
+registers (paths compared as tuples of ints, whatever the side holds them
+as) and the certification report, and on the JSON report.  It is
 written to ``BENCH_<label>.json`` at the repository root, or to ``--out``.
 The exit status is 1 when the sides disagree on any case.
 """
@@ -78,9 +79,16 @@ def cases():
         yield f"clustered:{k}x{size}", lambda p, k=k, size=size: p.generate_clustered(k, size, GRAPH_SEED)
 
 
+def _register_key(reg) -> tuple:
+    return (tuple(reg.path), reg.count, tuple(reg.bcc))
+
+
 def _state_key(st) -> tuple:
-    return (st.register, st.path, st.count, st.n_in, st.n_out,
-            st.read_path, st.read_count, st.read_bcc, st.pc)
+    """Every protocol field of a state, each path as a tuple of ints, so a
+    side that holds paths as tuples and one that holds them as bytes agree."""
+    return (_register_key(st.register), tuple(st.path), st.count, st.n_in, st.n_out,
+            [tuple(p) for p in st.read_path], st.read_count,
+            [tuple(p) for p in st.read_bcc], st.pc)
 
 
 def _time(fn):
@@ -107,8 +115,8 @@ def one_side(pkg, g, gt):
     )
     outcome = {
         "init": [_state_key(st) for st in init.states],
-        "run": (report.total_steps, report.rounds, report.stabilized, report.final_registers,
-                cert.match, cert.mismatches),
+        "run": (report.total_steps, report.rounds, report.stabilized,
+                [_register_key(reg) for reg in report.final_registers], cert.match, cert.mismatches),
         "report": doc,
     }
     times = {"ground_truth": t_truth, "init_arbitrary": t_init, "certify": t_certify,

@@ -42,6 +42,7 @@ from .oracle import (
 )
 from .protocol import (
     BOTTOM,
+    DegreeLimitError,
     Path,
     ProcessorState,
     Register,

@@ -47,7 +47,7 @@ from functools import cached_property
 from typing import Container, Iterable, Mapping
 
 from .graph import Edge, Graph, NodeId, ROOT, canonical_edge, search_tree
-from .protocol import Path, Register, ROOT_PATH
+from .protocol import Path, Register, ROOT_PATH, SYMBOLS, check_degrees
 
 
 def is_connected(
@@ -193,8 +193,10 @@ def first_dfs(g: Graph) -> tuple[dict[NodeId, Path], dict[NodeId, NodeId]]:
     The traversal always descends through the smallest unused port index, and
     each path extends the parent's path by the parent's port number for the
     child; the result is the lexicographically minimal simple root path of
-    every node.  ``parent[w] = v`` is recorded when v discovers w.
+    every node.  ``parent[w] = v`` is recorded when v discovers w.  A graph
+    with a degree above ``protocol.MAX_DEGREE`` raises ``DegreeLimitError``.
     """
+    check_degrees(g)
     paths: dict[NodeId, Path] = {ROOT: ROOT_PATH}
     parent: dict[NodeId, NodeId] = {}
     ports = g.ports
@@ -204,7 +206,7 @@ def first_dfs(g: Graph) -> tuple[dict[NodeId, Path], dict[NodeId, NodeId]]:
         v, untried = stack[-1]
         for port, w in untried:
             if w not in paths:
-                paths[w] = paths[v] + (port,)
+                paths[w] = paths[v] + SYMBOLS[port]
                 parent[w] = v
                 stack.append((w, enumerate(ports[w - 1], start=1)))
                 break

@@ -13,6 +13,13 @@ three phases:
   C. read its own count and path; a node with count 0 labels itself with its
      own path, anyone else copies the parent's label.
 
+A path is a ``bytes`` object, one byte per symbol.  BOTTOM is 0 and the
+ports are 1..delta, so while delta <= MAX_DEGREE (255) bytes order is the
+paths' lexicographic order (BOTTOM lowest, a proper prefix before its
+extensions), and a prefix test is ``startswith``.  ``node_program`` and
+``oracle.first_dfs`` reject a graph with a larger degree before any path is
+built.
+
 Every activation performs exactly one register read or write (plus attached
 local computation), so an adversarial scheduler interleaves at register
 granularity.  All operations are total: corrupted registers, locals, and
@@ -44,16 +51,16 @@ port, keyed by the identity of the node's own ``path`` and of the port's
 ``read_path`` entry, and checked inline in B_PORT and in the one parent-port
 scan that both phase-C bcc slots share.  A non-root write that changes no
 field keeps the register object, so a neighbour's A_READ stores the same
-tuple again and its memo hits.  (The root writes only the constant
+path object again and its memo hits.  (The root writes only the constant
 ``ROOT_PATH`` object and 0.)  The memo is sound: it holds references to
-both immutable tuples, so neither id can be reused by another object, and a
+both immutable paths, so neither id can be reused by another object, and a
 key that matches by identity matches by value; a class is a pure function
 of the two paths and of the ``NodeProgram``'s ports, and the memo is emptied
 whenever a state is stepped under another program object.  So every step
 equals the step of an unmemoised kernel.  The memo lives on
 ``ProcessorState`` as fields that equality and repr ignore, and ``clone()``
 starts empty.  Faults cannot make it stale: a fault corrupts a state in
-place and keeps its memo, but a key matches only the very tuples it was
+place and keeps its memo, but a key matches only the very paths it was
 computed from.
 """
 
@@ -64,19 +71,39 @@ from functools import cache, cached_property
 from math import ceil, log2
 from typing import NamedTuple, Sequence
 
-from .graph import Graph, NodeId, ROOT
+from .graph import Graph, GraphError, NodeId, ROOT
 
 #: Minimal path symbol; strictly smaller than every edge index.
 BOTTOM = 0
+#: The largest degree whose ports fit in a one-byte path symbol.
+MAX_DEGREE = 255
 
-Path = tuple[int, ...]
+#: One byte per symbol: BOTTOM, or a port in 1..MAX_DEGREE.  Immutable, so
+#: the link-class memo may key on identity (see the module docstring).
+Path = bytes
 
-ROOT_PATH: Path = (BOTTOM,)
+#: ``SYMBOLS[k]`` is the one-symbol path k, which extends a path by port k
+SYMBOLS: tuple[Path, ...] = tuple(bytes((k,)) for k in range(MAX_DEGREE + 1))
+
+ROOT_PATH: Path = SYMBOLS[BOTTOM]
+
+
+class DegreeLimitError(GraphError):
+    """A node has more ports than a one-byte path symbol can name."""
+
+
+def check_degrees(g: Graph) -> None:
+    """Raise ``DegreeLimitError`` naming a node of g whose degree exceeds MAX_DEGREE."""
+    if g.max_degree > MAX_DEGREE:
+        v = next(v for v in range(1, g.n + 1) if g.degree(v) > MAX_DEGREE)
+        raise DegreeLimitError(
+            f"node {v} has degree {g.degree(v)}; path symbols name ports up to {MAX_DEGREE}"
+        )
 
 
 def is_prefix(p: Path, q: Path) -> bool:
     """True when p is a (not necessarily proper) prefix of q."""
-    return len(p) <= len(q) and q[: len(p)] == p
+    return q.startswith(p)
 
 
 def format_path(p: Path) -> str:
@@ -101,11 +128,11 @@ def classify_link(my_path: Path, their_path: Path, my_port: int, their_port: int
     paths that match no rule are UNCLASSIFIED.
     """
     mine, theirs = len(my_path), len(their_path)
-    if theirs < mine and my_path[:theirs] == their_path:
+    if theirs < mine and my_path.startswith(their_path):
         if mine == theirs + 1 and my_path[theirs] == their_port:
             return PARENT
         return OUTGOING_NONTREE
-    if mine < theirs and their_path[:mine] == my_path:
+    if mine < theirs and their_path.startswith(my_path):
         if theirs == mine + 1 and their_path[mine] == my_port:
             return CHILD
         return INCOMING_NONTREE
@@ -188,8 +215,9 @@ class NodeProgram:
     """Static execution context of one node: schedule, ports, and bounds.
 
     ``schedule`` is the readable spec; ``table`` is what the kernel walks,
-    derived from it on first use.  It cannot go stale: the fields are
-    frozen, and a ``dataclasses.replace`` copy starts without it.
+    derived from it on first use, and ``suffixes`` the reverse ports as
+    A_WRITE appends them.  Neither can go stale: the fields are frozen, and
+    a ``dataclasses.replace`` copy starts without them.
     """
 
     degree: int
@@ -204,6 +232,11 @@ class NodeProgram:
         return len(self.schedule)
 
     @cached_property
+    def suffixes(self) -> tuple[Path, ...]:
+        """[j-1] is ``reverse_ports[j-1]`` as a one-symbol path, which A_WRITE appends."""
+        return tuple(SYMBOLS[r] for r in self.reverse_ports)
+
+    @cached_property
     def table(self) -> tuple[tuple[int, int, int, object], ...]:
         """Per slot: its kind, port - 1, the pc after it, and what it returns.
 
@@ -215,7 +248,11 @@ class NodeProgram:
 
 
 def node_program(g: Graph, v: NodeId) -> NodeProgram:
-    """Build the program of node v for graph g (path bound n, count bound n^2)."""
+    """Build the program of node v for graph g (path bound n, count bound n^2).
+
+    A graph with a degree above MAX_DEGREE raises ``DegreeLimitError``.
+    """
+    check_degrees(g)
     degree = g.degree(v)
     return NodeProgram(
         degree=degree,
@@ -382,15 +419,14 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
             # root path, and blindly truncating it can freeze a corrupted value
             # into a stable cycle between neighbors.  Legitimate candidates are
             # never over-long, so the rule is invisible after convergence.
-            # Python's tuple order is the paths' lexicographic order (BOTTOM
-            # lowest, a proper prefix before its extensions), so min applies.
-            # A candidate p + (r,) fits the bound exactly when p is shorter
-            # than it, so the filter runs before the concatenation; in the
+            # Bytes order is the paths' lexicographic order (BOTTOM lowest, a
+            # proper prefix before its extensions), so min applies.  A
+            # candidate p + r fits the bound exactly when p is shorter than
+            # it, so the filter runs before the concatenation; in the
             # fallback every p has at least ``bound`` symbols, so truncating
-            # p + (r,) to ``bound`` would drop the port anyway.
+            # p + r to ``bound`` would drop the port anyway.
             bound = prog.path_bound
-            eligible = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)
-                        if len(p) < bound]
+            eligible = [p + r for p, r in zip(s.read_path, prog.suffixes) if len(p) < bound]
             path = min(eligible) if eligible else min(p[:bound] for p in s.read_path)
             changed = path != reg.path
             if changed:

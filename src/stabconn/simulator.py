@@ -155,7 +155,7 @@ def _random_path(bits, path_bound: int, delta: int) -> Path:
         while r >= symbols:
             r = bits(k)
         path.append(r)
-    return tuple(path)
+    return bytes(path)
 
 
 class FaultTargetError(ValueError):

@@ -9,6 +9,11 @@ checks each cycle it records before it replays it; ``compare_with_loop``
 runs both on one case and compares ``run`` with ``run_loop``.
 ``stabilized_configuration`` is a start that tests and benches share, and
 ``alpha_independence`` a check that repeats whole runs under port orders.
+
+The package holds a path as ``bytes``.  The references here compute on
+paths as tuples of ints: ``symbols_of`` turns a path into one, and
+``path_of`` turns symbols back into a path, for the states they write and
+for the path literals of the tests.
 """
 
 from __future__ import annotations
@@ -48,12 +53,32 @@ from stabconn.protocol import (
     ProcessorState,
     StepEvent,
     clamp,
-    is_prefix,
     node_program,
 )
 
 
-def lex_compare(a: Path, b: Path) -> int:
+def path_of(*symbols: int) -> Path:
+    """The path with these symbols: ``path_of(BOTTOM, 2)`` is BOTTOM, then port 2."""
+    return bytes(symbols)
+
+
+def symbols_of(p: Path) -> tuple[int, ...]:
+    """A path's symbols as a tuple of ints, the form the references compute on
+    and the behaviour-lock digests hash."""
+    return tuple(p)
+
+
+def plain_register(reg: protocol.Register) -> tuple:
+    """(path symbols, count, bcc symbols) of a register."""
+    return (symbols_of(reg.path), reg.count, symbols_of(reg.bcc))
+
+
+def tuple_prefix(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
+    """True when the symbols p are a (not necessarily proper) prefix of q."""
+    return len(p) <= len(q) and q[: len(p)] == p
+
+
+def lex_compare(a: Sequence[int], b: Sequence[int]) -> int:
     """Total lexicographic order on symbol sequences: -1, 0, or 1.
 
     BOTTOM sorts below every edge index and a proper prefix sorts below all
@@ -102,12 +127,14 @@ def activations(name: str, n: int, seed: int) -> Iterator[NodeId]:
 def classify_counts(g: Graph, gt: GroundTruth, v: NodeId) -> tuple[int, int]:
     """(incoming, outgoing) non-tree edge counts at v, from path prefixes."""
     n_in = n_out = 0
+    mine = symbols_of(gt.paths[v])
     for w in g.neighbors(v):
         if gt.parent.get(v) == w or gt.parent.get(w) == v:
             continue
-        if is_prefix(gt.paths[v], gt.paths[w]):
+        theirs = symbols_of(gt.paths[w])
+        if tuple_prefix(mine, theirs):
             n_in += 1
-        elif is_prefix(gt.paths[w], gt.paths[v]):
+        elif tuple_prefix(theirs, mine):
             n_out += 1
     return n_in, n_out
 
@@ -143,13 +170,14 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def link_class(my_path: Path, their_path: Path, my_port: int, their_port: int) -> str:
-    """The class of one link, from the prefix relation of the two paths."""
-    if len(their_path) < len(my_path) and is_prefix(their_path, my_path):
+def link_class(my_path: tuple, their_path: tuple, my_port: int, their_port: int) -> str:
+    """The class of one link, from the prefix relation of the two paths,
+    each given as its symbols."""
+    if len(their_path) < len(my_path) and tuple_prefix(their_path, my_path):
         if my_path == their_path + (their_port,):
             return PARENT
         return OUTGOING_NONTREE
-    if len(my_path) < len(their_path) and is_prefix(my_path, their_path):
+    if len(my_path) < len(their_path) and tuple_prefix(my_path, their_path):
         if their_path == my_path + (my_port,):
             return CHILD
         return INCOMING_NONTREE
@@ -165,14 +193,16 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
     conditional slot whose guard fails into the same activation, until a
     slot accesses a register.  Nothing is memoised or precomputed: every
     link is classified afresh, every write builds a new register, and every
-    event is a new object.
+    event is a new object.  Paths are computed on as tuples of symbols and
+    written back as paths.
     """
     n_slots = len(prog.schedule)
     bound = prog.path_bound
 
     def parent_port() -> int:
         for j in range(1, prog.degree + 1):
-            cls = link_class(s.path, s.read_path[j - 1], j, prog.reverse_ports[j - 1])
+            cls = link_class(symbols_of(s.path), symbols_of(s.read_path[j - 1]), j,
+                             prog.reverse_ports[j - 1])
             if cls is PARENT:
                 return j
         return 0
@@ -191,17 +221,18 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
             s.read_path[port - 1] = nbrs[port - 1].register.path
             return StepEvent("read", "path", port)
         if kind == A_WRITE:
-            candidates = [p + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
+            candidates = [symbols_of(p) + (r,) for p, r in zip(s.read_path, prog.reverse_ports)]
             eligible = [c for c in candidates if len(c) <= bound]
             if not eligible:
                 eligible = [c[:bound] for c in candidates]
-            return write("path", min(eligible, key=cmp_to_key(lex_compare)))
+            return write("path", path_of(*min(eligible, key=cmp_to_key(lex_compare))))
         if kind == B_READ_SELF:
             s.path = s.register.path
             s.count = s.n_in = s.n_out = 0
             return StepEvent("read", "path", None)
         if kind == B_PORT:
-            cls = link_class(s.path, s.read_path[port - 1], port, prog.reverse_ports[port - 1])
+            cls = link_class(symbols_of(s.path), symbols_of(s.read_path[port - 1]), port,
+                             prog.reverse_ports[port - 1])
             if cls is CHILD:
                 s.read_count[port - 1] = nbrs[port - 1].register.count
                 s.count += s.read_count[port - 1]
@@ -223,7 +254,7 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
             return StepEvent("read", "path", None)
         if kind == C_DECIDE:
             if s.count == 0:
-                return write("bcc", s.path[:bound])
+                return write("bcc", path_of(*symbols_of(s.path)[:bound]))
             continue
         if kind == C_READ_PARENT_BCC:
             j = parent_port() if s.count != 0 else 0
@@ -234,7 +265,7 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
         if kind == C_WRITE_PARENT_BCC:
             j = parent_port() if s.count != 0 else 0
             if j:
-                return write("bcc", s.read_bcc[j - 1][:bound])
+                return write("bcc", path_of(*symbols_of(s.read_bcc[j - 1])[:bound]))
             continue
         if kind == R_WRITE_PATH:
             return write("path", ROOT_PATH)
@@ -300,17 +331,17 @@ def alpha_independence(g: Graph, shuffles: int, seed: int) -> bool:
 
 
 def full_state(states: Sequence[ProcessorState]) -> tuple:
-    """Every protocol field of every state, as plain tuples."""
+    """Every protocol field of every state, as plain tuples, paths included."""
     return tuple(
         (
-            tuple(st.register),
-            st.path,
+            plain_register(st.register),
+            symbols_of(st.path),
             st.count,
             st.n_in,
             st.n_out,
-            tuple(st.read_path),
+            tuple(map(symbols_of, st.read_path)),
             tuple(st.read_count),
-            tuple(st.read_bcc),
+            tuple(map(symbols_of, st.read_bcc)),
             st.pc,
         )
         for st in states

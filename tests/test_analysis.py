@@ -14,7 +14,7 @@ from stabconn.oracle import brute_bcc_partition, ground_truth
 from stabconn.protocol import BOTTOM
 from stabconn.simulator import init_arbitrary, make_scheduler, run
 
-from reference import alpha_independence, lex_compare
+from reference import alpha_independence, lex_compare, path_of
 
 FIG1_BRIDGES = frozenset({(1, 4), (5, 6), (10, 11), (11, 14)})
 FIG1_APS = frozenset({1, 4, 5, 6, 10, 11, 14})
@@ -69,7 +69,7 @@ def test_certify_reports_planted_mismatches(triangle):
     bogus = DetectionResult(
         bridges=frozenset({(1, 2)}),
         articulation_points=frozenset({3}),
-        component_of={1: (BOTTOM,), 2: (BOTTOM,), 3: (BOTTOM, 1)},
+        component_of={1: path_of(BOTTOM), 2: path_of(BOTTOM), 3: path_of(BOTTOM, 1)},
     )
     report = certify(bogus, triangle)
     assert not report.match

@@ -13,7 +13,9 @@ with step faults, post-stabilization faults, closure windows and round caps,
 so they cover the stabilization rule, the closure window and the space meter.
 The full-state digests lock every field of every processor state, locals
 and program counter included, at each fault firing and at the end of whole
-runs, which the register-level digests cannot see.
+runs, which the register-level digests cannot see.  Paths are digested as
+tuples of ints (``reference.symbols_of``), so the digests do not depend on
+how the package holds a path.
 The CLI output digests pin the bytes and exit codes of ``sweep`` (row order,
 failure order and the summary) and of ``dot``.
 """
@@ -36,7 +38,7 @@ from stabconn.simulator import (
     run,
 )
 
-from reference import full_state, stabilized_configuration, watch_runs
+from reference import full_state, plain_register, stabilized_configuration, symbols_of, watch_runs
 
 GRAPHS = {
     "figure1": figure1,
@@ -87,7 +89,7 @@ def stream_digest(name: str, scheduler: str, seed: int) -> str:
     return _digest(
         (
             [(i, pid, ev.kind, ev.field, ev.port, ev.changed) for i, pid, ev in trace.steps],
-            [tuple(reg) for reg in report.final_registers],
+            [plain_register(reg) for reg in report.final_registers],
             [(ev.step, ev.round, ev.node, ev.fields) for ev in report.fault_events],
             report.rounds,
             report.total_steps,
@@ -152,13 +154,13 @@ def run_digest(name: str, variant: str) -> str:
                 else (
                     sorted(detection.bridges),
                     sorted(detection.articulation_points),
-                    sorted(detection.component_of.items()),
+                    sorted((v, symbols_of(p)) for v, p in detection.component_of.items()),
                 ),
                 report.post_stabilization_changes,
                 report.max_path_len,
                 report.max_register_bits,
                 report.scheduler,
-                [tuple(reg) for reg in report.final_registers],
+                [plain_register(reg) for reg in report.final_registers],
                 [(r.index, r.end_step, r.legitimate, r.changed) for r in trace.rounds],
             )
         )

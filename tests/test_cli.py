@@ -16,7 +16,7 @@ from stabconn.cli import (
     parse_generate_spec,
     parse_seed_range,
 )
-from stabconn.graph import figure1, render_graph
+from stabconn.graph import build_graph, figure1, render_graph
 from stabconn.simulator import POST_STABILIZATION
 
 
@@ -198,6 +198,17 @@ def test_usage_errors(capsys):
     assert main(["run", "--generate", "figure1", "--faults", "post:node=3,colour=red"]) == EXIT_USAGE
     assert main(["sweep", "--graphs", ";", "--seeds", "2"]) == EXIT_USAGE
     assert capsys.readouterr().out == ""
+
+
+def test_a_degree_above_255_is_refused(tmp_path, capsys):
+    # a path symbol is one byte, so no port may exceed 255
+    star = tmp_path / "star.txt"
+    star.write_text(render_graph(build_graph(257, [(1, v) for v in range(2, 258)])), encoding="utf-8")
+    complete = ["sweep", "--graphs", "random:257,32896", "--seeds", "1"]  # K257
+    for argv in (["run", "--graph", str(star)], ["dot", "--graph", str(star)], complete):
+        assert main(argv) == EXIT_USAGE
+        _, err = capsys.readouterr()
+        assert err == "error: node 1 has degree 256; path symbols name ports up to 255\n"
 
 
 def test_random_spec_with_too_few_edges_names_m(capsys):

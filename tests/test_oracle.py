@@ -24,7 +24,7 @@ from stabconn.oracle import (
 )
 from stabconn.protocol import BOTTOM, is_prefix
 
-from reference import children, classify_counts, lex_compare, representatives
+from reference import children, classify_counts, lex_compare, path_of, representatives, symbols_of
 
 FIG1_BRIDGES = {(1, 4), (5, 6), (10, 11), (11, 14)}
 FIG1_APS = {1, 4, 5, 6, 10, 11, 14}
@@ -136,14 +136,14 @@ def test_brute_force_agrees_with_networkx():
 # first DFS paths
 
 def test_first_paths_single_edge(single_edge):
-    assert first_dfs(single_edge)[0] == {1: (BOTTOM,), 2: (BOTTOM, 1)}
+    assert first_dfs(single_edge)[0] == {1: path_of(BOTTOM), 2: path_of(BOTTOM, 1)}
 
 
 def test_first_paths_triangle_hand_simulated(triangle):
     # root descends port 1 to node 2; node 2 lists node 3 at port 2
     paths = first_dfs(triangle)[0]
-    assert paths[2] == (BOTTOM, 1)
-    assert paths[3] == (BOTTOM, 1, 2)
+    assert paths[2] == path_of(BOTTOM, 1)
+    assert paths[3] == path_of(BOTTOM, 1, 2)
 
 
 def _all_simple_paths_lexmin(g):
@@ -170,13 +170,13 @@ def test_first_paths_equal_enumeration_minimum(seed):
     n = rng.randint(2, 8)
     cap = n * (n - 1) // 2 - (n - 1)
     g = generate_random_connected(n, rng.randint(0, cap), seed)
-    assert first_dfs(g)[0] == _all_simple_paths_lexmin(g)
+    assert {v: symbols_of(p) for v, p in first_dfs(g)[0].items()} == _all_simple_paths_lexmin(g)
 
 
 def test_paths_extend_parent_by_parent_port(fig1):
     paths, parent = first_dfs(fig1)
     for v, p in parent.items():
-        assert paths[v] == paths[p] + (fig1.port_to(p, v),)
+        assert paths[v] == paths[p] + path_of(fig1.port_to(p, v))
     assert max(len(path) for path in paths.values()) <= fig1.n
 
 
@@ -274,8 +274,8 @@ def test_representatives_are_lexmin_of_components():
 def test_root_count_is_zero(fig1):
     gt = ground_truth(fig1)
     assert gt.counts[1] == 0
-    assert gt.paths[1] == (BOTTOM,)
-    assert gt.bcc_labels[1] == (BOTTOM,)
+    assert gt.paths[1] == path_of(BOTTOM)
+    assert gt.bcc_labels[1] == path_of(BOTTOM)
 
 
 def test_single_node_ground_truth():

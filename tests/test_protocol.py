@@ -26,6 +26,7 @@ from stabconn.protocol import (
     OUTGOING_NONTREE,
     PARENT,
     UNCLASSIFIED,
+    DegreeLimitError,
     ProcessorState,
     Register,
     ROOT_PATH,
@@ -33,6 +34,7 @@ from stabconn.protocol import (
     classify_link,
     execute_step,
     format_path,
+    is_prefix,
     node_program,
     nonroot_program,
     payload_bits,
@@ -41,12 +43,12 @@ from stabconn.protocol import (
 from stabconn.simulator import init_arbitrary
 
 import reference
-from reference import lex_compare, stabilized_configuration
+from reference import lex_compare, path_of, stabilized_configuration
 
 
 def random_path(rng, max_len=6, max_symbol=4, allow_empty=False):
     length = rng.randint(0 if allow_empty else 1, max_len)
-    return tuple(rng.randint(0, max_symbol) for _ in range(length))
+    return path_of(*(rng.randint(0, max_symbol) for _ in range(length)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +99,72 @@ def test_lex_compare_matches_tuple_order():
         assert lex_compare(a, b) == expected
 
 
+_symbols = strategies.lists(strategies.integers(min_value=0, max_value=255), max_size=8).map(tuple)
+
+
+@given(_symbols, _symbols, _symbols)
+def test_bytes_paths_compare_like_their_symbol_tuples(prefix, a, b):
+    # a shared prefix makes near-equal paths, where the order is decided late
+    a, b = prefix + a, prefix + b
+    pa, pb = path_of(*a), path_of(*b)
+    assert (pa < pb) == (a < b) and (pa == pb) == (a == b)
+    assert pb.startswith(pa) == is_prefix(pa, pb) == reference.tuple_prefix(a, b)
+    assert min(pa, pb) == path_of(*min(a, b))
+
+
+@given(_symbols, _symbols, _symbols, strategies.integers(0, 255), strategies.integers(0, 255),
+       strategies.sampled_from(("any", "child", "parent")))
+@example((0,), (1, 2), (), 1, 1, "any")  # outgoing
+@example((0,), (), (1, 2), 1, 1, "any")  # incoming
+@example((0,), (1,), (2,), 1, 1, "any")  # unclassified
+@example((0, 4), (), (), 3, 7, "child")
+@example((0, 4), (), (), 3, 7, "parent")
+def test_classify_link_on_bytes_equals_the_reference_on_tuples(prefix, a, b, my_port, their_port, shape):
+    mine, theirs = prefix + a, prefix + b
+    if shape == "child":
+        theirs = mine + (my_port,)
+    elif shape == "parent":
+        mine = theirs + (their_port,)
+    expected = reference.link_class(mine, theirs, my_port, their_port)
+    assert classify_link(path_of(*mine), path_of(*theirs), my_port, their_port) is expected
+
+
+def test_paths_name_ports_up_to_255_and_no_more():
+    # a path symbol is one byte: degree 255 is the largest a node may have
+    hub = build_graph(256, [(1, v) for v in range(2, 257)])
+    assert ground_truth(hub).paths[256] == path_of(BOTTOM, 255)
+    init_arbitrary(hub, 0)  # random paths draw symbols up to 255
+    over = build_graph(257, [(2, v) for v in range(1, 258) if v != 2])
+    for build in (first_dfs, lambda g: node_program(g, 1), lambda g: init_arbitrary(g, 0)):
+        with pytest.raises(DegreeLimitError, match="^node 2 has degree 256;"):
+            build(over)
+
+
 def test_format_path():
-    assert format_path((BOTTOM, 3, 1)) == "⊥.3.1"
-    assert format_path((BOTTOM,)) == "⊥"
+    assert format_path(path_of(BOTTOM, 3, 1)) == "⊥.3.1"
+    assert format_path(path_of(BOTTOM)) == "⊥"
 
 
 # ---------------------------------------------------------------------------
 # link classification
 
 def test_classify_examples():
-    assert classify_link((BOTTOM, 1), (BOTTOM,), 1, 1) is PARENT
+    assert classify_link(path_of(BOTTOM, 1), path_of(BOTTOM), 1, 1) is PARENT
     assert (
-        classify_link((BOTTOM, 2, 1), (BOTTOM,), 1, 3) is OUTGOING_NONTREE
+        classify_link(path_of(BOTTOM, 2, 1), path_of(BOTTOM), 1, 3) is OUTGOING_NONTREE
     )
-    assert classify_link((BOTTOM, 1), (BOTTOM, 2), 1, 1) is UNCLASSIFIED
+    assert classify_link(path_of(BOTTOM, 1), path_of(BOTTOM, 2), 1, 1) is UNCLASSIFIED
 
 
 def test_classify_child_and_incoming():
-    mine = (BOTTOM, 2)
-    assert classify_link(mine, (BOTTOM, 2, 3), 3, 9) is CHILD
-    assert classify_link(mine, (BOTTOM, 2, 4), 3, 9) is INCOMING_NONTREE
-    assert classify_link(mine, (BOTTOM, 2, 3, 1), 3, 9) is INCOMING_NONTREE
+    mine = path_of(BOTTOM, 2)
+    assert classify_link(mine, path_of(BOTTOM, 2, 3), 3, 9) is CHILD
+    assert classify_link(mine, path_of(BOTTOM, 2, 4), 3, 9) is INCOMING_NONTREE
+    assert classify_link(mine, path_of(BOTTOM, 2, 3, 1), 3, 9) is INCOMING_NONTREE
 
 
 def test_classify_equal_paths_unclassified():
-    assert classify_link((BOTTOM, 1), (BOTTOM, 1), 1, 2) is UNCLASSIFIED
+    assert classify_link(path_of(BOTTOM, 1), path_of(BOTTOM, 1), 1, 2) is UNCLASSIFIED
 
 
 _DUAL = {
@@ -232,7 +275,7 @@ def test_root_rewrites_register_in_three_activations(single_edge):
     for pc in (0, 1, 2, 7, -3):
         st = _states_for(single_edge, seed=rng.randint(0, 99))[0]
         st.pc = pc
-        nbrs = (_Nbr(Register((1,), 5, (2,))),)
+        nbrs = (_Nbr(Register(path_of(1), 5, path_of(2))),)
         for _ in range(3):
             st, ev = execute_step(st, prog, nbrs)
             assert ev.kind == "write"
@@ -309,7 +352,7 @@ def test_cycle_access_bound(fig1):
         # worst case over arbitrary states and over the stabilized state
         for seed in range(6):
             st = _states_for(fig1, seed=seed)[v - 1]
-            _, events = _drive_cycle(st, prog, (_Nbr(Register((BOTTOM, 1), 1, (BOTTOM,))),) * d)
+            _, events = _drive_cycle(st, prog, (_Nbr(Register(path_of(BOTTOM, 1), 1, path_of(BOTTOM))),) * d)
             assert len(events) <= 2 * d + 6
         st = _states_for(fig1, registers=gt.registers)[v - 1]
         _, events = _drive_cycle(st, prog, _nbrs(fig1, v, gt.registers))
@@ -320,12 +363,12 @@ def test_phase_b_arithmetic_child_counts_and_incoming():
     # star center 2 with neighbors 1 (root/parent), 3, 4, 5
     g = build_graph(5, [(1, 2), (2, 3), (2, 4), (2, 5)])
     prog = node_program(g, 2)
-    my_path = (BOTTOM, 1)
+    my_path = path_of(BOTTOM, 1)
     regs = {
         1: Register(ROOT_PATH, 0, ROOT_PATH),
-        3: Register(my_path + (2,), 1, ROOT_PATH),  # child with count 1
-        4: Register(my_path + (3,), 2, ROOT_PATH),  # child with count 2
-        5: Register(my_path + (9, 9), 0, ROOT_PATH),  # incoming non-tree
+        3: Register(my_path + path_of(2), 1, ROOT_PATH),  # child with count 1
+        4: Register(my_path + path_of(3), 2, ROOT_PATH),  # child with count 2
+        5: Register(my_path + path_of(9, 9), 0, ROOT_PATH),  # incoming non-tree
     }
     st = _states_for(g, seed=1)[1]
     st.register = Register(my_path, 0, ROOT_PATH)
@@ -349,7 +392,7 @@ def test_representative_writes_own_path_into_bcc(fig1):
     v = 6  # representative: register count is 0
     prog = node_program(fig1, v)
     st = _states_for(fig1, registers=gt.registers, seed=3)[v - 1]
-    st.register = st.register._replace(bcc=(3, 3))  # corrupt the label
+    st.register = st.register._replace(bcc=path_of(3, 3))  # corrupt the label
     st, events = _drive_cycle(st, prog, _nbrs(fig1, v, gt.registers))
     assert st.register.bcc == gt.paths[v]
 
@@ -359,7 +402,7 @@ def test_nonrepresentative_copies_parent_bcc(fig1):
     v = 8  # count 1, parent 7
     prog = node_program(fig1, v)
     st = _states_for(fig1, registers=gt.registers, seed=3)[v - 1]
-    st.register = st.register._replace(bcc=(2,))
+    st.register = st.register._replace(bcc=path_of(2))
     st, _ = _drive_cycle(st, prog, _nbrs(fig1, v, gt.registers))
     assert st.register.bcc == gt.bcc_labels[7]
 
@@ -478,9 +521,9 @@ def test_path_writes_respect_length_bound(fig1):
 
 def test_register_bits_budget():
     budget = payload_bits(2 * 16, 4, 256)
-    reg = Register((BOTTOM,) + (4,) * 15, -256, (BOTTOM,) + (4,) * 15)
+    reg = Register(path_of(BOTTOM, *[4] * 15), -256, path_of(BOTTOM, *[4] * 15))
     assert payload_bits(len(reg.path) + len(reg.bcc), 4, 256) <= budget
-    small = Register((BOTTOM,), 0, (BOTTOM,))
+    small = Register(path_of(BOTTOM), 0, path_of(BOTTOM))
     assert payload_bits(len(small.path) + len(small.bcc), 4, 256) < budget
 
 
@@ -495,7 +538,8 @@ _CORRUPTIONS = ("path", "read-equal", "read-other", "pc", "program", "neighbour"
 def _related_path(rng, p):
     """A path that classifies against p in any of the ways, or in none."""
     return rng.choice(
-        [p[:-1] or ROOT_PATH, p + (rng.randint(1, 4),), p + (1, 2), p[:1] + (9,), p, p[:-1] + (3,)]
+        [p[:-1] or ROOT_PATH, p + path_of(rng.randint(1, 4)), p + path_of(1, 2), p[:1] + path_of(9),
+         p, p[:-1] + path_of(3)]
     )
 
 
@@ -531,9 +575,9 @@ def test_memoised_steps_equal_steps_from_an_empty_memo(v, legitimate, seed, corr
         j = x % prog.degree
         if corruption == "path":
             # an equal value in another object, or another value
-            s.path = tuple(list(s.path)) if x % 2 else _related_path(rng, s.path)
+            s.path = path_of(*s.path) if x % 2 else _related_path(rng, s.path)
         elif corruption == "read-equal":
-            s.read_path[j] = tuple(list(s.read_path[j]))
+            s.read_path[j] = path_of(*s.read_path[j])
         elif corruption == "read-other":
             s.read_path[j] = _related_path(rng, s.path)
         elif corruption == "pc":
@@ -597,7 +641,7 @@ def test_unchanged_writes_keep_the_register_object():
             s = stabilized_configuration(g, gt).states[v - 1]
             s.pc = pc
             field = write_fields[kind]
-            wrong = -1 if field == "count" else (BOTTOM, 9)
+            wrong = -1 if field == "count" else path_of(BOTTOM, 9)
             s.register = before = s.register._replace(**{field: wrong})
             event = advance(s, prog, neighbours)
             assert event.changed and s.register is not before, (v, kind)
@@ -669,9 +713,9 @@ def test_kernel_steps_like_the_plain_reference(gi, seed, legitimate, pc, perturb
             # distinct second symbols keep the paths distinct when cut to n
             marks = rng.sample(range(1, 10), len(nbrs)) if len(nbrs) >= 2 else []
             for j, (w, mark) in enumerate(zip(nbrs, marks)):
-                long = (BOTTOM, mark) + tuple(
+                long = path_of(BOTTOM, mark, *(
                     rng.randint(1, 4) for _ in range(g.n - 2 + rng.randint(0, 2))
-                )
+                ))
                 s.read_path[j] = ref.read_path[j] = long
                 live[w - 1].register = live[w - 1].register._replace(path=long)
         elif perturbation.startswith("neighbour") and nbrs:

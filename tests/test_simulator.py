@@ -33,7 +33,7 @@ from stabconn.simulator import (
 )
 
 import reference
-from reference import round_boundaries, stabilized_configuration
+from reference import path_of, round_boundaries, stabilized_configuration
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +190,8 @@ def test_run_single_edge_exact_registers(single_edge):
     )
     assert report.stabilized
     assert report.final_registers == (
-        Register((BOTTOM,), 0, (BOTTOM,)),
-        Register((BOTTOM, 1), 0, (BOTTOM, 1)),
+        Register(path_of(BOTTOM), 0, path_of(BOTTOM)),
+        Register(path_of(BOTTOM, 1), 0, path_of(BOTTOM, 1)),
     )
 
 
@@ -1029,7 +1029,7 @@ def test_planted_adversarial_pair_recovers(k4_adversarial):
     conf = init_arbitrary(g, 0)
     for v in (3, 4):
         st = conf.states[v - 1]
-        st.register = st.register._replace(path=(BOTTOM, 1, 1, 1))
+        st.register = st.register._replace(path=path_of(BOTTOM, 1, 1, 1))
         st.pc = 0
     for v in (1, 2):
         conf.states[v - 1].pc = 0
@@ -1060,7 +1060,7 @@ def test_space_meter_counts_a_written_bcc_longer_than_every_path(fig1):
     st = init.states[15]
     st.pc = node_program(fig1, 16).schedule.index((C_DECIDE, 0))
     st.count = 0
-    st.path = (BOTTOM,) + (1,) * 15
+    st.path = path_of(BOTTOM, *[1] * 15)
     _, report = run(fig1, make_scheduler("round-robin"), init)
     assert report.stabilized
     assert report.max_path_len == 16
