@@ -10,7 +10,10 @@ one process twice, as the base and as a null side, and this checkout's
 once, as the change, so the sides share the host's state from moment to
 moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
 each of ``PAIRS`` pairs times, on each side, one ``ground_truth(g)``, one
-``init_arbitrary(g, INIT_SEED)``, one ``analysis.certify`` of the
+``init_arbitrary(g, INIT_SEED)``, the step kernel alone (``protocol.advance``
+called for each of KERNEL_STEPS uniform-random activations, one fixed
+stream per case, on fresh copies of the initial states, with no replay),
+one ``analysis.certify`` of the
 legitimate detection sets (extracted from the ground-truth registers)
 against the brute-force oracles, one full ``simulator.run`` from the
 initial states under the seeded uniform-random scheduler until
@@ -28,9 +31,11 @@ time, the median of the per-pair ratios base / change (above 1: the change
 is faster), the share of pairs the change won, and the same ratio and share
 for the null side, whose code is the base's: the null band, within which a
 ratio of that layer and case is noise.  It also says whether all sides
-agree: on the initial states, on steps, rounds, stabilization, final
-registers (paths compared as tuples of ints, whatever the side holds them
-as) and the certification report, and on the JSON report.  It is
+agree: on the initial states, on the kernel's final states, on steps,
+rounds, stabilization, final registers (paths compared as tuples of ints,
+whatever the side holds them as) and the certification report, and on the
+JSON report.  The kernel's and the run's rows also give the change's steps
+per second.  It is
 written to ``BENCH_<label>.json`` at the repository root, or to ``--out``.
 The exit status is 1 when the sides disagree on any case.
 """
@@ -43,6 +48,7 @@ import importlib.util
 import itertools
 import json
 import platform
+import random
 import statistics
 import sys
 import time
@@ -53,7 +59,9 @@ SIZES = (16, 40, 80, 160, 320, 640)
 #: clustered graph (clusters, cluster size) per n: K x 5 with K = n / 5, and 4 x 4 for n = 16
 CLUSTERS = {16: (4, 4), 40: (8, 5), 80: (16, 5), 160: (32, 5), 320: (64, 5), 640: (128, 5)}
 PAIRS = 7
-LAYERS = ("ground_truth", "init_arbitrary", "certify", "run", "build_report")
+LAYERS = ("ground_truth", "init_arbitrary", "kernel", "certify", "run", "build_report")
+#: activations in the kernel layer's stream, whatever the size
+KERNEL_STEPS = 50_000
 GRAPH_SEED = 0
 INIT_SEED = 7
 SCHEDULER_SEED = 0
@@ -102,10 +110,28 @@ def _time(fn):
         gc.enable()
 
 
-def one_side(pkg, g, gt):
+def kernel(pkg, g, init, pids):
+    """Step ``protocol.advance`` once per pid of ``pids``, from copies of
+    ``init``'s states, and time only the steps; return the time and the
+    final states."""
+    advance = pkg.protocol.advance
+    states = [st.clone() for st in init.states]
+    programs = [pkg.node_program(g, v) for v in range(1, g.n + 1)]
+    nbrs = [tuple(states[w - 1] for w in g.neighbors(v)) for v in range(1, g.n + 1)]
+
+    def steps():
+        for pid in pids:
+            advance(states[pid - 1], programs[pid - 1], nbrs[pid - 1])
+
+    t, _ = _time(steps)
+    return t, states
+
+
+def one_side(pkg, g, gt, pids):
     """Time each of LAYERS once on one side; return times and outcome."""
     t_truth, _ = _time(lambda: pkg.ground_truth(g))
     t_init, init = _time(lambda: pkg.init_arbitrary(g, INIT_SEED))
+    t_kernel, stepped = kernel(pkg, g, init, pids)
     detection = pkg.extract(g, gt.registers, gt=gt)
     t_certify, cert = _time(lambda: pkg.certify(detection, g))
     scheduler = pkg.make_scheduler("random", seed=SCHEDULER_SEED)
@@ -115,12 +141,13 @@ def one_side(pkg, g, gt):
     )
     outcome = {
         "init": [_state_key(st) for st in init.states],
+        "kernel": [_state_key(st) for st in stepped],
         "run": (report.total_steps, report.rounds, report.stabilized,
                 [_register_key(reg) for reg in report.final_registers], cert.match, cert.mismatches),
         "report": doc,
     }
-    times = {"ground_truth": t_truth, "init_arbitrary": t_init, "certify": t_certify,
-             "run": t_run, "build_report": t_report}
+    times = {"ground_truth": t_truth, "init_arbitrary": t_init, "kernel": t_kernel,
+             "certify": t_certify, "run": t_run, "build_report": t_report}
     return times, outcome
 
 
@@ -146,12 +173,14 @@ def summarize(base: list[float], null: list[float], change: list[float]) -> dict
 def measure(sides: dict, make_graph) -> dict:
     graphs = {name: make_graph(pkg) for name, pkg in sides.items()}
     truths = {name: pkg.ground_truth(graphs[name]) for name, pkg in sides.items()}
+    rng = random.Random(SCHEDULER_SEED)
+    pids = [rng.randint(1, graphs["change"].n) for _ in range(KERNEL_STEPS)]
     times = {name: {layer: [] for layer in LAYERS} for name in sides}
     outcomes = {}
     orders = list(itertools.permutations(sides))
     for k in range(PAIRS):
         for name in orders[k % len(orders)]:
-            t, outcomes[name] = one_side(sides[name], graphs[name], truths[name])
+            t, outcomes[name] = one_side(sides[name], graphs[name], truths[name], pids)
             for layer, seconds in t.items():
                 times[name][layer].append(seconds)
     steps, rounds, stabilized = outcomes["change"]["run"][:3]
@@ -166,12 +195,14 @@ def measure(sides: dict, make_graph) -> dict:
         "agree": {
             "graph": graphs["base"].ports == graphs["null"].ports == graphs["change"].ports,
             "init": base["init"] == null["init"] == change["init"],
+            "kernel": base["kernel"] == null["kernel"] == change["kernel"],
             "run": base["run"] == null["run"] == change["run"],
             "report": base["report"] == null["report"] == change["report"],
         },
     }
     for layer in LAYERS:
         row[layer] = summarize(*(times[name][layer] for name in ("base", "null", "change")))
+    row["kernel"]["change_steps_per_s"] = round(KERNEL_STEPS / row["kernel"]["change_median_s"])
     row["run"]["change_steps_per_s"] = round(steps / row["run"]["change_median_s"])
     return row
 
@@ -198,6 +229,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "init_seed": INIT_SEED,
+        "kernel_steps": KERNEL_STEPS,
         "scheduler": f"random, seed {SCHEDULER_SEED}",
         "cases": rows,
     }

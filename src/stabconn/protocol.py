@@ -35,13 +35,17 @@ initial state once and calls ``advance``, except for quiet nodes, which
 replay a cycle ``advance`` recorded.
 
 ``NodeProgram.schedule`` is the readable spec of a cycle: (kind, port) pairs.
-The kernel walks its slot table instead, derived on first use and shared
-by every program with the same schedule and degree.  Each slot holds its
-kind, port - 1, the next pc (the wrap is precomputed), and the events it can
-return, so a step neither builds nor looks up an event.  The kernel loops
-with a fold budget of one schedule length instead of a ``range`` over it: a
-failed guard costs one decrement, and folding a whole schedule, which no
-activation of a valid schedule does, raises.
+The kernel dispatches through its slot table instead, derived on first use
+and shared by every program with the same schedule and degree.  The table
+holds one function per slot (threaded code), made by the factory of the
+slot's kind with the slot's port - 1, its next pc (the wrap is
+precomputed) and the events it can return bound in, so a step decodes no
+slot and neither builds nor looks up an event.  A conditional slot whose
+guard fails calls the next slot's function, so one activation folds a run
+of failed guards into the slot that ends it.  Building the table refuses
+a schedule with no unconditional slot, where such a run could never end;
+on the generated schedules an activation folds at most max(degree, 3)
+slots (all B_PORT slots, or C_DECIDE and the two parent-bcc slots).
 
 ``advance`` also skips reclassifying links on unchanged inputs.  A
 legitimate path has DFS depth + 1 symbols, so classifying a link costs
@@ -69,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import ceil, log2
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, GraphError, NodeId, ROOT
 
@@ -214,7 +218,7 @@ def nonroot_program(degree: int) -> tuple[MicroStep, ...]:
 class NodeProgram:
     """Static execution context of one node: schedule, ports, and bounds.
 
-    ``schedule`` is the readable spec; ``table`` is what the kernel walks,
+    ``schedule`` is the readable spec; ``table`` is what the kernel calls,
     derived from it on first use, and ``suffixes`` the reverse ports as
     A_WRITE appends them.  Neither can go stale: the fields are frozen, and
     a ``dataclasses.replace`` copy starts without them.
@@ -237,12 +241,15 @@ class NodeProgram:
         return tuple(SYMBOLS[r] for r in self.reverse_ports)
 
     @cached_property
-    def table(self) -> tuple[tuple[int, int, int, object], ...]:
-        """Per slot: its kind, port - 1, the pc after it, and what it returns.
+    def table(self) -> tuple[Callable[..., StepEvent], ...]:
+        """Per slot, the function that performs it: ``table[pc](s, prog, nbrs)``.
 
-        That is a read's ``StepEvent``, a write's (unchanged, changed) pair
-        indexed by its changed flag, or for C_READ_PARENT_BCC one read event
-        per port.
+        It sets ``s.pc`` to the slot after it and returns its precomputed
+        event: a read's ``StepEvent``, a write's unchanged or changed one,
+        or C_READ_PARENT_BCC's read event of the parent port.  A slot whose
+        guard fails returns what the next slot's function returns.  A
+        schedule with an unknown kind (``KeyError``) or with no
+        unconditional slot (``ValueError``) raises here, before any step.
         """
         return _slot_table(self.schedule, self.degree)
 
@@ -331,6 +338,11 @@ _WRITES = {A_WRITE: "path", R_WRITE_PATH: "path", B_WRITE: "count", R_WRITE_COUN
            C_DECIDE: "bcc", C_WRITE_PARENT_BCC: "bcc", R_WRITE_BCC: "bcc"}
 _READS = {A_READ: "path", B_READ_SELF: "path", C_READ_PATH: "path",
           B_PORT: "count", C_READ_COUNT: "count", C_READ_PARENT_BCC: "bcc"}
+#: the slot kinds whose guard can fail, folding the activation into the next slot
+_CONDITIONAL = frozenset({B_PORT, C_DECIDE, C_READ_PARENT_BCC, C_WRITE_PARENT_BCC})
+
+#: builds a register without the namedtuple's Python-level ``__new__``
+_new = tuple.__new__
 
 
 def _slot_events(kind: int, port: int, degree: int):
@@ -338,19 +350,234 @@ def _slot_events(kind: int, port: int, degree: int):
     if kind in _WRITES:
         return (StepEvent("write", _WRITES[kind], None, False),
                 StepEvent("write", _WRITES[kind], None, True))
-    read = _READS[kind]  # an unknown kind raises here, not in the kernel
+    read = _READS[kind]
     if kind == C_READ_PARENT_BCC:
         return tuple(StepEvent("read", read, j) for j in range(1, degree + 1))
     return StepEvent("read", read, port or None)
 
 
+def _parent_port(s: ProcessorState, prog: NodeProgram) -> int:
+    """The index (port - 1) of the lowest port that classifies as the parent link, or -1."""
+    mine = s.path
+    links = s._links
+    for j in range(prog.degree):
+        theirs = s.read_path[j]
+        memo = links[j]
+        if memo[0] is mine and memo[1] is theirs:
+            cls = memo[2]
+        else:
+            cls = classify_link(mine, theirs, j + 1, prog.reverse_ports[j])
+            links[j] = (mine, theirs, cls)
+        if cls is PARENT:
+            return j
+    return -1
+
+
+# One factory per slot kind.  Each takes the slot's port - 1, the pc after
+# it, its events (see ``_slot_events``) and the table's list of slot
+# functions, and returns the slot function ``advance`` calls.  A slot whose
+# guard fails hands the activation to the next slot's function.
+
+def _a_read(i, nxt, event, fns):
+    def a_read(s, prog, nbrs):
+        s.pc = nxt
+        s.read_path[i] = nbrs[i].register.path
+        return event
+    return a_read
+
+
+def _a_write(i, nxt, events, fns):
+    same, changed = events
+
+    def a_write(s, prog, nbrs):
+        s.pc = nxt
+        # Prefer candidates that respect the length bound: an over-long
+        # neighbor path means "my path via that neighbor" is not a simple
+        # root path, and blindly truncating it can freeze a corrupted value
+        # into a stable cycle between neighbors.  Legitimate candidates are
+        # never over-long, so the rule is invisible after convergence.
+        # Bytes order is the paths' lexicographic order (BOTTOM lowest, a
+        # proper prefix before its extensions), so min applies.  A
+        # candidate p + r fits the bound exactly when p is shorter than
+        # it, so the filter runs before the concatenation; in the
+        # fallback every p has at least ``bound`` symbols, so truncating
+        # p + r to ``bound`` would drop the port anyway.
+        bound = prog.path_bound
+        eligible = [p + r for p, r in zip(s.read_path, prog.suffixes) if len(p) < bound]
+        path = min(eligible) if eligible else min(p[:bound] for p in s.read_path)
+        reg = s.register
+        if path == reg.path:
+            return same
+        s.register = _new(Register, (path, reg.count, reg.bcc))
+        return changed
+    return a_write
+
+
+def _b_read_self(i, nxt, event, fns):
+    def b_read_self(s, prog, nbrs):
+        s.pc = nxt
+        s.path = s.register.path
+        s.count = s.n_in = s.n_out = 0
+        return event
+    return b_read_self
+
+
+def _b_port(i, nxt, event, fns):
+    port = i + 1
+
+    def b_port(s, prog, nbrs):
+        s.pc = nxt
+        mine = s.path
+        theirs = s.read_path[i]
+        memo = s._links[i]
+        if memo[0] is mine and memo[1] is theirs:
+            cls = memo[2]
+        else:
+            cls = classify_link(mine, theirs, port, prog.reverse_ports[i])
+            s._links[i] = (mine, theirs, cls)
+        if cls is CHILD:
+            value = nbrs[i].register.count
+            s.read_count[i] = value
+            s.count += value
+            return event
+        if cls is INCOMING_NONTREE:
+            s.n_in += 1
+            s.count -= 1
+        elif cls is OUTGOING_NONTREE:
+            s.n_out += 1
+            s.count += 1
+        return fns[nxt](s, prog, nbrs)
+    return b_port
+
+
+def _b_write(i, nxt, events, fns):
+    same, changed = events
+
+    def b_write(s, prog, nbrs):
+        s.pc = nxt
+        count = clamp(s.count, prog.count_bound)
+        reg = s.register
+        if count == reg.count:
+            return same
+        s.register = _new(Register, (reg.path, count, reg.bcc))
+        return changed
+    return b_write
+
+
+def _c_read_count(i, nxt, event, fns):
+    def c_read_count(s, prog, nbrs):
+        s.pc = nxt
+        s.count = s.register.count
+        return event
+    return c_read_count
+
+
+def _c_read_path(i, nxt, event, fns):
+    def c_read_path(s, prog, nbrs):
+        s.pc = nxt
+        s.path = s.register.path
+        return event
+    return c_read_path
+
+
+def _c_decide(i, nxt, events, fns):
+    same, changed = events
+
+    def c_decide(s, prog, nbrs):
+        s.pc = nxt
+        if s.count != 0:
+            return fns[nxt](s, prog, nbrs)
+        bcc = s.path[: prog.path_bound]
+        reg = s.register
+        if bcc == reg.bcc:
+            return same
+        s.register = _new(Register, (reg.path, reg.count, bcc))
+        return changed
+    return c_decide
+
+
+def _c_read_parent_bcc(i, nxt, events, fns):
+    def c_read_parent_bcc(s, prog, nbrs):
+        s.pc = nxt
+        j = _parent_port(s, prog) if s.count != 0 else -1
+        if j < 0:
+            return fns[nxt](s, prog, nbrs)
+        s.read_bcc[j] = nbrs[j].register.bcc
+        return events[j]
+    return c_read_parent_bcc
+
+
+def _c_write_parent_bcc(i, nxt, events, fns):
+    same, changed = events
+
+    def c_write_parent_bcc(s, prog, nbrs):
+        s.pc = nxt
+        j = _parent_port(s, prog) if s.count != 0 else -1
+        if j < 0:
+            return fns[nxt](s, prog, nbrs)
+        bcc = s.read_bcc[j][: prog.path_bound]
+        reg = s.register
+        if bcc == reg.bcc:
+            return same
+        s.register = _new(Register, (reg.path, reg.count, bcc))
+        return changed
+    return c_write_parent_bcc
+
+
+# The root writes a new register object even when nothing changes.
+
+def _r_write_path(i, nxt, events, fns):
+    same, changed = events
+
+    def r_write_path(s, prog, nbrs):
+        s.pc = nxt
+        reg = s.register
+        s.register = _new(Register, (ROOT_PATH, reg.count, reg.bcc))
+        return changed if reg.path != ROOT_PATH else same
+    return r_write_path
+
+
+def _r_write_count(i, nxt, events, fns):
+    same, changed = events
+
+    def r_write_count(s, prog, nbrs):
+        s.pc = nxt
+        reg = s.register
+        s.register = _new(Register, (reg.path, 0, reg.bcc))
+        return changed if reg.count != 0 else same
+    return r_write_count
+
+
+def _r_write_bcc(i, nxt, events, fns):
+    same, changed = events
+
+    def r_write_bcc(s, prog, nbrs):
+        s.pc = nxt
+        reg = s.register
+        s.register = _new(Register, (reg.path, reg.count, ROOT_PATH))
+        return changed if reg.bcc != ROOT_PATH else same
+    return r_write_bcc
+
+
+_SLOT_FACTORIES = {
+    A_READ: _a_read, A_WRITE: _a_write, B_READ_SELF: _b_read_self, B_PORT: _b_port,
+    B_WRITE: _b_write, C_READ_COUNT: _c_read_count, C_READ_PATH: _c_read_path,
+    C_DECIDE: _c_decide, C_READ_PARENT_BCC: _c_read_parent_bcc,
+    C_WRITE_PARENT_BCC: _c_write_parent_bcc, R_WRITE_PATH: _r_write_path,
+    R_WRITE_COUNT: _r_write_count, R_WRITE_BCC: _r_write_bcc,
+}
+
+
 @cache  # one table per schedule and degree, shared by every program with them
 def _slot_table(schedule: tuple[MicroStep, ...], degree: int) -> tuple:
+    if all(kind in _CONDITIONAL for kind, _ in schedule):
+        raise ValueError("schedule has no unconditional register access to end an activation")
     n = len(schedule)
-    return tuple(
-        (kind, port - 1, (pc + 1) % n, _slot_events(kind, port, degree))
-        for pc, (kind, port) in enumerate(schedule)
-    )
+    fns: list = []
+    for pc, (kind, port) in enumerate(schedule):
+        make = _SLOT_FACTORIES[kind]  # an unknown kind raises here, not in the kernel
+        fns.append(make(port - 1, (pc + 1) % n, _slot_events(kind, port, degree), fns))
+    return tuple(fns)
 
 
 #: an empty link memo entry: no path is None, so it never matches
@@ -360,15 +587,16 @@ _NO_LINK = (None, None, None)
 def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]) -> StepEvent:
     """Perform one atomic step on ``s`` in place: exactly one register access.
 
-    This is the only step kernel.  It walks ``prog.table`` from ``s.pc``
-    (normalized modulo the schedule length, so it is total on corrupted
-    states), writes the ``read_*`` lists of ``s`` in place and replaces
-    ``s.register`` on writes, except that a non-root write that changes
-    nothing keeps the register object.  A conditional slot whose guard fails
-    is pure-local and folded into the same activation, fewer than one
-    schedule length of them; the slot that accesses a register returns its
-    precomputed event.  ``nbrs[j - 1]`` is the neighbour on port j; a remote
-    read takes one field of its ``register`` and nothing else of it.
+    This is the only step kernel.  It calls the function of slot ``s.pc``
+    in ``prog.table`` (the pc normalized modulo the schedule length, so it
+    is total on corrupted states).  The slot functions write the ``read_*``
+    lists of ``s`` in place and replace ``s.register`` on writes, except
+    that a non-root write that changes nothing keeps the register object.
+    A conditional slot whose guard fails is pure-local and calls the next
+    slot's function within the same activation; the slot that accesses a
+    register sets ``s.pc`` past itself and returns its precomputed event.
+    ``nbrs[j - 1]`` is the neighbour on port j; a remote read takes one
+    field of its ``register`` and nothing else of it.
 
     Link classes are memoised on ``s``, keyed by identity; the module
     docstring explains the memo and why every step is the one an unmemoised
@@ -378,126 +606,7 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
         s._prog = prog
         s._links = [_NO_LINK] * prog.degree
     slots = prog.table
-    budget = len(slots)
-    pc = s.pc % budget
-    while budget > 0:
-        kind, i, pc, event = slots[pc]
-        s.pc = pc
-
-        # the most frequent slots first: each cycle has degree many of both
-        if kind == A_READ:
-            s.read_path[i] = nbrs[i].register.path
-            return event
-
-        if kind == B_PORT:
-            mine = s.path
-            theirs = s.read_path[i]
-            memo = s._links[i]
-            if memo[0] is mine and memo[1] is theirs:
-                cls = memo[2]
-            else:
-                cls = classify_link(mine, theirs, i + 1, prog.reverse_ports[i])
-                s._links[i] = (mine, theirs, cls)
-            if cls is CHILD:
-                value = nbrs[i].register.count
-                s.read_count[i] = value
-                s.count += value
-                return event
-            if cls is INCOMING_NONTREE:
-                s.n_in += 1
-                s.count -= 1
-            elif cls is OUTGOING_NONTREE:
-                s.n_out += 1
-                s.count += 1
-            budget -= 1
-            continue
-
-        reg = s.register
-        if kind == A_WRITE:
-            # Prefer candidates that respect the length bound: an over-long
-            # neighbor path means "my path via that neighbor" is not a simple
-            # root path, and blindly truncating it can freeze a corrupted value
-            # into a stable cycle between neighbors.  Legitimate candidates are
-            # never over-long, so the rule is invisible after convergence.
-            # Bytes order is the paths' lexicographic order (BOTTOM lowest, a
-            # proper prefix before its extensions), so min applies.  A
-            # candidate p + r fits the bound exactly when p is shorter than
-            # it, so the filter runs before the concatenation; in the
-            # fallback every p has at least ``bound`` symbols, so truncating
-            # p + r to ``bound`` would drop the port anyway.
-            bound = prog.path_bound
-            eligible = [p + r for p, r in zip(s.read_path, prog.suffixes) if len(p) < bound]
-            path = min(eligible) if eligible else min(p[:bound] for p in s.read_path)
-            changed = path != reg.path
-            if changed:
-                s.register = Register(path, reg.count, reg.bcc)
-            return event[changed]
-
-        if kind == B_READ_SELF:
-            s.path = reg.path
-            s.count = s.n_in = s.n_out = 0
-            return event
-
-        if kind == B_WRITE:
-            count = clamp(s.count, prog.count_bound)
-            changed = count != reg.count
-            if changed:
-                s.register = Register(reg.path, count, reg.bcc)
-            return event[changed]
-
-        if kind == C_READ_COUNT:
-            s.count = reg.count
-            return event
-
-        if kind == C_READ_PATH:
-            s.path = reg.path
-            return event
-
-        if kind == C_DECIDE:
-            if s.count == 0:
-                bcc = s.path[: prog.path_bound]
-                changed = bcc != reg.bcc
-                if changed:
-                    s.register = Register(reg.path, reg.count, bcc)
-                return event[changed]
-            budget -= 1
-            continue
-
-        if kind == C_READ_PARENT_BCC or kind == C_WRITE_PARENT_BCC:
-            # both act on the lowest port that classifies as the parent link
-            if s.count != 0:
-                mine = s.path
-                links = s._links
-                for j in range(prog.degree):
-                    theirs = s.read_path[j]
-                    memo = links[j]
-                    if memo[0] is mine and memo[1] is theirs:
-                        cls = memo[2]
-                    else:
-                        cls = classify_link(mine, theirs, j + 1, prog.reverse_ports[j])
-                        links[j] = (mine, theirs, cls)
-                    if cls is PARENT:
-                        if kind == C_READ_PARENT_BCC:
-                            s.read_bcc[j] = nbrs[j].register.bcc
-                            return event[j]
-                        bcc = s.read_bcc[j][: prog.path_bound]
-                        changed = bcc != reg.bcc
-                        if changed:
-                            s.register = Register(reg.path, reg.count, bcc)
-                        return event[changed]
-            budget -= 1
-            continue
-
-        if kind == R_WRITE_PATH:
-            s.register = Register(ROOT_PATH, reg.count, reg.bcc)
-            return event[reg.path != ROOT_PATH]
-        if kind == R_WRITE_COUNT:
-            s.register = Register(reg.path, 0, reg.bcc)
-            return event[reg.count != 0]
-        # R_WRITE_BCC: the slot table admits no other kind
-        s.register = Register(reg.path, reg.count, ROOT_PATH)
-        return event[reg.bcc != ROOT_PATH]
-    raise AssertionError("schedule contains no unconditional register access")
+    return slots[s.pc % len(slots)](s, prog, nbrs)
 
 
 def execute_step(

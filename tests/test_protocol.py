@@ -19,6 +19,8 @@ from stabconn.protocol import (
     B_PORT,
     B_WRITE,
     C_DECIDE,
+    C_READ_COUNT,
+    C_READ_PARENT_BCC,
     C_WRITE_PARENT_BCC,
     R_WRITE_PATH,
     CHILD,
@@ -311,6 +313,35 @@ def test_an_unknown_slot_kind_fails_when_the_table_is_built(fig1):
         prog.table
 
 
+_CONDITIONAL_KINDS = {B_PORT, C_DECIDE, C_READ_PARENT_BCC, C_WRITE_PARENT_BCC}
+
+
+def _longest_conditional_run(schedule):
+    """The most conditional slots in a row, the cycle's wrap included."""
+    longest = run = 0
+    for kind, _ in schedule + schedule:
+        run = run + 1 if kind in _CONDITIONAL_KINDS else 0
+        longest = max(longest, run)
+    return longest
+
+
+def test_a_schedule_that_could_fold_forever_fails_when_the_table_is_built(fig1):
+    # a failed guard hands the activation to the next slot, so a cycle of
+    # conditional slots alone could end no activation: it is refused before
+    # any step, and so is an empty schedule
+    prog = node_program(fig1, 2)
+    for schedule in (((B_PORT, 1), (C_DECIDE, 0)), ((C_READ_PARENT_BCC, 0),), ()):
+        with pytest.raises(ValueError, match="no unconditional register access"):
+            dataclasses.replace(prog, schedule=schedule).table
+    # one unconditional slot ends every run of folds, however long
+    prog = dataclasses.replace(prog, schedule=((B_PORT, 1), (C_DECIDE, 0), (C_READ_COUNT, 0)))
+    assert len(prog.table) == 3
+    # on the generated schedules an activation folds at most max(degree, 3) slots
+    for degree in (1, 2, 3, 4, 9, 255):
+        assert _longest_conditional_run(nonroot_program(degree)) == max(degree, 3)
+    assert _longest_conditional_run(root_program()) == 0
+
+
 def test_every_activation_is_one_register_access(fig1):
     rng = random.Random(13)
 
@@ -474,6 +505,55 @@ def test_execute_step_total_on_garbage(fig1):
         st, ev = execute_step(st, prog, [_Drawn(draw) for _ in range(d)])
         assert ev.kind in ("read", "write")
         assert 0 <= st.pc < prog.length
+
+
+def test_out_of_range_pcs_step_like_their_remainder(fig1):
+    # a corrupted pc, negative, past the schedule or below minus its length,
+    # selects slot pc % L, exactly as the plain reference kernel does
+    for v in (1, 2, 5, 11):
+        prog = node_program(fig1, v)
+        length = prog.length
+        states = init_arbitrary(fig1, v).states
+        nbrs = tuple(states[w - 1] for w in fig1.neighbors(v))
+        for pc in range(length):
+            for raw in (pc - length, pc + length, pc - 3 * length, pc + 7 * length, pc - 10**12 * length):
+                stepped, normal, plain = (states[v - 1].clone() for _ in range(3))
+                stepped.pc = plain.pc = raw
+                normal.pc = pc
+                event = advance(stepped, prog, nbrs)
+                assert advance(normal, prog, nbrs) == event, (v, raw)
+                assert reference.advance(plain, prog, nbrs) == event, (v, raw)
+                assert reference.full_state([stepped]) == reference.full_state([normal])
+                assert reference.full_state([stepped]) == reference.full_state([plain])
+
+
+def test_a_degree_255_node_folds_all_of_phase_b_in_one_activation():
+    # node 2, not the root, has 255 ports, and no link classifies as a
+    # child: every B_PORT slot folds, and the one activation from the first
+    # of them ends with B_WRITE's write, 255 folds deep
+    g = build_graph(256, [(2, v) for v in range(1, 257) if v != 2])
+    prog = node_program(g, 2)
+    d = prog.degree
+    assert d == 255 and prog.schedule[d + 2] == (B_PORT, 1)
+    states = init_arbitrary(g, 4).states
+    nbrs = tuple(states[w - 1] for w in g.neighbors(2))
+    rng = random.Random(255)
+    mine = path_of(BOTTOM, 3, 1)
+    # parent, outgoing, incoming (longer, or one symbol but not my port) and unclassified
+    others = [path_of(BOTTOM, 3), path_of(BOTTOM), path_of(BOTTOM, 3, 1, 4, 2),
+              path_of(BOTTOM, 2), path_of(BOTTOM, 4, 1)]
+    st = states[1]
+    st.path = mine
+    st.count = st.n_in = st.n_out = 0
+    st.read_path = [rng.choice(others) for _ in range(d)]
+    st.pc = d + 2
+    plain = st.clone()
+    event = advance(st, prog, nbrs)
+    assert event.kind == "write" and event.field == "count"
+    assert st.pc == 2 * d + 3 and prog.schedule[st.pc] == (C_READ_COUNT, 0)
+    assert st.n_in > 0 and st.n_out > 0
+    assert reference.advance(plain, prog, nbrs) == event
+    assert reference.full_state([st]) == reference.full_state([plain])
 
 
 def test_execute_step_does_not_mutate_input(fig1):

@@ -25,7 +25,8 @@ def test_run_bench_compares_a_tree_with_itself(tmp_path):
     assert set(doc["cases"]) == {"random:16,31", "clustered:4x4"}
     for row in doc["cases"].values():
         assert row["n"] == 16 and row["stabilized"] and row["pairs"] == 2
-        assert row["agree"] == {"graph": True, "init": True, "run": True, "report": True}
-        for layer in ("ground_truth", "init_arbitrary", "run", "certify", "build_report"):
+        assert row["agree"] == {"graph": True, "init": True, "kernel": True, "run": True, "report": True}
+        assert row["kernel"]["change_steps_per_s"] > 0
+        for layer in ("ground_truth", "init_arbitrary", "kernel", "run", "certify", "build_report"):
             assert row[layer]["median_ratio"] > 0 and row[layer]["null_median_ratio"] > 0
             assert 0 <= row[layer]["won_share"] <= 1 and 0 <= row[layer]["null_won_share"] <= 1
