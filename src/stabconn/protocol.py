@@ -32,7 +32,9 @@ remote read takes one field of one neighbour's register, as in the paper's
 read/write atomicity.  ``execute_step`` is its copying wrapper, which steps
 a copy and leaves its input untouched; ``simulator.run`` copies each
 initial state once and calls ``advance``, except for quiet nodes, which
-replay a cycle ``advance`` recorded.
+replay a cycle ``advance`` recorded.  A step reads nothing but the node's
+protocol state, its program and those registers: no cache lives between
+steps.
 
 ``NodeProgram.schedule`` is the readable spec of a cycle: (kind, port) pairs.
 The kernel dispatches through its slot table instead, derived on first use
@@ -46,31 +48,11 @@ of failed guards into the slot that ends it.  Building the table refuses
 a schedule with no unconditional slot, where such a run could never end;
 on the generated schedules an activation folds at most max(degree, 3)
 slots (all B_PORT slots, or C_DECIDE and the two parent-bcc slots).
-
-``advance`` also skips reclassifying links on unchanged inputs.  A
-legitimate path has DFS depth + 1 symbols, so classifying a link costs
-O(depth), and a cycle classifies the same links up to three times (B_PORT
-and the two parent-port scans of phase C).  Link classes are memoised per
-port, keyed by the identity of the node's own ``path`` and of the port's
-``read_path`` entry, and checked inline in B_PORT and in the one parent-port
-scan that both phase-C bcc slots share.  A non-root write that changes no
-field keeps the register object, so a neighbour's A_READ stores the same
-path object again and its memo hits.  (The root writes only the constant
-``ROOT_PATH`` object and 0.)  The memo is sound: it holds references to
-both immutable paths, so neither id can be reused by another object, and a
-key that matches by identity matches by value; a class is a pure function
-of the two paths and of the ``NodeProgram``'s ports, and the memo is emptied
-whenever a state is stepped under another program object.  So every step
-equals the step of an unmemoised kernel.  The memo lives on
-``ProcessorState`` as fields that equality and repr ignore, and ``clone()``
-starts empty.  Faults cannot make it stale: a fault corrupts a state in
-place and keeps its memo, but a key matches only the very paths it was
-computed from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from math import ceil, log2
 from typing import Callable, NamedTuple, Sequence
@@ -82,8 +64,7 @@ BOTTOM = 0
 #: The largest degree whose ports fit in a one-byte path symbol.
 MAX_DEGREE = 255
 
-#: One byte per symbol: BOTTOM, or a port in 1..MAX_DEGREE.  Immutable, so
-#: the link-class memo may key on identity (see the module docstring).
+#: One byte per symbol: BOTTOM, or a port in 1..MAX_DEGREE (see the module docstring).
 Path = bytes
 
 #: ``SYMBOLS[k]`` is the one-symbol path k, which extends a path by port k
@@ -272,12 +253,8 @@ def node_program(g: Graph, v: NodeId) -> NodeProgram:
 
 @dataclass(slots=True, eq=True)
 class ProcessorState:
-    """Register plus local variables and program counter of one processor.
-
-    The underscored fields are ``advance``'s link-class memo (see the
-    module docstring), not protocol state: the constructor does not take
-    them.
-    """
+    """Register plus local variables and program counter of one processor:
+    its whole protocol state, and all a step of ``advance`` reads of it."""
 
     register: Register
     path: Path
@@ -288,10 +265,6 @@ class ProcessorState:
     read_count: list[int]
     read_bcc: list[Path]
     pc: int
-    #: the program the memo was filled under
-    _prog: NodeProgram | None = field(default=None, init=False, compare=False, repr=False)
-    #: per port, (path, read path, class) of its last classification
-    _links: list[tuple] | None = field(default=None, init=False, compare=False, repr=False)
 
     def clone(self) -> "ProcessorState":
         return ProcessorState(
@@ -357,26 +330,27 @@ def _slot_events(kind: int, port: int, degree: int):
 
 
 def _parent_port(s: ProcessorState, prog: NodeProgram) -> int:
-    """The index (port - 1) of the lowest port that classifies as the parent link, or -1."""
+    """The index (port - 1) of the lowest port that classifies as the parent link, or -1.
+
+    A port j classifies as PARENT exactly when my path is the read path
+    extended by one symbol, their port for me: A_WRITE's candidate
+    ``read_path[j] + suffixes[j]``.  So the scan compares candidates and
+    runs no ``classify_link``.
+    """
     mine = s.path
-    links = s._links
+    read_path = s.read_path
+    suffixes = prog.suffixes
     for j in range(prog.degree):
-        theirs = s.read_path[j]
-        memo = links[j]
-        if memo[0] is mine and memo[1] is theirs:
-            cls = memo[2]
-        else:
-            cls = classify_link(mine, theirs, j + 1, prog.reverse_ports[j])
-            links[j] = (mine, theirs, cls)
-        if cls is PARENT:
+        if read_path[j] + suffixes[j] == mine:
             return j
     return -1
 
 
-# One factory per slot kind.  Each takes the slot's port - 1, the pc after
-# it, its events (see ``_slot_events``) and the table's list of slot
-# functions, and returns the slot function ``advance`` calls.  A slot whose
-# guard fails hands the activation to the next slot's function.
+# One factory per slot kind (``_r_write`` makes the root's three).  Each
+# takes the slot's port - 1, the pc after it, its events (see
+# ``_slot_events``) and the table's list of slot functions, and returns the
+# slot function ``advance`` calls.  A slot whose guard fails hands the
+# activation to the next slot's function.
 
 def _a_read(i, nxt, event, fns):
     def a_read(s, prog, nbrs):
@@ -427,14 +401,7 @@ def _b_port(i, nxt, event, fns):
 
     def b_port(s, prog, nbrs):
         s.pc = nxt
-        mine = s.path
-        theirs = s.read_path[i]
-        memo = s._links[i]
-        if memo[0] is mine and memo[1] is theirs:
-            cls = memo[2]
-        else:
-            cls = classify_link(mine, theirs, port, prog.reverse_ports[i])
-            s._links[i] = (mine, theirs, cls)
+        cls = classify_link(s.path, s.read_path[i], port, prog.reverse_ports[i])
         if cls is CHILD:
             value = nbrs[i].register.count
             s.read_count[i] = value
@@ -524,47 +491,32 @@ def _c_write_parent_bcc(i, nxt, events, fns):
     return c_write_parent_bcc
 
 
-# The root writes a new register object even when nothing changes.
+def _r_write(field_index, value):
+    """The factory of a root slot that writes the constant ``value`` into
+    register field ``field_index``; a write that changes nothing keeps the
+    register object, as every other write slot does."""
+    def factory(i, nxt, events, fns):
+        same, changed = events
 
-def _r_write_path(i, nxt, events, fns):
-    same, changed = events
-
-    def r_write_path(s, prog, nbrs):
-        s.pc = nxt
-        reg = s.register
-        s.register = _new(Register, (ROOT_PATH, reg.count, reg.bcc))
-        return changed if reg.path != ROOT_PATH else same
-    return r_write_path
-
-
-def _r_write_count(i, nxt, events, fns):
-    same, changed = events
-
-    def r_write_count(s, prog, nbrs):
-        s.pc = nxt
-        reg = s.register
-        s.register = _new(Register, (reg.path, 0, reg.bcc))
-        return changed if reg.count != 0 else same
-    return r_write_count
-
-
-def _r_write_bcc(i, nxt, events, fns):
-    same, changed = events
-
-    def r_write_bcc(s, prog, nbrs):
-        s.pc = nxt
-        reg = s.register
-        s.register = _new(Register, (reg.path, reg.count, ROOT_PATH))
-        return changed if reg.bcc != ROOT_PATH else same
-    return r_write_bcc
+        def r_write(s, prog, nbrs):
+            s.pc = nxt
+            reg = s.register
+            if reg[field_index] == value:
+                return same
+            fields = list(reg)
+            fields[field_index] = value
+            s.register = _new(Register, fields)
+            return changed
+        return r_write
+    return factory
 
 
 _SLOT_FACTORIES = {
     A_READ: _a_read, A_WRITE: _a_write, B_READ_SELF: _b_read_self, B_PORT: _b_port,
     B_WRITE: _b_write, C_READ_COUNT: _c_read_count, C_READ_PATH: _c_read_path,
     C_DECIDE: _c_decide, C_READ_PARENT_BCC: _c_read_parent_bcc,
-    C_WRITE_PARENT_BCC: _c_write_parent_bcc, R_WRITE_PATH: _r_write_path,
-    R_WRITE_COUNT: _r_write_count, R_WRITE_BCC: _r_write_bcc,
+    C_WRITE_PARENT_BCC: _c_write_parent_bcc, R_WRITE_PATH: _r_write(0, ROOT_PATH),
+    R_WRITE_COUNT: _r_write(1, 0), R_WRITE_BCC: _r_write(2, ROOT_PATH),
 }
 
 
@@ -580,10 +532,6 @@ def _slot_table(schedule: tuple[MicroStep, ...], degree: int) -> tuple:
     return tuple(fns)
 
 
-#: an empty link memo entry: no path is None, so it never matches
-_NO_LINK = (None, None, None)
-
-
 def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]) -> StepEvent:
     """Perform one atomic step on ``s`` in place: exactly one register access.
 
@@ -591,20 +539,14 @@ def advance(s: ProcessorState, prog: NodeProgram, nbrs: Sequence[ProcessorState]
     in ``prog.table`` (the pc normalized modulo the schedule length, so it
     is total on corrupted states).  The slot functions write the ``read_*``
     lists of ``s`` in place and replace ``s.register`` on writes, except
-    that a non-root write that changes nothing keeps the register object.
+    that a write that changes nothing keeps the register object.
     A conditional slot whose guard fails is pure-local and calls the next
     slot's function within the same activation; the slot that accesses a
     register sets ``s.pc`` past itself and returns its precomputed event.
     ``nbrs[j - 1]`` is the neighbour on port j; a remote read takes one
-    field of its ``register`` and nothing else of it.
-
-    Link classes are memoised on ``s``, keyed by identity; the module
-    docstring explains the memo and why every step is the one an unmemoised
-    kernel would take.
+    field of its ``register`` and nothing else of it.  Nothing but the
+    protocol state ``s``, ``prog`` and those registers decides the step.
     """
-    if s._prog is not prog:
-        s._prog = prog
-        s._links = [_NO_LINK] * prog.degree
     slots = prog.table
     return slots[s.pc % len(slots)](s, prog, nbrs)
 

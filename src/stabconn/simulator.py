@@ -484,7 +484,7 @@ def run(
     g: Graph,
     scheduler,
     init: Configuration,
-    faults: Sequence[FaultSpec] = (),
+    faults: Iterable[FaultSpec] = (),
     max_rounds: int | None = None,
     closure_rounds: int = 0,
     record: bool = False,
@@ -564,7 +564,9 @@ def run(
     if not ints or max_rounds < 1 or closure_rounds < 0:
         raise ValueError("need int max_rounds >= 1 and int closure_rounds >= 0")
     # a fault that could never fire on g is an input error, whether or not
-    # the run would reach its trigger
+    # the run would reach its trigger; one tuple, so a one-shot iterable is
+    # checked and fired alike
+    faults = tuple(faults)
     for spec in faults:
         _check_fault_targets(g, spec)
     if init.graph != g:
