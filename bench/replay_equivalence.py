@@ -45,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import reference  # noqa: E402
-from stabconn.graph import generate_clustered, generate_random_connected  # noqa: E402
+from stabconn.cli import parse_generate_spec  # noqa: E402
 from stabconn.oracle import ground_truth  # noqa: E402
 from stabconn.simulator import (  # noqa: E402
     FAULT_FIELDS,
@@ -95,13 +95,8 @@ def draw_case(seed: int, k: int) -> dict:
 
 
 def build(case: dict):
-    kind, _, shape = case["generate"].partition(":")
-    if kind == "random":
-        n, m, _ = (int(x) for x in shape.split(","))
-        g = generate_random_connected(n, m - (n - 1), case["graph_seed"])
-    else:
-        kk, size = (int(x) for x in shape.split("x"))
-        g = generate_clustered(kk, size, case["graph_seed"])
+    # the CLI's own parse, so the graph is the one the case's CLI repro builds
+    g = parse_generate_spec(case["generate"], case["graph_seed"])
     specs = [
         FaultSpec(trigger=trigger, targets=(target,) if target else (), random_fields=k, seed=s)
         for trigger, target, k, s in case["faults"]

@@ -9,6 +9,7 @@ made with ``git archive``).  Its ``src/stabconn`` tree is loaded into this
 one process twice, as the base and as a null side, and this checkout's
 once, as the change, so the sides share the host's state from moment to
 moment.  For random (``random:n,2n-1``) and clustered graphs at each size,
+which each side builds from the spec with its own ``cli.parse_generate_spec``,
 each of ``PAIRS`` pairs times, on each side, one ``ground_truth(g)``, one
 ``init_arbitrary(g, INIT_SEED)``, the step kernel alone (``protocol.advance``
 called for each of KERNEL_STEPS uniform-random activations, one fixed
@@ -32,12 +33,13 @@ is faster), the share of pairs the change won, and the same ratio and share
 for the null side, whose code is the base's: the null band, within which a
 ratio of that layer and case is noise.  It also says whether all sides
 agree: on the initial states, on the kernel's final states, on steps,
-rounds, stabilization, final registers (paths compared as tuples of ints,
-whatever the side holds them as) and the certification report, and on the
-JSON report.  The kernel's and the run's rows also give the change's steps
-per second.  It is
-written to ``BENCH_<label>.json`` at the repository root, or to ``--out``.
-The exit status is 1 when the sides disagree on any case.
+rounds, stabilization, final registers and the certification report, and on
+the JSON report.  States and registers are compared by the references'
+keys (``full_state`` and ``plain_register`` of ``tests/reference.py``),
+which hold each path as a tuple of ints whatever the side holds it as.
+The kernel's and the run's rows also give the change's steps per second.
+It is written to ``BENCH_<label>.json`` at the repository root, or to
+``--out``.  The exit status is 1 when the sides disagree on any case.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import reference  # noqa: E402
+
 SIZES = (16, 40, 80, 160, 320, 640)
 #: clustered graph (clusters, cluster size) per n: K x 5 with K = n / 5, and 4 x 4 for n = 16
 CLUSTERS = {16: (4, 4), 40: (8, 5), 80: (16, 5), 160: (32, 5), 320: (64, 5), 640: (128, 5)}
@@ -81,22 +87,10 @@ def load(checkout: Path, name: str):
 
 
 def cases():
+    """The ``--generate`` spec of each case, which each side parses itself."""
     for n in SIZES:
-        yield f"random:{n},{2 * n - 1}", lambda p, n=n: p.generate_random_connected(n, n, GRAPH_SEED)
         k, size = CLUSTERS[n]
-        yield f"clustered:{k}x{size}", lambda p, k=k, size=size: p.generate_clustered(k, size, GRAPH_SEED)
-
-
-def _register_key(reg) -> tuple:
-    return (tuple(reg.path), reg.count, tuple(reg.bcc))
-
-
-def _state_key(st) -> tuple:
-    """Every protocol field of a state, each path as a tuple of ints, so a
-    side that holds paths as tuples and one that holds them as bytes agree."""
-    return (_register_key(st.register), tuple(st.path), st.count, st.n_in, st.n_out,
-            [tuple(p) for p in st.read_path], st.read_count,
-            [tuple(p) for p in st.read_bcc], st.pc)
+        yield from (f"random:{n},{2 * n - 1}", f"clustered:{k}x{size}")
 
 
 def _time(fn):
@@ -140,10 +134,10 @@ def one_side(pkg, g, gt, pids):
         lambda: json.dumps(pkg.cli.build_report(g, report, SCHEDULER_SEED, INIT_SEED), indent=2)
     )
     outcome = {
-        "init": [_state_key(st) for st in init.states],
-        "kernel": [_state_key(st) for st in stepped],
+        "init": reference.full_state(init.states),
+        "kernel": reference.full_state(stepped),
         "run": (report.total_steps, report.rounds, report.stabilized,
-                [_register_key(reg) for reg in report.final_registers], cert.match, cert.mismatches),
+                tuple(map(reference.plain_register, report.final_registers)), cert.match, cert.mismatches),
         "report": doc,
     }
     times = {"ground_truth": t_truth, "init_arbitrary": t_init, "kernel": t_kernel,
@@ -170,8 +164,8 @@ def summarize(base: list[float], null: list[float], change: list[float]) -> dict
     }
 
 
-def measure(sides: dict, make_graph) -> dict:
-    graphs = {name: make_graph(pkg) for name, pkg in sides.items()}
+def measure(sides: dict, spec: str) -> dict:
+    graphs = {name: pkg.cli.parse_generate_spec(spec, GRAPH_SEED) for name, pkg in sides.items()}
     truths = {name: pkg.ground_truth(graphs[name]) for name, pkg in sides.items()}
     rng = random.Random(SCHEDULER_SEED)
     pids = [rng.randint(1, graphs["change"].n) for _ in range(KERNEL_STEPS)]
@@ -221,8 +215,8 @@ def main(argv=None) -> int:
     }
 
     rows = {}
-    for name, make_graph in cases():
-        rows[name] = measure(sides, make_graph)
+    for name in cases():
+        rows[name] = measure(sides, name)
         print(f"{name}: {json.dumps(rows[name])}", flush=True)
     doc = {
         "script": "bench/run_bench.py",

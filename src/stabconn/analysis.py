@@ -21,7 +21,7 @@ from .oracle import (
     ground_truth,
     label_partition,
 )
-from .protocol import CHILD, INCOMING_NONTREE, PARENT, Path, Register, classify_link, is_prefix
+from .protocol import CHILD, INCOMING_NONTREE, PARENT, Path, Register, classify_link
 
 
 class NotStabilizedError(Exception):
@@ -87,7 +87,7 @@ def extract(
         for child in children[v]:
             # a child's path is paths[v] plus v's port for it (CHILD rule)
             arrivals = sum(
-                1 for l in incoming_nbrs[v] if is_prefix(paths[child], paths[l])
+                1 for l in incoming_nbrs[v] if paths[l].startswith(paths[child])
             )
             if counts[child] == arrivals:
                 aps.add(v)

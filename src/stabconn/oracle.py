@@ -193,8 +193,10 @@ def first_dfs(g: Graph) -> tuple[dict[NodeId, Path], dict[NodeId, NodeId]]:
     The traversal always descends through the smallest unused port index, and
     each path extends the parent's path by the parent's port number for the
     child; the result is the lexicographically minimal simple root path of
-    every node.  ``parent[w] = v`` is recorded when v discovers w.  A graph
-    with a degree above ``protocol.MAX_DEGREE`` raises ``DegreeLimitError``.
+    every node.  ``parent[w] = v`` is recorded when v discovers w, and
+    ``paths`` lists the nodes in discovery order, each after its parent.
+    A graph with a degree above ``protocol.MAX_DEGREE`` raises
+    ``DegreeLimitError``.
     """
     check_degrees(g)
     paths: dict[NodeId, Path] = {ROOT: ROOT_PATH}
@@ -268,8 +270,9 @@ def ground_truth(g: Graph) -> GroundTruth:
         splits[c] += 1
 
     representatives = {ROOT} | {v for v in range(2, g.n + 1) if counts[v] == 0}
+    # discovery order: a parent is labelled before its children
     bcc_labels: dict[NodeId, Path] = {}
-    for v in sorted(range(1, g.n + 1), key=lambda u: len(paths[u])):
+    for v in paths:
         if v in representatives:
             bcc_labels[v] = paths[v]
         else:

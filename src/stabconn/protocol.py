@@ -86,11 +86,6 @@ def check_degrees(g: Graph) -> None:
         )
 
 
-def is_prefix(p: Path, q: Path) -> bool:
-    """True when p is a (not necessarily proper) prefix of q."""
-    return q.startswith(p)
-
-
 def format_path(p: Path) -> str:
     return ".".join("⊥" if s == BOTTOM else str(s) for s in p)
 

@@ -353,19 +353,6 @@ def default_max_rounds(g: Graph) -> int:
     return max(10, 10 * round_bound(g))
 
 
-def _widest(
-    states: list[ProcessorState], max_path_len: int, max_symbols: int
-) -> tuple[int, int]:
-    """Fold every register into the space meter: the longest path or bcc,
-    and the most path plus bcc symbols in one register."""
-    for st in states:
-        lp = len(st.register.path)
-        lb = len(st.register.bcc)
-        max_path_len = max(max_path_len, lp, lb)
-        max_symbols = max(max_symbols, lp + lb)
-    return max_path_len, max_symbols
-
-
 #: a node's ``_Replay.left`` from a restart until it finishes slot 0, and
 #: while it records its cycle; a replaying node holds -1 - owed
 _WAITING = 1
@@ -475,9 +462,22 @@ class _Replay:
         return fired
 
 
-def _wrong(states: list[ProcessorState], gt_regs: tuple[Register, ...]) -> set[NodeId]:
-    """The nodes whose register differs from the ground truth."""
-    return {v for v, st in enumerate(states, start=1) if st.register != gt_regs[v - 1]}
+def _survey(
+    states: list[ProcessorState], gt_regs: tuple[Register, ...], max_path_len: int, max_symbols: int
+) -> tuple[set[NodeId], int, int]:
+    """The nodes whose register differs from the ground truth, and the space
+    meter with every register folded in: the longest path or bcc, and the
+    most path plus bcc symbols in one register.  One pass, at the start of a
+    run and after each fault."""
+    wrong = set()
+    for v, st in enumerate(states, start=1):
+        reg = st.register
+        if reg != gt_regs[v - 1]:
+            wrong.add(v)
+        lp, lb = len(reg.path), len(reg.bcc)
+        max_path_len = max(max_path_len, lp, lb)
+        max_symbols = max(max_symbols, lp + lb)
+    return wrong, max_path_len, max_symbols
 
 
 def run(
@@ -605,13 +605,12 @@ def run(
     stamp = [-1] * (n + 1)
     unseen = n  # processors not yet stepped in the current round
     changed = False  # a register changed or a fault fired in the current round
-    wrong = _wrong(states, gt_regs)
     stabilization_round: int | None = None
     closure_left: int | None = None  # rounds left once the closure window opens
     closure_changes = 0
     # register bits grow with the symbols of both paths, so the meter keeps
     # the largest symbol count and converts it to bits once, at the end
-    max_path_len, max_symbols = _widest(states, 0, 0)
+    wrong, max_path_len, max_symbols = _survey(states, gt_regs, 0, 0)
     replay = _Replay(g, states, programs)
     left, loops, reads = replay.left, replay.loops, replay.reads
     restart = replay.restart
@@ -622,9 +621,8 @@ def run(
                 break  # inside a round, which stays unfinished
             while step_faults and step_faults[0].trigger <= steps:
                 fault_events += replay.fire(step_faults.popleft(), steps, rounds)
-                max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
+                wrong, max_path_len, max_symbols = _survey(states, gt_regs, max_path_len, max_symbols)
                 changed = True
-                wrong = _wrong(states, gt_regs)
             limit = min(step_faults[0].trigger, step_cap) if step_faults else step_cap
         steps += 1
         wait = left[pid]
@@ -694,9 +692,8 @@ def run(
                 # a new attempt: the fault counts as a change of the next
                 # round, so that round cannot confirm a declaration
                 fault_events += replay.fire(post_faults.popleft(), steps, rounds)
-                max_path_len, max_symbols = _widest(states, max_path_len, max_symbols)
+                wrong, max_path_len, max_symbols = _survey(states, gt_regs, max_path_len, max_symbols)
                 changed = True
-                wrong = _wrong(states, gt_regs)
                 attempt_start = rounds
             else:
                 stabilization_round = rounds - 1

@@ -22,7 +22,7 @@ from stabconn.oracle import (
     ground_truth,
     is_connected,
 )
-from stabconn.protocol import BOTTOM, is_prefix
+from stabconn.protocol import BOTTOM
 
 from reference import children, classify_counts, lex_compare, path_of, representatives, symbols_of
 
@@ -218,7 +218,7 @@ def test_incoming_split_sums_to_node_incoming(fig1):
         n_in, _ = classify_counts(fig1, gt, v)
         # neighbours deeper than v that are not its children
         ends = [w for w in fig1.neighbors(v) if len(gt.paths[w]) > len(gt.paths[v]) + 1]
-        assert n_in == sum(is_prefix(gt.paths[c], gt.paths[w]) for c in kids[v] for w in ends)
+        assert n_in == sum(gt.paths[w].startswith(gt.paths[c]) for c in kids[v] for w in ends)
 
 
 # ---------------------------------------------------------------------------

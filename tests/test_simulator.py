@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies
 
 from stabconn import simulator
 from stabconn.analysis import certify
+from stabconn.cli import parse_generate_spec
 from stabconn.graph import (
     figure1,
     generate_clustered,
@@ -274,17 +275,26 @@ def test_run_fires_faults_given_as_a_one_shot_iterable(fig1):
 # round 149 while its registers change until round 165, the second round 317
 # against 338, each with 2 changes in its closure window; the third, under
 # the random scheduler, round 8 against 16, with 4 changes in its window.
+# The fourth is the paper's figure 1, declared again after a post fault on
+# node 3's path: round 148 against 172, with 6 changes in its window.
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 @pytest.mark.parametrize(
-    "n, m, seed, closure, scheduler, scheduler_seed",
-    [(16, 25, 144, 30, "round-robin", 0), (21, 35, 61, 40, "round-robin", 0),
-     (4, 4, 50, 30, "random", 50)],
-    ids=["random:16,25,144", "random:21,35,61", "random:4,4,50"],
+    "graph, init_seed, closure, scheduler, scheduler_seed, faults",
+    [("random:16,25,144", 144, 30, "round-robin", 0, ()),
+     ("random:21,35,61", 61, 40, "round-robin", 0, ()),
+     ("random:4,4,50", 50, 30, "random", 50, ()),
+     ("figure1", 0, 30, "round-robin", 0,
+      (FaultSpec(trigger=POST_STABILIZATION, targets=((3, "path"),), seed=5),))],
+    ids=["random:16,25,144", "random:21,35,61", "random:4,4,50", "figure1-post-path-fault"],
 )
-def test_run_declares_no_round_before_the_last_change(n, m, seed, closure, scheduler, scheduler_seed):
-    g = generate_random_connected(n, m - (n - 1), seed)
+def test_run_declares_no_round_before_the_last_change(
+    graph, init_seed, closure, scheduler, scheduler_seed, faults
+):
+    g = parse_generate_spec(graph, 0)
     sched = make_scheduler(scheduler, scheduler_seed)
-    trace, report = run(g, sched, init_arbitrary(g, seed), closure_rounds=closure, record=True)
+    trace, report = run(
+        g, sched, init_arbitrary(g, init_seed), faults, closure_rounds=closure, record=True
+    )
     last_change = max(r.index for r in trace.rounds if r.changed)
     assert report.post_stabilization_changes == 0
     assert report.stabilization_round >= last_change
