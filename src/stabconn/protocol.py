@@ -37,14 +37,14 @@ protocol state, its program and those registers: no cache lives between
 steps.
 
 ``NodeProgram.schedule`` is the readable spec of a cycle: (kind, port) pairs.
-The kernel dispatches through its slot table instead, derived on first use
-and shared by every program with the same schedule and degree.  The table
-holds one function per slot (threaded code), made by the factory of the
-slot's kind with the slot's port - 1, its next pc (the wrap is
-precomputed) and the events it can return bound in, so a step decodes no
-slot and neither builds nor looks up an event.  A conditional slot whose
+The kernel dispatches through its slot table instead, built with the
+program and shared by every program with the same schedule and degree.
+The table holds one function per slot (threaded code), made by the
+factory of the slot's kind with the slot's port - 1, its next pc (the wrap
+is precomputed) and the events it can return bound in, so a step decodes
+no slot and neither builds nor looks up an event.  A conditional slot whose
 guard fails calls the next slot's function, so one activation folds a run
-of failed guards into the slot that ends it.  Building the table refuses
+of failed guards into the slot that ends it.  Building a program refuses
 a schedule with no unconditional slot, where such a run could never end;
 on the generated schedules an activation folds at most max(degree, 3)
 slots (all B_PORT slots, or C_DECIDE and the two parent-bcc slots).
@@ -52,8 +52,8 @@ slots (all B_PORT slots, or C_DECIDE and the two parent-bcc slots).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+from dataclasses import dataclass, field
+from functools import cache
 from math import ceil, log2
 from typing import Callable, NamedTuple, Sequence
 
@@ -190,14 +190,16 @@ def nonroot_program(degree: int) -> tuple[MicroStep, ...]:
     return tuple(schedule)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeProgram:
     """Static execution context of one node: schedule, ports, and bounds.
 
     ``schedule`` is the readable spec; ``table`` is what the kernel calls,
-    derived from it on first use, and ``suffixes`` the reverse ports as
+    built with the program from it, and ``suffixes`` the reverse ports as
     A_WRITE appends them.  Neither can go stale: the fields are frozen, and
-    a ``dataclasses.replace`` copy starts without them.
+    a ``dataclasses.replace`` copy builds its own.  Both are plain slots,
+    not cached on first read, so a program's layout never changes and the
+    kernel's loads from it stay on CPython's fast path.
     """
 
     degree: int
@@ -206,28 +208,24 @@ class NodeProgram:
     reverse_ports: tuple[int, ...]
     path_bound: int
     count_bound: int
+    #: [j-1] is ``reverse_ports[j-1]`` as a one-symbol path, which A_WRITE appends
+    suffixes: tuple[Path, ...] = field(init=False, repr=False, compare=False)
+    #: per slot, the function that performs it: ``table[pc](s, prog, nbrs)``.
+    #: It sets ``s.pc`` to the slot after it and returns its precomputed
+    #: event: a read's ``StepEvent``, a write's unchanged or changed one, or
+    #: C_READ_PARENT_BCC's read event of the parent port.  A slot whose guard
+    #: fails returns what the next slot's function returns.
+    table: tuple[Callable[..., StepEvent], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # A schedule with an unknown kind (``KeyError``) or with no
+        # unconditional slot (``ValueError``) raises here, before any step.
+        object.__setattr__(self, "suffixes", tuple(SYMBOLS[r] for r in self.reverse_ports))
+        object.__setattr__(self, "table", _slot_table(self.schedule, self.degree))
 
     @property
     def length(self) -> int:
         return len(self.schedule)
-
-    @cached_property
-    def suffixes(self) -> tuple[Path, ...]:
-        """[j-1] is ``reverse_ports[j-1]`` as a one-symbol path, which A_WRITE appends."""
-        return tuple(SYMBOLS[r] for r in self.reverse_ports)
-
-    @cached_property
-    def table(self) -> tuple[Callable[..., StepEvent], ...]:
-        """Per slot, the function that performs it: ``table[pc](s, prog, nbrs)``.
-
-        It sets ``s.pc`` to the slot after it and returns its precomputed
-        event: a read's ``StepEvent``, a write's unchanged or changed one,
-        or C_READ_PARENT_BCC's read event of the parent port.  A slot whose
-        guard fails returns what the next slot's function returns.  A
-        schedule with an unknown kind (``KeyError``) or with no
-        unconditional slot (``ValueError``) raises here, before any step.
-        """
-        return _slot_table(self.schedule, self.degree)
 
 
 def node_program(g: Graph, v: NodeId) -> NodeProgram:

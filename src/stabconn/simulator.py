@@ -15,7 +15,7 @@ detection sets read off them; certifying those sets is left to the caller.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, repeat
@@ -99,8 +99,10 @@ class WeightedRandom:
     The weights are n ``uniform(1.0, 10.0)`` draws; the stream is then
     ``choices(range(1, n + 1), weights, k=512)`` repeated on the same
     generator, drawn by that method's own rule: one ``random()`` per
-    activation, placed by ``bisect_right`` among the cumulative weights
-    (summed once here, not once per batch).
+    activation, x = ``random() * total``, placed by ``bisect_right`` among
+    the cumulative weights (summed once here, not once per batch).  Most
+    draws skip the search: ``_bucket_table`` names the node of every x in
+    a pure bucket, and only the others fall back to ``bisect_right``.
     """
 
     name = "weighted"
@@ -112,11 +114,38 @@ class WeightedRandom:
         rng = random.Random(self.seed)
         cum = list(accumulate(rng.uniform(1.0, 10.0) for _ in range(n)))
         total = cum[-1] + 0.0
+        table, scale = _bucket_table(cum, total)
         draw, hi = rng.random, n - 1
         return chain.from_iterable(
-            [bisect_right(cum, draw() * total, 0, hi) + 1 for _ in repeat(None, 512)]
+            [
+                table[int((x := draw() * total) * scale)] or bisect_right(cum, x, 0, hi) + 1
+                for _ in repeat(None, 512)
+            ]
             for _ in repeat(None)
         )
+
+
+def _bucket_table(cum: Sequence[float], total: float) -> tuple[list[int], float]:
+    """The bucket table of ``WeightedRandom`` and its scale.
+
+    x in [0, total] falls in bucket ``int(x * scale)``: one of 8n equal
+    x-ranges, or an extra last bucket for x = total, which ``random() *
+    total`` can round to.  The search compares x with ``cum[:n - 1]``
+    alone.  A bucket is pure when none of those lies in its x-range
+    widened by a margin of total * 2**-30, far above the float error of x
+    and of the bucket index; ``bisect_right`` then gives every x in it one
+    answer, and the table holds that node.  It holds 0 for every other
+    bucket, whose draws fall back to the search.
+    """
+    hi = len(cum) - 1
+    buckets = 8 * len(cum)
+    width, margin = total / buckets, total * 2.0**-30
+    table = []
+    for b in range(buckets + 1):
+        first = bisect_left(cum, b * width - margin, 0, hi)
+        pure = first == bisect_right(cum, (b + 1) * width + margin, 0, hi)
+        table.append(first + 1 if pure else 0)
+    return table, buckets / total
 
 
 SCHEDULER_NAMES = ("round-robin", "random", "weighted")
@@ -360,6 +389,8 @@ _RECORDING = 0
 #: per register field, the bit of its read on port 1 in a read mask; the
 #: read on port p is that bit shifted left by 3 * (p - 1)
 _READ_BIT = {f: 1 << k for k, f in enumerate(REGISTER_FIELDS)}
+#: per register field, the unchanged write a record holds for a changed one
+_UNCHANGED = {f: StepEvent("write", f, None, False) for f in REGISTER_FIELDS}
 
 
 def _read_bit(event: StepEvent) -> int:
@@ -375,7 +406,8 @@ class _Replay:
       * waiting (_WAITING), from a restart until an activation of v ends at
         pc 1, which finished slot 0;
       * recording (_RECORDING), from there to the next pc 1: each
-        activation appends its next pc, its event and the new ``count``,
+        activation appends its next pc, its event (a changed write's
+        unchanged twin, which the next cycle makes) and the new ``count``,
         ``n_in`` and ``n_out`` to ``loops[v]``;
       * replaying, once the record is one whole cycle: ``close`` makes it
         the loop v replays, and ``left[v]`` is then -1 - owed, where owed
@@ -432,12 +464,11 @@ class _Replay:
 
     def restart(self, v: NodeId, fld: str) -> None:
         """The restart rule for a change of v's register field ``fld``:
-        restart v, and each recording or replaying neighbour whose read
-        mask covers ``fld`` on its port to v, caught up first; never a
-        waiting one (see ``run``).  It decides from the replay's own
-        records alone."""
+        restart each recording or replaying neighbour whose read mask
+        covers ``fld`` on its port to v, caught up first; never a waiting
+        one, and not v itself (see ``run``).  It decides from the replay's
+        own records alone."""
         left, reads = self.left, self.reads
-        left[v] = _WAITING
         bit = _READ_BIT[fld]
         for w, i in self.readers[v]:
             if left[w] <= _RECORDING and reads[w] & bit << 3 * i:
@@ -446,9 +477,9 @@ class _Replay:
 
     def fire(self, spec: FaultSpec, steps: int, rounds: int) -> list[FaultEvent]:
         """Fire one fault into the caught-up states; return one event per
-        node it hit.  Every node it hit restarts before any reader of a
-        register field it hit does, so no catch-up writes over what the
-        fault drew."""
+        node it hit.  Every node it hit restarts (``restart`` spares the
+        writer, a fault does not) before any reader of a register field it
+        hit does, so no catch-up writes over what the fault drew."""
         self.catch_up(range(1, self.g.n + 1))
         touched = _apply_fault_targets(self.states, self.programs, self.g, spec)
         nodes = sorted({v for v, _ in touched})
@@ -523,10 +554,11 @@ def run(
     records the cycle from there to the next pc 1, and replays it from
     then on.  One rule, ``_Replay.restart``, serves changed writes and
     faults: a changed write of field f by node v restarts:
-      * v itself;
       * a recording or replaying neighbour w that has read f on w's port
         to v since it finished slot 0, that slot's read included;
-      * never a waiting neighbour.
+      * never a waiting neighbour, and never v itself: a recording v
+        records the write's unchanged twin, the event its next cycle
+        makes there (a replaying node writes nothing).
     A fault first writes the lazy fields (below) of every replaying node,
     which goes on replaying; then it restarts every node it hit and only
     then applies the same rule to each register field it hit, so no
@@ -540,13 +572,22 @@ def run(
         shows only in its phase-A entries, which record those counters.
         At close they take the closing counters, which are exactly what
         the next cycle carries: the carry patch.
+      * A record runs from pc 1, and in it each own register field is
+        written before it is read: the path by A_WRITE before
+        B_READ_SELF and C_READ_PATH read it, the count by B_WRITE before
+        C_READ_COUNT reads it, and no node reads its own bcc.  A cycle
+        writes each field at most once (C_DECIDE and C_WRITE_PARENT_BCC
+        exclude each other on ``count``), and between faults only the
+        node writes its register.  So the next cycle writes the values
+        the record wrote into a register that already holds them: a
+        changed write recurs unchanged, as its twin, and every own read
+        sees what the record saw.
       * A waiting node's state is the kernel's own, and everything its
         record will hold is read from slot 0 on, so after any change it
         was spared.  A recording or replaying node restarts on each change
-        of a neighbour field it has read since slot 0, and on each change
-        of its own register (only its own changed writes and faults make
-        one).  So every field its cycle reads keeps, from the read until
-        the node restarts, the value read.
+        of a neighbour field it has read since slot 0, and on each fault
+        that hits it.  So every neighbour field its cycle reads keeps,
+        from the read until the node restarts, the value read.
     So the patched record is also each next cycle, until a restart.
     Replay is lazy: each replayed activation only counts itself.  A
     replaying node's other fields would only be rewritten with the
@@ -635,7 +676,8 @@ def run(
             st = states[pid - 1]
             event = advance(st, programs[pid - 1], nbr_states[pid - 1])
             if not wait:  # record the cycle; replay it once pc 1 recurs
-                loops[pid].append((st.pc, event, st.count, st.n_in, st.n_out))
+                recorded = _UNCHANGED[event.field] if event.changed else event
+                loops[pid].append((st.pc, recorded, st.count, st.n_in, st.n_out))
                 port = event.port
                 if port:  # _read_bit(event), inlined on this per-step path
                     reads[pid] |= _READ_BIT[event.field] << 3 * port - 3

@@ -32,6 +32,7 @@ from stabconn.protocol import (
     PARENT,
     UNCLASSIFIED,
     DegreeLimitError,
+    NodeProgram,
     ProcessorState,
     Register,
     ROOT_PATH,
@@ -312,10 +313,22 @@ def test_slot_0_is_a_register_access():
 
 def test_an_unknown_slot_kind_fails_when_the_table_is_built(fig1):
     # the kernel trusts the table's kinds; one it has no event for raises
-    # here, before any step, not inside a run
-    prog = dataclasses.replace(node_program(fig1, 2), schedule=((A_READ, 1), (99, 0)))
+    # when the program is built, before any step, not inside a run
     with pytest.raises(KeyError):
-        prog.table
+        dataclasses.replace(node_program(fig1, 2), schedule=((A_READ, 1), (99, 0)))
+
+
+def test_a_program_keeps_its_layout_through_a_step(fig1):
+    # table and suffixes are built with the program: a value cached on first
+    # read would give programs an instance dict, and on CPython an instance
+    # whose dict gets a key after creation loads every attribute slower
+    states = init_arbitrary(fig1, 3).states
+    for v in range(1, fig1.n + 1):
+        prog = node_program(fig1, v)
+        before = {name: getattr(prog, name) for name in NodeProgram.__slots__}
+        advance(states[v - 1].clone(), prog, tuple(states[w - 1] for w in fig1.neighbors(v)))
+        assert not hasattr(prog, "__dict__")
+        assert all(getattr(prog, name) is value for name, value in before.items())
 
 
 _CONDITIONAL_KINDS = {B_PORT, C_DECIDE, C_READ_PARENT_BCC, C_WRITE_PARENT_BCC}
@@ -337,7 +350,7 @@ def test_a_schedule_that_could_fold_forever_fails_when_the_table_is_built(fig1):
     prog = node_program(fig1, 2)
     for schedule in (((B_PORT, 1), (C_DECIDE, 0)), ((C_READ_PARENT_BCC, 0),), ()):
         with pytest.raises(ValueError, match="no unconditional register access"):
-            dataclasses.replace(prog, schedule=schedule).table
+            dataclasses.replace(prog, schedule=schedule)
     # one unconditional slot ends every run of folds, however long
     prog = dataclasses.replace(prog, schedule=((B_PORT, 1), (C_DECIDE, 0), (C_READ_COUNT, 0)))
     assert len(prog.table) == 3

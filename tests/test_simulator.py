@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
-from itertools import islice
+from bisect import bisect_right
+from itertools import accumulate, islice
 from unittest.mock import patch
 
 import pytest
@@ -17,7 +19,16 @@ from stabconn.graph import (
     shuffle_ports,
 )
 from stabconn.oracle import ground_truth
-from stabconn.protocol import BOTTOM, Register, ROOT_PATH, advance, node_program
+from stabconn.protocol import (
+    A_WRITE,
+    BOTTOM,
+    C_WRITE_PARENT_BCC,
+    R_WRITE_PATH,
+    Register,
+    ROOT_PATH,
+    advance,
+    node_program,
+)
 from stabconn.simulator import (
     FAULT_FIELDS,
     Configuration,
@@ -175,6 +186,49 @@ def test_scheduler_streams_are_random_choices_batches(name):
         for seed in range(8):
             mine = list(islice(make_scheduler(name, seed).activations(n), k))
             assert mine == list(islice(reference.activations(name, n, seed), k)), (n, seed)
+
+
+def _cumulative_weights(n, near_edges):
+    """n cumulative weights: sums of ``uniform(1.0, 10.0)`` draws, as
+    ``WeightedRandom`` makes them, or (near_edges) sums at or one float
+    step from an edge b * total / 8n of the buckets, each where the bucket
+    index ``int(x * scale)`` puts x on the other side of that edge."""
+    rng = random.Random(n)
+    if not near_edges:
+        return list(accumulate(rng.uniform(1.0, 10.0) for _ in range(n)))
+    total = rng.uniform(n, 10.0 * n)
+    buckets = 8 * n
+    width, scale = total / buckets, buckets / total
+    across = []
+    for b in range(1, buckets):
+        edge = b * width
+        for x in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)):
+            if (int(x * scale) < b) != (x < edge):
+                across.append(x)
+    return sorted(rng.sample(across, n - 1)) + [total]
+
+
+@pytest.mark.parametrize("near_edges", [False, True], ids=["drawn", "near-edges"])
+@pytest.mark.parametrize("n", [1, 2, 64, 255, 640])
+def test_weighted_buckets_answer_as_bisect_right(n, near_edges):
+    # a draw x = random() * total in a pure bucket takes the table's node;
+    # it must be the node bisect_right gives, at every bucket edge and each
+    # cumulative weight, at their float neighbours, at the largest x below
+    # total that random() can give, and at x = total, which random() *
+    # total can round to
+    cum = _cumulative_weights(n, near_edges)
+    total = cum[-1] + 0.0
+    table, scale = simulator._bucket_table(cum, total)
+    buckets = len(table) - 1
+    assert buckets == 8 * n
+    points = {(1 - 2**-53) * total, total}
+    for x in [b * total / buckets for b in range(buckets + 1)] + cum:
+        points |= {math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)}
+    for x in sorted(p for p in points if 0 <= p <= total):
+        searched = bisect_right(cum, x, 0, n - 1) + 1
+        assert (table[int(x * scale)] or searched) == searched, (n, x)
+    # the table answers most draws; the rest fall back to the search
+    assert sum(map(bool, table)) >= 0.75 * len(table)
 
 
 def test_make_scheduler_rejects_unknown_name():
@@ -607,6 +661,64 @@ def test_a_legitimate_start_closes_every_node_after_one_cycle(fig1):
     _assert_runs_like_loop(fig1, make_scheduler("round-robin"), init, [], span)
 
 
+def _writer_case(case):
+    """A graph, a node v and a start: the legitimate configuration at pc 0
+    with one register field of v off its ground-truth value, so that v's
+    first cycle rewrites it."""
+    g = generate_random_connected(12, 0, seed=3) if case == "leaf-path" else figure1()
+    gt = ground_truth(g)
+    nonroot = range(2, g.n + 1)
+    if case == "root-path":
+        v, fld = 1, "path"
+    elif case == "parent-bcc":
+        v, fld = min(w for w in nonroot if gt.counts[w] != 0), "bcc"
+    else:
+        v, fld = min(w for w in nonroot if g.degree(w) == 1), "path"
+    init = stabilized_configuration(g, gt)
+    st = init.states[v - 1]
+    st.register = st.register._replace(**{fld: getattr(st.register, fld) + path_of(1)})
+    return g, v, fld, init
+
+
+@pytest.mark.parametrize(
+    "case, kind",
+    [("root-path", R_WRITE_PATH), ("parent-bcc", C_WRITE_PARENT_BCC), ("leaf-path", A_WRITE)],
+)
+def test_a_changed_write_keeps_the_writers_record(case, kind):
+    # v starts at pc 0 with one register field off and rewrites it in its
+    # first cycle: root-path in the R_WRITE_PATH of slot 0, the activation
+    # that starts the root's record; parent-bcc in C_WRITE_PARENT_BCC, the
+    # record's last slot; leaf-path, a degree-1 node, in A_WRITE, the
+    # record's first.  Each own field is written before the record reads
+    # it, so the next cycle repeats the record with that write unchanged:
+    # v keeps its record, which holds the unchanged twin, and closes it
+    # after one cycle.  No closed loop holds a changed write.
+    g, v, fld, init = _writer_case(case)
+    schedule = node_program(g, v).schedule
+    stepped, closed = [], []  # (state, pc before) per kernel call; v's closes
+    close = simulator._Replay.close
+
+    def counted_close(replay, w):
+        close(replay, w)
+        loop = replay.loops[w]
+        assert not any(ev.changed for _, ev, *_ in loop), (w, loop)
+        if w == v:
+            st = replay.states[v - 1]
+            closed.append(([pc for s, pc in stepped if s is st], len(loop)))
+
+    with patch.object(
+        simulator, "advance", lambda s, *a: stepped.append((s, s.pc)) or advance(s, *a)
+    ), patch.object(simulator._Replay, "close", counted_close):
+        trace, _ = run(g, make_scheduler("round-robin"), init, closure_rounds=40, record=True)
+    # until its first close every activation of v calls the kernel
+    pcs, length = closed[0]
+    assert len(pcs) == 1 + length
+    events = [ev for _, pid, ev in trace.steps if pid == v][: len(pcs)]
+    changed = [(schedule[pc][0], ev.field) for pc, ev in zip(pcs, events) if ev.changed]
+    assert changed == [(kind, fld)]
+    _assert_runs_like_loop(g, make_scheduler("round-robin"), init, [], 40)
+
+
 @pytest.mark.parametrize(
     "trigger, fld, stage, outcome",
     [
@@ -773,16 +885,16 @@ def test_replay_restarts_only_readers_kernel_call_lock():
     # the premature-verdict repro, from arbitrary states (2,369)
     g = generate_random_connected(16, 10, seed=144)
     init = init_arbitrary(g, 144)
-    assert _kernel_calls(g, make_scheduler("round-robin"), init, closure_rounds=30) == 1846
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, closure_rounds=30) == 1559
     # a post bcc fault on the legitimate configuration (3,132)
     g = generate_random_connected(40, 40, seed=0)
     init = stabilized_configuration(g, ground_truth(g))
     fault = FaultSpec(trigger=POST_STABILIZATION, targets=((3, "bcc"),), seed=3)
-    assert _kernel_calls(g, make_scheduler("round-robin"), init, [fault], 60) == 1346
+    assert _kernel_calls(g, make_scheduler("round-robin"), init, [fault], 60) == 1118
     # weighted activations from arbitrary states (5,196)
     g = figure1()
     init = init_arbitrary(g, 5)
-    assert _kernel_calls(g, make_scheduler("weighted", seed=3), init, closure_rounds=20) == 4559
+    assert _kernel_calls(g, make_scheduler("weighted", seed=3), init, closure_rounds=20) == 4023
 
 
 def test_default_max_rounds(fig1):
