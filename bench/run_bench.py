@@ -17,8 +17,10 @@ stream per case, on fresh copies of the initial states, with no replay),
 one ``analysis.certify`` of the
 legitimate detection sets (extracted from the ground-truth registers)
 against the brute-force oracles, one full ``simulator.run`` from the
-initial states under the seeded uniform-random scheduler until
-stabilization, and one ``cli.build_report`` of the run's report (which
+initial states until stabilization, under the seeded uniform-random
+scheduler on a random graph and the seeded weighted one on a clustered
+graph (round-robin is ``itertools.cycle``, with no code of the package's
+to time), and one ``cli.build_report`` of the run's report (which
 certifies its detection sets again) with the ``json.dumps`` that
 ``stabconn run`` prints.  ``certify`` reads nothing of the run, so it is
 timed before it, not in the wake of the same side's run.  The order of
@@ -37,7 +39,8 @@ rounds, stabilization, final registers and the certification report, and on
 the JSON report.  States and registers are compared by the references'
 keys (``full_state`` and ``plain_register`` of ``tests/reference.py``),
 which hold each path as a tuple of ints whatever the side holds it as.
-The kernel's and the run's rows also give the change's steps per second.
+Each row names its run's scheduler, and the kernel's and the run's rows
+also give the change's steps per second.
 It is written to ``BENCH_<label>.json`` at the repository root, or to
 ``--out``.  The exit status is 1 when the sides disagree on any case.
 """
@@ -82,15 +85,17 @@ def load(checkout: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    package.cli = importlib.import_module(f"{name}.cli")
+    for module in ("analysis", "cli", "oracle", "protocol", "simulator"):
+        setattr(package, module, importlib.import_module(f"{name}.{module}"))
     return package
 
 
 def cases():
-    """The ``--generate`` spec of each case, which each side parses itself."""
+    """The ``--generate`` spec of each case, which each side parses itself,
+    and the scheduler its run layer uses."""
     for n in SIZES:
         k, size = CLUSTERS[n]
-        yield from (f"random:{n},{2 * n - 1}", f"clustered:{k}x{size}")
+        yield from ((f"random:{n},{2 * n - 1}", "random"), (f"clustered:{k}x{size}", "weighted"))
 
 
 def _time(fn):
@@ -110,7 +115,7 @@ def kernel(pkg, g, init, pids):
     final states."""
     advance = pkg.protocol.advance
     states = [st.clone() for st in init.states]
-    programs = [pkg.node_program(g, v) for v in range(1, g.n + 1)]
+    programs = [pkg.protocol.node_program(g, v) for v in range(1, g.n + 1)]
     nbrs = [tuple(states[w - 1] for w in g.neighbors(v)) for v in range(1, g.n + 1)]
 
     def steps():
@@ -121,15 +126,15 @@ def kernel(pkg, g, init, pids):
     return t, states
 
 
-def one_side(pkg, g, gt, pids):
+def one_side(pkg, g, gt, pids, scheduler_name):
     """Time each of LAYERS once on one side; return times and outcome."""
-    t_truth, _ = _time(lambda: pkg.ground_truth(g))
-    t_init, init = _time(lambda: pkg.init_arbitrary(g, INIT_SEED))
+    t_truth, _ = _time(lambda: pkg.oracle.ground_truth(g))
+    t_init, init = _time(lambda: pkg.simulator.init_arbitrary(g, INIT_SEED))
     t_kernel, stepped = kernel(pkg, g, init, pids)
-    detection = pkg.extract(g, gt.registers, gt=gt)
-    t_certify, cert = _time(lambda: pkg.certify(detection, g))
-    scheduler = pkg.make_scheduler("random", seed=SCHEDULER_SEED)
-    t_run, (_, report) = _time(lambda: pkg.run(g, scheduler, init, gt=gt))
+    detection = pkg.analysis.extract(g, gt.registers, gt=gt)
+    t_certify, cert = _time(lambda: pkg.analysis.certify(detection, g))
+    scheduler = pkg.simulator.make_scheduler(scheduler_name, seed=SCHEDULER_SEED)
+    t_run, (_, report) = _time(lambda: pkg.simulator.run(g, scheduler, init, gt=gt))
     t_report, doc = _time(
         lambda: json.dumps(pkg.cli.build_report(g, report, SCHEDULER_SEED, INIT_SEED), indent=2)
     )
@@ -164,9 +169,9 @@ def summarize(base: list[float], null: list[float], change: list[float]) -> dict
     }
 
 
-def measure(sides: dict, spec: str) -> dict:
+def measure(sides: dict, spec: str, scheduler: str) -> dict:
     graphs = {name: pkg.cli.parse_generate_spec(spec, GRAPH_SEED) for name, pkg in sides.items()}
-    truths = {name: pkg.ground_truth(graphs[name]) for name, pkg in sides.items()}
+    truths = {name: pkg.oracle.ground_truth(graphs[name]) for name, pkg in sides.items()}
     rng = random.Random(SCHEDULER_SEED)
     pids = [rng.randint(1, graphs["change"].n) for _ in range(KERNEL_STEPS)]
     times = {name: {layer: [] for layer in LAYERS} for name in sides}
@@ -174,7 +179,7 @@ def measure(sides: dict, spec: str) -> dict:
     orders = list(itertools.permutations(sides))
     for k in range(PAIRS):
         for name in orders[k % len(orders)]:
-            t, outcomes[name] = one_side(sides[name], graphs[name], truths[name], pids)
+            t, outcomes[name] = one_side(sides[name], graphs[name], truths[name], pids, scheduler)
             for layer, seconds in t.items():
                 times[name][layer].append(seconds)
     steps, rounds, stabilized = outcomes["change"]["run"][:3]
@@ -182,6 +187,7 @@ def measure(sides: dict, spec: str) -> dict:
     row = {
         "n": graphs["change"].n,
         "m": graphs["change"].edge_count,
+        "scheduler": f"{scheduler}, seed {SCHEDULER_SEED}",
         "steps": steps,
         "rounds": rounds,
         "stabilized": stabilized,
@@ -215,8 +221,8 @@ def main(argv=None) -> int:
     }
 
     rows = {}
-    for name in cases():
-        rows[name] = measure(sides, name)
+    for name, scheduler in cases():
+        rows[name] = measure(sides, name, scheduler)
         print(f"{name}: {json.dumps(rows[name])}", flush=True)
     doc = {
         "script": "bench/run_bench.py",
@@ -224,7 +230,6 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "init_seed": INIT_SEED,
         "kernel_steps": KERNEL_STEPS,
-        "scheduler": f"random, seed {SCHEDULER_SEED}",
         "cases": rows,
     }
     out = args.out or ROOT / f"BENCH_{args.label}.json"

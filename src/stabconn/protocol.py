@@ -299,6 +299,10 @@ class StepEvent:
     changed: bool = False  # writes only: did the register value change
 
 
+#: per register field, its unchanged and its changed write: the events every
+#: write slot of that field returns
+WRITE_EVENTS = {f: (StepEvent("write", f, None, False), StepEvent("write", f, None, True))
+                for f in Register._fields}
 #: the register field each slot kind writes, or else reads (on its port, or its own)
 _WRITES = {A_WRITE: "path", R_WRITE_PATH: "path", B_WRITE: "count", R_WRITE_COUNT: "count",
            C_DECIDE: "bcc", C_WRITE_PARENT_BCC: "bcc", R_WRITE_BCC: "bcc"}
@@ -312,10 +316,10 @@ _new = tuple.__new__
 
 
 def _slot_events(kind: int, port: int, degree: int):
-    """What the slot returns (see ``NodeProgram.table``), built once per table."""
+    """What the slot returns (see ``NodeProgram.table``): a write slot its
+    field's ``WRITE_EVENTS`` pair, a read slot events built once per table."""
     if kind in _WRITES:
-        return (StepEvent("write", _WRITES[kind], None, False),
-                StepEvent("write", _WRITES[kind], None, True))
+        return WRITE_EVENTS[_WRITES[kind]]
     read = _READS[kind]
     if kind == C_READ_PARENT_BCC:
         return tuple(StepEvent("read", read, j) for j in range(1, degree + 1))

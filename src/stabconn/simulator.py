@@ -32,6 +32,7 @@ from .protocol import (
     ProcessorState,
     Register,
     StepEvent,
+    WRITE_EVENTS,
     advance,
     execute_step,
     initial_state,
@@ -390,7 +391,7 @@ _RECORDING = 0
 #: read on port p is that bit shifted left by 3 * (p - 1)
 _READ_BIT = {f: 1 << k for k, f in enumerate(REGISTER_FIELDS)}
 #: per register field, the unchanged write a record holds for a changed one
-_UNCHANGED = {f: StepEvent("write", f, None, False) for f in REGISTER_FIELDS}
+_UNCHANGED = {f: unchanged for f, (unchanged, _) in WRITE_EVENTS.items()}
 
 
 def _read_bit(event: StepEvent) -> int:

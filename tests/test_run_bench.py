@@ -23,6 +23,8 @@ def test_run_bench_compares_a_tree_with_itself(tmp_path):
             del sys.modules[name]
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert set(doc["cases"]) == {"random:16,31", "clustered:4x4"}
+    assert doc["cases"]["random:16,31"]["scheduler"] == "random, seed 0"
+    assert doc["cases"]["clustered:4x4"]["scheduler"] == "weighted, seed 0"
     for row in doc["cases"].values():
         assert row["n"] == 16 and row["stabilized"] and row["pairs"] == 2
         assert row["agree"] == {"graph": True, "init": True, "kernel": True, "run": True, "report": True}
